@@ -23,7 +23,6 @@ from .darwinism import (
     averaged_qmi,
     basis_grid_to_csv,
     cmi_grid,
-    cmi_joint_sampled,
     holevo_bound,
     mi_curve_to_csv,
     partition_scheme,
@@ -206,6 +205,8 @@ class ExperimentConfig:
             raise ConfigError("'shots' must be positive")
         if cfg.jobs < 1:
             raise ConfigError("'jobs' must be at least 1")
+        if cfg.phi_steps < 2 or cfg.xi_steps < 2:
+            raise ConfigError("'phi_steps' and 'xi_steps' must be at least 2")
         return cfg
 
     @property
@@ -388,26 +389,10 @@ def _cmi_point(payload):
     scheme = partition_scheme(cfg.params, cfg.partition)
     frac = _fraction_qubits(cfg, scheme)
     state = _run_state(cfg, t)
-    if cfg.sampled:
-        phis = np.linspace(0.0, math.pi, cfg.phi_steps)
-        xis = np.linspace(0.0, 2 * math.pi, cfg.xi_steps, endpoint=False)
-        values = np.empty((cfg.phi_steps, cfg.xi_steps))
-        for i, phi in enumerate(phis):
-            for j, xi in enumerate(xis):
-                cell_seed = cfg.seed + 100_000 * index + i * cfg.xi_steps + j
-                values[i, j] = cmi_joint_sampled(
-                    state,
-                    (0,),
-                    frac,
-                    MeasSetting.angles(phi, xi, len(frac)),
-                    cfg.shots,
-                    cell_seed,
-                )
-        from .darwinism import BasisGrid
-
-        grid = BasisGrid(tuple(phis.tolist()), tuple(xis.tolist()), values)
-    else:
-        grid = cmi_grid(state, (0,), frac, cfg.phi_steps, cfg.xi_steps)
+    shots = cfg.shots if cfg.sampled else None
+    grid = cmi_grid(
+        state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=cfg.seed + 100_000 * index
+    )
     return index, t, frac, grid
 
 

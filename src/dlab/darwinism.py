@@ -11,18 +11,23 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .kernels import apply_matrix
-from .qstate import DensityMatrix, PureState, partial_trace, von_neumann_entropy
+from .qstate import PAULIS, DensityMatrix, partial_trace, von_neumann_entropy
 from .scm import Scenario, ScmParams
 from .simulator import MeasSetting, basis_rotation
 
 DEFAULT_PHI_STEPS = 61
 DEFAULT_XI_STEPS = 61
 _PROB_CUTOFF = 1e-15
+_PAULI_BASIS = np.stack([PAULIS[m] for m in "IXYZ"])
+# _PAULI_TRACE[mu, 2a + b] = sigma_mu[b, a]: one qubit's tr(rho sigma_mu) from its (row, column) pair
+_PAULI_TRACE = _PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
+# Basis grids are contracted in chunks of cells whose largest intermediate
+# stays within this many bytes. The whole grid at once would hold 32 KiB per
+# cell for a 6-qubit fraction, 14 MB on a 21x21 grid, for no gain in speed.
+_CHUNK_BYTES = 1 << 18
 
 
 class SchemeMode(enum.Enum):
@@ -95,6 +100,8 @@ class BasisGrid:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (len(self.phis), len(self.xis)):
             raise ValueError("grid shape does not match the axes")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("mutual information must be finite")
         if vals.min() < -1e-9:
             raise ValueError("mutual information cannot be negative")
         vals.setflags(write=False)
@@ -109,14 +116,15 @@ class BasisGrid:
         return float(self.values.max())
 
 
-def _plugin_entropy(probs: np.ndarray, base: float) -> float:
-    p = probs[probs > _PROB_CUTOFF]
-    return float(-np.sum(p * np.log(p)) / math.log(base))
+def _entropies(probs: np.ndarray) -> np.ndarray:
+    """-sum p ln p along the last axis, dropping p <= _PROB_CUTOFF."""
+    logs = np.log(probs, where=probs > _PROB_CUTOFF, out=np.zeros_like(probs))
+    return -np.sum(probs * logs, axis=-1)
 
 
 def _vn_entropy_raw(mat: np.ndarray, base: float) -> float:
     vals = np.linalg.eigvalsh(mat)
-    return _plugin_entropy(np.clip(vals, 0.0, None), base)
+    return float(_entropies(np.clip(vals, 0.0, None))) / math.log(base)
 
 
 def _check_parts(state, sys_qubits, frac_qubits):
@@ -166,73 +174,106 @@ def _reduced_parts(state, sys_q, frac_q):
     return rho.matrix, sys_pos, frac_pos, len(kept)
 
 
-def _joint_probs(mat: np.ndarray, k: int, rotations) -> np.ndarray:
-    """diag(U rho U^dag) for the product rotation U = u_0 x ... x u_{k-1}."""
-    flat = mat.reshape(-1).copy()
-    for pos, u in enumerate(rotations):
-        apply_matrix(flat, u, (pos,), 2 * k)
-    u_full = reduce(np.kron, rotations)
-    probs = np.einsum("ob,ob->o", flat.reshape(2**k, 2**k), u_full.conj()).real
-    return np.clip(probs, 0.0, None)
+def _rotations(setting: MeasSetting) -> list[np.ndarray]:
+    return [setting.rotation(i) for i in range(setting.num_qubits)]
 
 
-def _shannon_mi(probs: np.ndarray, k: int, sys_pos, frac_pos, base: float) -> float:
-    joint = probs.reshape([2] * k).transpose(sys_pos + frac_pos)
-    joint = joint.reshape(2 ** len(sys_pos), 2 ** len(frac_pos))
-    joint = joint / joint.sum()
-    return (
-        _plugin_entropy(joint.sum(axis=1), base)
-        + _plugin_entropy(joint.sum(axis=0), base)
-        - _plugin_entropy(joint.reshape(-1), base)
-    )
+def _bloch_rows(rotations) -> np.ndarray:
+    """v[..., o, mu] = Re(u[o] sigma_mu u[o]^dag) for rotations u[..., o, :]
+    (rows are the new bras): outcome o projects onto sum_mu v[o, mu] sigma_mu / 2."""
+    u = np.asarray(rotations)
+    return np.einsum("...oa,mab,...ob->...om", u, _PAULI_BASIS, u.conj()).real
 
 
-def _resolve_rotations(k, sys_pos, frac_pos, sys_basis, env_basis_rotations):
-    rotations = [None] * k
-    for i, pos in enumerate(sys_pos):
-        rotations[pos] = sys_basis.rotation(i)
-    for i, pos in enumerate(frac_pos):
-        rotations[pos] = env_basis_rotations[i]
-    return rotations
+def _pauli_expansion(mat: np.ndarray, k: int) -> np.ndarray:
+    """T[mu_0, ..., mu_{k-1}] = tr(rho sigma_mu_0 x ... x sigma_mu_{k-1})."""
+    t = mat.reshape([2] * (2 * k))
+    t = t.transpose([ax for q in range(k) for ax in (q, k + q)]).reshape([4] * k)
+    for _ in range(k):  # each pass turns the last qubit's (row, column) pair into mu, in front
+        t = np.tensordot(_PAULI_TRACE, t, axes=([1], [k - 1]))
+    return t.real
+
+
+def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=None, seeds=None) -> np.ndarray:
+    """Shannon MI between system and fraction outcomes, one value per cell.
+
+    `mat` is the reduced state; system qubit i sits at position sys_pos[i] and
+    is measured in sys_rotations[i] in every cell, fraction qubit j at
+    frac_pos[j] with Bloch rows frac_rows[c, j] in cell c. The Born
+    probabilities are p(o) = 2^-k sum_mu T[mu] prod_i v_i[o_i, mu_i], with T
+    the Pauli expansion of the state: the system axes are contracted once, the
+    fraction axes one at a time over chunks of cells. With `shots`, cell c is
+    the plug-in MI of a multinomial draw seeded with seeds[c]; the draw runs
+    over outcomes in register order, as `sample` does.
+    """
+    s, f = len(sys_pos), len(frac_pos)
+    k = s + f
+    order = sys_pos + frac_pos
+    t = _pauli_expansion(mat, k).transpose(order)
+    for v in _bloch_rows(sys_rotations)[::-1]:
+        t = np.tensordot(v, t, axes=([1], [s - 1]))
+    system = t.reshape(1, 2**s, 4**f) / 2**k
+    to_register = (0,) + tuple(1 + np.argsort(order))
+    from_register = (0,) + tuple(1 + q for q in order)
+    cells = len(frac_rows)
+    step = max(1, _CHUNK_BYTES // (8 * 2 ** (s + 1) * 4 ** (f - 1)))
+    out = np.empty(cells)
+    for lo in range(0, cells, step):
+        rows = frac_rows[lo : lo + step]
+        p = system
+        for j in range(f):
+            p = p.reshape(len(p), -1, 4, 4 ** (f - 1 - j))
+            p = rows[:, None, j] @ p  # (C, 1, 2, 4) @ (C or 1, X, 4, R) -> (C, X, 2, R)
+        p = np.clip(p.reshape((len(rows),) + (2,) * k), 0.0, None)
+        if shots is not None:
+            # ulp noise on outcomes that cannot occur would still consume draws
+            p = np.where(p > _PROB_CUTOFF, p, 0.0).transpose(to_register).reshape(len(rows), -1)
+            p = p / p.sum(axis=1, keepdims=True)
+            draws = [
+                np.random.default_rng(seed).multinomial(shots, q)
+                for q, seed in zip(p, seeds[lo : lo + step])
+            ]
+            p = (np.array(draws) / shots).reshape((len(rows),) + (2,) * k).transpose(from_register)
+        joint = p.reshape(len(rows), 2**s, 2**f)
+        joint = joint / joint.sum(axis=(1, 2), keepdims=True)
+        out[lo : lo + len(rows)] = (
+            _entropies(joint.sum(axis=2))
+            + _entropies(joint.sum(axis=1))
+            - _entropies(joint.reshape(len(rows), -1))
+        ) / math.log(base)
+    return out
+
+
+def _system_basis(sys_basis: MeasSetting | None, num_qubits: int) -> MeasSetting:
+    if sys_basis is None:
+        return MeasSetting.computational(num_qubits)
+    if sys_basis.num_qubits != num_qubits:
+        raise ValueError("basis arity mismatch on the system side")
+    return sys_basis
+
+
+def _fixed_basis_cmi(state, sys_qubits, frac_qubits, env_basis, sys_basis, base, shots=None, seed=None) -> float:
+    sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
+    if env_basis.num_qubits != len(frac_q):
+        raise ValueError(
+            f"basis arity mismatch: {env_basis.num_qubits} bases for {len(frac_q)} fraction qubits"
+        )
+    sys_basis = _system_basis(sys_basis, len(sys_q))
+    mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
+    env_rows = _bloch_rows([_rotations(env_basis)])
+    return float(_basis_cmi(mat, sys_pos, frac_pos, _rotations(sys_basis), env_rows, base, shots, [seed])[0])
 
 
 def cmi_joint(state, sys_qubits, frac_qubits, env_basis: MeasSetting, sys_basis: MeasSetting | None = None, base: float = 2) -> float:
     """Shannon MI between system and fraction outcomes under fixed local
     measurement bases, from the exact Born distribution."""
-    sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
-    if env_basis.num_qubits != len(frac_q):
-        raise ValueError(
-            f"basis arity mismatch: {env_basis.num_qubits} bases for {len(frac_q)} fraction qubits"
-        )
-    if sys_basis is None:
-        sys_basis = MeasSetting.computational(len(sys_q))
-    elif sys_basis.num_qubits != len(sys_q):
-        raise ValueError("basis arity mismatch on the system side")
-    mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
-    env_rot = [env_basis.rotation(i) for i in range(len(frac_q))]
-    rotations = _resolve_rotations(k, sys_pos, frac_pos, sys_basis, env_rot)
-    probs = _joint_probs(mat, k, rotations)
-    return _shannon_mi(probs, k, sys_pos, frac_pos, base)
+    return _fixed_basis_cmi(state, sys_qubits, frac_qubits, env_basis, sys_basis, base)
 
 
 def cmi_joint_sampled(state, sys_qubits, frac_qubits, env_basis: MeasSetting, shots: int, seed: int, sys_basis: MeasSetting | None = None, base: float = 2) -> float:
     """Plug-in MI from seeded multinomial counts instead of exact Born
     probabilities; emulates a finite-shot estimate of the same quantity."""
-    sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
-    if env_basis.num_qubits != len(frac_q):
-        raise ValueError(
-            f"basis arity mismatch: {env_basis.num_qubits} bases for {len(frac_q)} fraction qubits"
-        )
-    if sys_basis is None:
-        sys_basis = MeasSetting.computational(len(sys_q))
-    mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
-    env_rot = [env_basis.rotation(i) for i in range(len(frac_q))]
-    rotations = _resolve_rotations(k, sys_pos, frac_pos, sys_basis, env_rot)
-    probs = _joint_probs(mat, k, rotations)
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    emp = rng.multinomial(shots, probs) / shots
-    return _shannon_mi(emp, k, sys_pos, frac_pos, base)
+    return _fixed_basis_cmi(state, sys_qubits, frac_qubits, env_basis, sys_basis, base, shots, seed)
 
 
 def cmi_grid(
@@ -243,26 +284,25 @@ def cmi_grid(
     xi_steps: int = DEFAULT_XI_STEPS,
     sys_basis: MeasSetting | None = None,
     base: float = 2,
+    shots: int | None = None,
+    seed: int = 0,
 ) -> BasisGrid:
     """cmi_joint over the uniform basis grid phi in [0, pi], xi in [0, 2*pi),
-    with the same (phi, xi) basis on every fraction qubit. The state is
-    reduced once; only the rotations vary per cell."""
+    with the same (phi, xi) basis on every fraction qubit. With `shots`, each
+    cell is instead the cmi_joint_sampled estimate, cell (i, j) drawn with
+    seed + i * xi_steps + j. The state is reduced and expanded once."""
     if phi_steps < 2 or xi_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
-    if sys_basis is None:
-        sys_basis = MeasSetting.computational(len(sys_q))
-    mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
+    sys_basis = _system_basis(sys_basis, len(sys_q))
+    mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
     phis = np.linspace(0.0, math.pi, phi_steps)
     xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
-    values = np.empty((phi_steps, xi_steps))
-    for i, phi in enumerate(phis):
-        for j, xi in enumerate(xis):
-            u = basis_rotation(phi, xi)
-            rotations = _resolve_rotations(k, sys_pos, frac_pos, sys_basis, [u] * len(frac_pos))
-            probs = _joint_probs(mat, k, rotations)
-            values[i, j] = _shannon_mi(probs, k, sys_pos, frac_pos, base)
-    return BasisGrid(tuple(phis.tolist()), tuple(xis.tolist()), values)
+    rows = _bloch_rows([basis_rotation(phi, xi) for phi in phis for xi in xis])
+    frac_rows = np.broadcast_to(rows[:, None], (len(rows), len(frac_q), 2, 4))
+    seeds = range(seed, seed + len(rows))
+    values = _basis_cmi(mat, sys_pos, frac_pos, _rotations(sys_basis), frac_rows, base, shots, seeds)
+    return BasisGrid(tuple(phis.tolist()), tuple(xis.tolist()), values.reshape(phi_steps, xi_steps))
 
 
 def holevo_bound(state, sys_qubits, frac_qubits, base: float = 2) -> float:
@@ -310,18 +350,21 @@ def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme, b
     if not fractions:
         raise ValueError(f"no fraction of {frac_size} qubits fits whole units")
     sys_q = tuple(sorted(sys_qubits))
-    entries = []
-    for sys_letters in itertools.product("XYZ", repeat=len(sys_q)):
-        sys_basis = MeasSetting.pauli("".join(sys_letters))
-        for env_letters in itertools.product("XYZ", repeat=frac_size):
-            env_basis = MeasSetting.pauli("".join(env_letters))
-            vals = [
-                cmi_joint(state, sys_q, frac, env_basis, sys_basis, base) for frac in fractions
-            ]
-            entries.append(
-                ScanEntry("".join(sys_letters), "".join(env_letters), float(np.mean(vals)))
-            )
-    return tuple(entries)
+    sys_labels = ["".join(p) for p in itertools.product("XYZ", repeat=len(sys_q))]
+    env_labels = ["".join(p) for p in itertools.product("XYZ", repeat=frac_size)]
+    env_rows = _bloch_rows([_rotations(MeasSetting.pauli(e)) for e in env_labels])
+    values = np.zeros((len(sys_labels), len(env_labels)))
+    for frac in fractions:
+        mat, sys_pos, frac_pos, _ = _reduced_parts(state, *_check_parts(state, sys_q, frac))
+        for b, label in enumerate(sys_labels):
+            sys_rot = _rotations(MeasSetting.pauli(label))
+            values[b] += _basis_cmi(mat, sys_pos, frac_pos, sys_rot, env_rows, base)
+    values /= len(fractions)
+    return tuple(
+        ScanEntry(sys_label, env_label, float(values[b, e]))
+        for b, sys_label in enumerate(sys_labels)
+        for e, env_label in enumerate(env_labels)
+    )
 
 
 def blp_witness(curve) -> float:

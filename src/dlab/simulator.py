@@ -16,7 +16,6 @@ from .circuit import Circuit
 from .kernels import apply_matrix
 from .qstate import (
     DensityMatrix,
-    KrausChannel,
     PureState,
     amplitude_damping_channel,
     depolarizing_channel,
@@ -237,12 +236,6 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
                 if damp is not None:
                     rho = _apply_kraus_flat(rho, damp, (q,), n)
     return DensityMatrix(n, rho.reshape(2**n, 2**n))
-
-
-def apply_channel_to_state(rho: DensityMatrix, channel: KrausChannel, targets: tuple[int, ...]) -> DensityMatrix:
-    from .qstate import apply_channel
-
-    return apply_channel(rho, channel, targets)
 
 
 def born_distribution(state, setting: MeasSetting) -> np.ndarray:

@@ -195,6 +195,12 @@ def test_config_errors(tmp_path):
     assert main(["coherence", "--config", str(tilted)]) == EXIT_CONFIG
     too_big = write_config(tmp_path, n=3, times=["t_max"], partition="per_qubit", fraction_units=9)
     assert main(["cmi", "--config", str(too_big)]) == EXIT_CONFIG
+    # a one-step grid axis is a config error before any compute, exact or sampled
+    one_phi = write_config(tmp_path, n=1, times=["t_max"], phi_steps=1)
+    assert main(["compare", "--config", str(one_phi)]) == EXIT_CONFIG
+    one_xi = write_config(tmp_path, n=1, times=["t_max"], xi_steps=1, sampled=True)
+    assert main(["cmi", "--config", str(one_xi)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_numeric_failure_exit_code(tmp_path):

@@ -1,11 +1,15 @@
 """Mutual-information curves, basis grids, Holevo bounds, scans, backflow."""
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlab import (
     BasisGrid,
+    DensityMatrix,
     MeasSetting,
     PartitionScheme,
     Scenario,
@@ -21,17 +25,111 @@ from dlab import (
     coherence_markovian,
     holevo_bound,
     ideal_global_state,
+    partial_trace,
     partition_scheme,
     pauli_cmi_scan,
     qmi,
     system_coherence,
 )
 from dlab.darwinism import basis_grid_to_csv, mi_curve_to_csv, scan_to_csv
+from dlab.kernels import apply_matrix
+from dlab.simulator import basis_rotation, sample
 
 T_MAX, T_CLOSE, T_REC = canonical_times()
 FULL2 = ScmParams(theta=math.pi, lam=1.0, n=2, scenario=Scenario.FULL)
 COND2 = ScmParams(theta=math.pi, lam=1.0, n=2)
 COND3 = ScmParams(theta=math.pi, lam=1.0, n=3)
+
+
+# Reference: the per-cell loop the Pauli-expansion path replaced. Each cell
+# rotates the reduced state qubit by qubit and reads diag(U rho U^dag).
+
+
+def loop_joint_probs(mat, k, rotations):
+    flat = mat.reshape(-1).copy()
+    for pos, u in enumerate(rotations):
+        apply_matrix(flat, u, (pos,), 2 * k)
+    u_full = reduce(np.kron, rotations)
+    probs = np.einsum("ob,ob->o", flat.reshape(2**k, 2**k), u_full.conj()).real
+    return np.clip(probs, 0.0, None)
+
+
+def loop_shannon_mi(probs, k, sys_pos, frac_pos, base=2):
+    joint = probs.reshape([2] * k).transpose(sys_pos + frac_pos)
+    joint = joint.reshape(2 ** len(sys_pos), 2 ** len(frac_pos))
+    joint = joint / joint.sum()
+
+    def h(p):
+        p = p[p > 1e-15]
+        return float(-np.sum(p * np.log(p)) / math.log(base))
+
+    return h(joint.sum(axis=1)) + h(joint.sum(axis=0)) - h(joint.reshape(-1))
+
+
+def loop_cell(state, sys_q, frac_q, sys_rotations, frac_rotations, base=2):
+    """cmi_joint of one cell, by the loop."""
+    sys_q, frac_q = tuple(sorted(sys_q)), tuple(sorted(frac_q))
+    kept = tuple(sorted(sys_q + frac_q))
+    mat = partial_trace(state, kept).matrix
+    sys_pos = tuple(kept.index(q) for q in sys_q)
+    frac_pos = tuple(kept.index(q) for q in frac_q)
+    rotations = [None] * len(kept)
+    for pos, u in zip(sys_pos + frac_pos, list(sys_rotations) + list(frac_rotations)):
+        rotations[pos] = u
+    probs = loop_joint_probs(mat, len(kept), rotations)
+    return loop_shannon_mi(probs, len(kept), sys_pos, frac_pos, base)
+
+
+def loop_grid(state, sys_q, frac_q, phi_steps, xi_steps, sys_basis):
+    sys_rot = [sys_basis.rotation(i) for i in range(len(sys_q))]
+    phis = np.linspace(0.0, math.pi, phi_steps)
+    xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
+    return np.array(
+        [
+            [
+                loop_cell(state, sys_q, frac_q, sys_rot, [basis_rotation(phi, xi)] * len(frac_q))
+                for xi in xis
+            ]
+            for phi in phis
+        ]
+    )
+
+
+_BASES = st.one_of(
+    st.sampled_from("XYZ"),
+    st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+)
+
+
+@st.composite
+def basis_problems(draw):
+    """A random k-qubit density matrix of random rank, a system anywhere in
+    the register, a disjoint fraction, and Pauli or angle bases on both."""
+    k = draw(st.integers(2, 5))
+    rank = draw(st.integers(1, 2**k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(2**k, rank)) + 1j * rng.normal(size=(2**k, rank))
+    rho = g @ g.conj().T
+    state = DensityMatrix(k, rho / np.trace(rho).real)
+    qubits = draw(st.permutations(range(k)))
+    s = draw(st.integers(1, k - 1))
+    f = draw(st.integers(1, k - s))
+    sys_basis = MeasSetting(tuple(draw(st.lists(_BASES, min_size=s, max_size=s))))
+    env_basis = MeasSetting(tuple(draw(st.lists(_BASES, min_size=f, max_size=f))))
+    return state, tuple(qubits[:s]), tuple(qubits[s : s + f]), sys_basis, env_basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis_problems())
+def test_basis_cmi_matches_the_loop(problem):
+    state, sys_q, frac_q, sys_basis, env_basis = problem
+    sys_rot = [sys_basis.rotation(i) for i in range(len(sys_q))]
+    env_rot = [env_basis.rotation(i) for i in range(len(frac_q))]
+    want = loop_cell(state, sys_q, frac_q, sys_rot, env_rot, base=math.e)
+    got = cmi_joint(state, sys_q, frac_q, env_basis, sys_basis, base=math.e)
+    assert abs(got - want) < 1e-12
+    grid = cmi_grid(state, sys_q, frac_q, 3, 4, sys_basis)
+    assert np.max(np.abs(grid.values - loop_grid(state, sys_q, frac_q, 3, 4, sys_basis))) < 1e-12
 
 
 def test_partition_scheme_layouts():
@@ -147,6 +245,43 @@ def test_cmi_joint_sampled_consistency():
     assert est == again
 
 
+def test_cmi_joint_sampled_errors():
+    psi = ideal_global_state(T_MAX, COND2)
+    with pytest.raises(ValueError):
+        cmi_joint_sampled(psi, (0,), (1, 2), MeasSetting.pauli("X"), shots=100, seed=0)
+    with pytest.raises(ValueError):
+        cmi_joint_sampled(
+            psi, (0,), (1,), MeasSetting.pauli("X"), shots=100, seed=0, sys_basis=MeasSetting.pauli("ZZ")
+        )
+
+
+def test_sampled_grid_matches_per_cell_draws():
+    # cell (i, j) is cmi_joint_sampled with seed + i * xi_steps + j. The loop
+    # is no reference here: numpy's binomial sampler branches on
+    # floor((n + 1) p), so an ulp in a rational Born probability can change a draw
+    psi = ideal_global_state(T_REC, FULL2)
+    for sys_q, frac in (((0,), (1, 2)), ((0,), (1, 2, 3, 4)), ((2,), (0, 3))):
+        grid = cmi_grid(psi, sys_q, frac, 4, 5, shots=512, seed=40)
+        xis = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
+        for i, phi in enumerate(np.linspace(0.0, math.pi, 4)):
+            for j, xi in enumerate(xis):
+                setting = MeasSetting.angles(phi, xi, len(frac))
+                cell = cmi_joint_sampled(psi, sys_q, frac, setting, 512, 40 + i * 5 + j)
+                assert grid.values[i, j] == cell
+
+
+def test_sampled_cmi_draws_like_sample():
+    # the draw runs over outcomes in register order, as `sample` does, so a
+    # system at the end of the register sees the same counts for a seed
+    g = np.random.default_rng(5).normal(size=(8, 8, 2)) @ np.array([1, 1j])
+    state = DensityMatrix(3, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    freqs = sample(state, MeasSetting(("X", "Y", (0.4, 1.1))), 1000, seed=9).frequencies()
+    want = loop_shannon_mi(freqs, 3, (2,), (0, 1))
+    sys_basis = MeasSetting(((0.4, 1.1),))
+    got = cmi_joint_sampled(state, (2,), (0, 1), MeasSetting.pauli("XY"), 1000, 9, sys_basis)
+    assert abs(got - want) < 1e-12
+
+
 def test_cmi_grid_peak_location():
     psi = ideal_global_state(T_MAX, COND2)
     grid = cmi_grid(psi, (0,), (1,), phi_steps=13, xi_steps=12)
@@ -168,6 +303,8 @@ def test_cmi_grid_validation():
         BasisGrid((0.0, 1.0), (0.0,), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         BasisGrid((0.0, 1.0), (0.0,), np.array([[-1.0], [0.0]]))
+    with pytest.raises(ValueError):
+        BasisGrid((0.0, 1.0), (0.0,), np.array([[np.nan], [0.0]]))
 
 
 def test_holevo_bound_values():
@@ -208,6 +345,11 @@ def test_pauli_scan_pairs_recover_the_bit():
     best = max(entries, key=lambda e: e.value)
     assert best.value > 0.4
     assert best.sys_basis == "Z"
+    for e in entries:
+        sys_rot = [MeasSetting.pauli(e.sys_basis).rotation(0)]
+        env_rot = [MeasSetting.pauli(e.env_basis).rotation(i) for i in range(2)]
+        loop = [loop_cell(psi, (0,), frac, sys_rot, env_rot) for frac in scheme.fractions(1)]
+        assert abs(e.value - np.mean(loop)) < 1e-12
 
 
 def test_pauli_scan_errors():
