@@ -90,6 +90,21 @@ _KNOWN_KEYS = {
 _NOISE_KEYS = {"depol_1q", "depol_2q", "amp_damp_gamma", "readout_flip", "idle_noise"}
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer (or an integral-valued number); never a bool or a fraction."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
 def _named_time(name: str, ct: CanonicalTimes) -> float:
     table = {"t_max": ct.t_max, "t_close": ct.t_close, "t_rec": ct.t_rec}
     if name not in table:
@@ -111,7 +126,9 @@ def _resolve_times(raw) -> tuple[float, ...]:
         if extra:
             raise ConfigError(f"unknown time-grid keys {sorted(extra)}")
         try:
-            values = np.linspace(float(raw["start"]), float(raw["stop"]), int(raw["count"])).tolist()
+            values = np.linspace(
+                float(raw["start"]), float(raw["stop"]), _integer(raw["count"], "count")
+            ).tolist()
         except KeyError as e:
             raise ConfigError(f"time grid needs 'start', 'stop', 'count' (missing {e})") from None
     elif isinstance(raw, list):
@@ -173,30 +190,34 @@ class ExperimentConfig:
         if partition is None:
             raise ConfigError(f"'partition' must be one of {sorted(_PARTITIONS)}")
         lam = float(raw.get("lam", 1.0))
+        if "idle_noise" in noise_raw:
+            noise_raw = dict(noise_raw, idle_noise=_boolean(noise_raw["idle_noise"], "idle_noise"))
         try:
             noise = NoiseModel(**noise_raw)
             cfg = cls(
                 scenario=scenario,
-                n=int(raw["n"]),
+                n=_integer(raw["n"], "n"),
                 theta=float(raw.get("theta", math.pi)),
                 lam=lam,
                 times=_resolve_times(raw.get("times")),
-                shots=int(raw.get("shots", 4096)),
-                seed=int(raw.get("seed", 0)),
+                shots=_integer(raw.get("shots", 4096), "shots"),
+                seed=_integer(raw.get("seed", 0), "seed"),
                 noise=noise,
                 coupling_map=str(raw.get("coupling_map", "t7")),
                 partition=partition,
                 outputs=str(raw.get("outputs", "out")),
-                phi_steps=int(raw.get("phi_steps", 61)),
-                xi_steps=int(raw.get("xi_steps", 61)),
-                fraction_units=int(raw.get("fraction_units", 1)),
-                sizes=None if raw.get("sizes") is None else tuple(int(s) for s in raw["sizes"]),
-                include_tomography=bool(raw.get("include_tomography", False)),
-                sampled=bool(raw.get("sampled", False)),
+                phi_steps=_integer(raw.get("phi_steps", 61), "phi_steps"),
+                xi_steps=_integer(raw.get("xi_steps", 61), "xi_steps"),
+                fraction_units=_integer(raw.get("fraction_units", 1), "fraction_units"),
+                sizes=None if raw.get("sizes") is None else tuple(_integer(s, "sizes") for s in raw["sizes"]),
+                include_tomography=_boolean(
+                    raw.get("include_tomography", False), "include_tomography"
+                ),
+                sampled=_boolean(raw.get("sampled", False), "sampled"),
                 dilution=float(raw.get("dilution", 0.1)),
                 tol=float(raw.get("tol", 1e-7)),
-                max_iters=int(raw.get("max_iters", 5000)),
-                jobs=int(raw.get("jobs", 1)),
+                max_iters=_integer(raw.get("max_iters", 5000), "max_iters"),
+                jobs=_integer(raw.get("jobs", 1), "jobs"),
             )
             cfg.params  # force ScmParams invariants now, as a config check
         except (ValueError, TypeError) as e:

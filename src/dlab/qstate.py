@@ -175,15 +175,21 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets: list[int]) -> D
         raise ValueError(f"targets {targets} must be distinct and in range 0..{n - 1}")
     if ch.dim != 2 ** len(targets):
         raise ValueError(f"operator dim {ch.dim} does not match 2^{len(targets)} targets")
-    out = np.zeros(4**n, dtype=complex)
-    row_axes = tuple(targets)
-    col_axes = tuple(n + q for q in targets)
-    for k in ch.operators:
-        work = rho.matrix.reshape(-1).astype(complex)
-        apply_matrix(work, k, row_axes, 2 * n)
-        apply_matrix(work, k.conj(), col_axes, 2 * n)
-        out += work
+    out = _apply_kraus_flat(rho.matrix.reshape(-1), ch.operators, tuple(targets), n)
     return DensityMatrix(n, out.reshape(2**n, 2**n))
+
+
+def _apply_kraus_flat(rho: np.ndarray, ops, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """sum_i (K_i x I) rho (K_i^dag x I) on a flattened complex n-qubit density
+    matrix, as a new array; `rho` is left untouched."""
+    col = tuple(n + q for q in targets)
+    out = np.zeros(4**n, dtype=complex)
+    for k in ops:
+        work = rho.copy()
+        apply_matrix(work, k, targets, 2 * n)
+        apply_matrix(work, k.conj(), col, 2 * n)
+        out += work
+    return out
 
 
 def partial_trace(state: PureState | DensityMatrix, keep: list[int]) -> DensityMatrix:

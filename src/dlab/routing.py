@@ -68,25 +68,6 @@ class CouplingMap:
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adj[q]
 
-    def shortest_paths_from(self, src: int) -> dict[int, list[int]]:
-        """BFS tree with sorted neighbor order, so paths are deterministic."""
-        parent = {src: None}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors(u):
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        paths = {}
-        for dst in parent:
-            node, chain = dst, []
-            while node is not None:
-                chain.append(node)
-                node = parent[node]
-            paths[dst] = chain[::-1]
-        return paths
-
     def all_shortest_paths(self, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
         """Every shortest path src->dst, sorted lexicographically."""
         dist = {src: 0}
@@ -319,26 +300,19 @@ def peephole_zero_swap(rc: RoutedCircuit, known_zero: set[int] | None = None) ->
     for g in rc.circuit.gates:
         if g.kind is GateKind.SWAP:
             a, b = g.qubits
-            za, zb = a in zero, b in zero
-            if za and zb:
-                continue
-            if za or zb:
-                # with b = |0>: CNOT(a,b) copies, CNOT(b,a) clears the source
-                src, dst = (b, a) if za else (a, b)
+            src, dst = (b, a) if a in zero else (a, b)
+            # the placement objective's SWAP cost is the rewrite: 0 drops it,
+            # 2 means dst is |0> (CNOT(src,dst) copies, CNOT(dst,src) clears
+            # the source), 3 keeps it
+            cost = _swap_exec_cost(a, b, zero)
+            if cost == 2:
                 gates.append(Gate(GateKind.CNOT, (src, dst)))
                 gates.append(Gate(GateKind.CNOT, (dst, src)))
-                zero.discard(dst)
-                zero.add(src)
-            else:
+            elif cost == 3:
                 gates.append(g)
             continue
         gates.append(g)
-        if g.kind in (GateKind.X, GateKind.H, GateKind.RY):
-            zero.discard(g.qubits[0])
-        elif g.kind is GateKind.CNOT:
-            if g.qubits[0] not in zero:
-                zero.discard(g.qubits[1])
-        # CZ leaves |0> flags untouched either way
+        _note_zero(g, zero)
     circuit = Circuit(rc.circuit.num_qubits, tuple(gates), dict(rc.circuit.labels))
     return RoutedCircuit(
         circuit=circuit,

@@ -17,6 +17,7 @@ from .kernels import apply_matrix
 from .qstate import (
     DensityMatrix,
     PureState,
+    _apply_kraus_flat,
     amplitude_damping_channel,
     depolarizing_channel,
 )
@@ -187,17 +188,6 @@ def run_statevector(c: Circuit) -> PureState:
     for g in c.gates:
         apply_matrix(psi, g.matrix(), g.qubits, c.num_qubits)
     return PureState(c.num_qubits, psi)
-
-
-def _apply_kraus_flat(rho: np.ndarray, ops, targets: tuple[int, ...], n: int) -> np.ndarray:
-    col = tuple(n + q for q in targets)
-    out = np.zeros_like(rho)
-    for k in ops:
-        work = rho.copy()
-        apply_matrix(work, k, targets, 2 * n)
-        apply_matrix(work, k.conj(), col, 2 * n)
-        out += work
-    return out
 
 
 def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:

@@ -116,7 +116,8 @@ def _mle_core(num_qubits, vectors, freqs, dilution, tol, max_iters):
                 break
             eps /= 2
             if eps < _MIN_DILUTION:
-                return rho, iterations, True, tuple(history)
+                # no ascending step left at any dilution: a stall, not convergence
+                return rho, iterations, False, tuple(history)
         step = _trace_distance_raw(cand, rho)
         rho = cand
         probs = cand_probs

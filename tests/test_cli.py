@@ -200,7 +200,31 @@ def test_config_errors(tmp_path):
     assert main(["compare", "--config", str(one_phi)]) == EXIT_CONFIG
     one_xi = write_config(tmp_path, n=1, times=["t_max"], xi_steps=1, sampled=True)
     assert main(["cmi", "--config", str(one_xi)]) == EXIT_CONFIG
+    # booleans and integers parse strictly: no truthy strings, no truncation
+    for command, overrides in (
+        ("cmi", {"times": ["t_max"], "sampled": "false"}),
+        ("darwinism", {"include_tomography": "no"}),
+        ("darwinism", {"noise": {"depol_1q": 0.01, "idle_noise": "false"}}),
+        ("darwinism", {"include_tomography": 1}),
+        ("coherence", {"n": 2.7}),
+        ("coherence", {"n": True}),
+        ("coherence", {"n": "2"}),
+        ("coherence", {"shots": 1024.5}),
+        ("coherence", {"seed": 7.5}),
+        ("cmi", {"times": ["t_max"], "phi_steps": 3.5}),
+        ("cmi", {"times": ["t_max"], "xi_steps": 3.5}),
+        ("darwinism", {"fraction_units": 1.5}),
+        ("tomo", {"n": 1, "times": ["t_max"], "max_iters": 10.5}),
+        ("coherence", {"jobs": 1.5}),
+        ("darwinism", {"sizes": [1.5]}),
+        ("coherence", {"times": {"start": 0.0, "stop": 1.0, "count": 2.5}}),
+    ):
+        cfg = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(cfg)]) == EXIT_CONFIG, overrides
     assert not (tmp_path / "out").exists()
+    # an integral-valued number is an integer
+    whole = write_config(tmp_path, n=1.0, times=[0.3], shots=128.0)
+    assert main(["coherence", "--config", str(whole)]) == EXIT_OK
 
 
 def test_numeric_failure_exit_code(tmp_path):

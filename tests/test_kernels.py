@@ -1,14 +1,8 @@
-"""Compiled core vs pure-numpy fallback: both must implement the same
-in-place tensor contraction."""
+"""The gate kernel against an explicit 2^n x 2^n operator."""
 import numpy as np
-import pytest
 
-from dlab.kernels import IMPLEMENTATION, apply_matrix, _fallback
-
-try:
-    from dlab.kernels import _core
-except ImportError:
-    _core = None
+import dlab
+from dlab.kernels import apply_matrix
 
 
 def random_state(num_qubits, rng):
@@ -22,36 +16,42 @@ def random_unitary(dim, rng):
     return (q * (np.diag(r) / np.abs(np.diag(r)))).astype(np.complex128)
 
 
+def dense_operator(mat, axes, n):
+    """`mat` on `axes` (axes[0] most significant), identity elsewhere, as a
+    full matrix in register order (qubit 0 most significant)."""
+    rest = [q for q in range(n) if q not in axes]
+    op = np.kron(mat, np.eye(2 ** len(rest))).reshape([2] * (2 * n))
+    # op acts on the register reordered as axes + rest; put each qubit back
+    back = list(np.argsort(list(axes) + rest))
+    return op.transpose(back + [n + i for i in back]).reshape(2**n, 2**n)
+
+
+def axis_cases(k, n, rng):
+    spread = tuple(int(q) for q in np.linspace(0, n - 1, k))
+    cases = {
+        tuple(range(k)),
+        tuple(range(n - 1, n - 1 - k, -1)),  # reversed
+        spread,  # non-adjacent once n > k
+        spread[::-1],
+        tuple(int(q) for q in rng.permutation(n)[:k]),
+    }
+    return sorted(cases)
+
+
 def test_implementation_reported():
-    assert IMPLEMENTATION in ("cython", "python")
+    assert dlab.KERNEL_IMPLEMENTATION == "python"
 
 
-@pytest.mark.skipif(_core is None, reason="compiled core not built")
-def test_core_matches_fallback_1q():
+def test_matches_dense_operator():
     rng = np.random.default_rng(11)
-    for n in (1, 2, 5, 9):
-        for axis in range(n):
-            psi = random_state(n, rng)
-            u = random_unitary(2, rng)
-            a, b = psi.copy(), psi.copy()
-            _core.apply_1q(a, u, axis, n)
-            _fallback.apply_matrix(b, u, (axis,), n)
-            assert np.max(np.abs(a - b)) < 1e-13
-
-
-@pytest.mark.skipif(_core is None, reason="compiled core not built")
-def test_core_matches_fallback_2q():
-    rng = np.random.default_rng(12)
-    for n in (2, 3, 6, 9):
-        for axes in ((0, 1), (n - 1, 0), (1, n - 1)):
-            if axes[0] == axes[1]:
-                continue
-            psi = random_state(n, rng)
-            u = random_unitary(4, rng)
-            a, b = psi.copy(), psi.copy()
-            _core.apply_2q(a, u, axes[0], axes[1], n)
-            _fallback.apply_matrix(b, u, axes, n)
-            assert np.max(np.abs(a - b)) < 1e-13
+    for k in (1, 2, 3):
+        for n in sorted({k, k + 1, 5, 9}):
+            for axes in axis_cases(k, n, rng):
+                psi = random_state(n, rng)
+                m = rng.standard_normal((2**k, 2**k)) + 1j * rng.standard_normal((2**k, 2**k))
+                expected = dense_operator(m, axes, n) @ psi
+                apply_matrix(psi, m, axes, n)
+                assert np.max(np.abs(psi - expected)) < 1e-12, (k, n, axes)
 
 
 def test_dispatch_unitarity_preserves_norm():
@@ -67,8 +67,7 @@ def test_dispatch_accepts_readonly_matrix():
     psi = random_state(4, rng)
     u = random_unitary(2, rng)
     u.setflags(write=False)
-    expected = psi.copy()
-    _fallback.apply_matrix(expected, u, (1,), 4)
+    expected = dense_operator(u, (1,), 4) @ psi
     apply_matrix(psi, u, (1,), 4)
     assert np.max(np.abs(psi - expected)) < 1e-13
 
@@ -84,14 +83,3 @@ def test_axis_order_is_significant():
     apply_matrix(a, cnot, (0, 2), 3)
     apply_matrix(b, cnot, (2, 0), 3)
     assert np.max(np.abs(a - b)) > 1e-3
-
-
-def test_three_qubit_matrix_goes_through_fallback():
-    # dispatcher only accelerates k <= 2; larger blocks still work
-    rng = np.random.default_rng(16)
-    psi = random_state(4, rng)
-    u = random_unitary(8, rng)
-    ref = psi.copy()
-    _fallback.apply_matrix(ref, u, (0, 1, 3), 4)
-    apply_matrix(psi, u, (0, 1, 3), 4)
-    assert np.max(np.abs(psi - ref)) < 1e-13

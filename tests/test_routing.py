@@ -1,4 +1,5 @@
 """Coupling maps, placement search, SWAP insertion and the zero-SWAP peephole."""
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from dlab import (
     routed_statevector_equivalent,
     routed_unitary_equivalent,
 )
+from dlab.routing import _all_pair_paths, _route_once
 
 T7_EDGES = frozenset({(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)})
 LINE3 = CouplingMap(3, frozenset({(0, 1), (1, 2)}))
@@ -127,6 +129,23 @@ def test_route_full_circuit_on_t7():
     again = route(c, t7)
     assert again.placement == rc.placement
     assert again.circuit.gates == rc.circuit.gates
+
+
+def test_placement_objective_matches_peephole_count():
+    # the exhaustive search scores each placement by the CNOT count the
+    # zero-SWAP rewrite realizes; both must agree for every placement
+    t7 = builtin_coupling_map("t7")
+    paths = _all_pair_paths(t7)
+    for build, scenario, n in (
+        (build_full_circuit, Scenario.FULL, 2),
+        (build_condensed_circuit, Scenario.CONDENSED, 3),
+    ):
+        c = build(math.log(2), ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario))
+        for perm in itertools.permutations(range(t7.num_physical), c.num_qubits):
+            placement = dict(enumerate(perm))
+            objective = _route_once(c, t7, placement, paths)[3]
+            realized = peephole_zero_swap(route(c, t7, placement=placement)).cnot_count
+            assert objective == realized, (scenario, placement)
 
 
 def test_route_condensed_star_centers_system():

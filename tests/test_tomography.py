@@ -27,6 +27,7 @@ from dlab import (
     save_state_text,
     save_tomography_job,
 )
+from dlab import tomography
 
 PLUS = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2))
 
@@ -70,6 +71,27 @@ def test_mle_recovers_plus_state():
     res = mle_reconstruct_from_frequencies(1, settings, exact_frequencies(PLUS, settings))
     assert fidelity(res.state, PLUS.density_matrix()) >= 1 - 1e-6
     assert res.converged
+    assert_monotone(res.log_likelihoods)
+
+
+def test_mle_stall_is_not_convergence(monkeypatch):
+    # after three accepted steps every candidate descends, so the dilution
+    # halves below its floor: the run stops early, without converging
+    real = tomography._log_likelihood
+    calls = []
+
+    def descending_after_three(freqs, probs):
+        calls.append(None)
+        return real(freqs, probs) if len(calls) <= 4 else -math.inf
+
+    monkeypatch.setattr(tomography, "_log_likelihood", descending_after_three)
+    settings = pauli_settings(1)
+    res = mle_reconstruct_from_frequencies(
+        1, settings, exact_frequencies(PLUS, settings), tol=0.0, max_iters=100
+    )
+    assert res.converged is False
+    assert res.iterations < 100
+    assert len(res.log_likelihoods) == 4
     assert_monotone(res.log_likelihoods)
 
 
