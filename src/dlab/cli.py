@@ -39,7 +39,15 @@ from .routing import (
     routed_unitary_equivalent,
 )
 from .scm import CanonicalTimes, Scenario, ScmParams, canonical_times, coherence_finite
-from .simulator import MeasSetting, NoiseModel, run_density, run_statevector, sample
+from .simulator import (
+    DENSITY_MAX_QUBITS,
+    STATEVECTOR_MAX_QUBITS,
+    MeasSetting,
+    NoiseModel,
+    run_density,
+    run_statevector,
+    sample,
+)
 from .tomography import (
     TomographyJob,
     coherence_from_tomo,
@@ -135,6 +143,8 @@ def _resolve_times(raw) -> tuple[float, ...]:
         values = [_named_time(v, ct) if isinstance(v, str) else float(v) for v in raw]
     else:
         raise ConfigError(f"cannot interpret 'times': {raw!r}")
+    if not all(math.isfinite(t) for t in values):
+        raise ConfigError("times must be finite")
     values = sorted(values)
     if any(t < 0 for t in values):
         raise ConfigError("times must be non-negative")
@@ -228,6 +238,12 @@ class ExperimentConfig:
             raise ConfigError("'jobs' must be at least 1")
         if cfg.phi_steps < 2 or cfg.xi_steps < 2:
             raise ConfigError("'phi_steps' and 'xi_steps' must be at least 2")
+        if not 0 < cfg.dilution <= 1:
+            raise ConfigError("'dilution' must lie in (0, 1]")
+        if not 0 <= cfg.tol < math.inf:
+            raise ConfigError("'tol' must be finite and non-negative")
+        if cfg.max_iters < 1:
+            raise ConfigError("'max_iters' must be at least 1")
         return cfg
 
     @property
@@ -268,6 +284,20 @@ class ExperimentConfig:
     def provenance_lines(self) -> str:
         blob = json.dumps(self.resolved_dict(), sort_keys=True)
         return f"# config: {blob}\n# seed: {self.seed}\n"
+
+
+def _preflight(cfg: ExperimentConfig, command: str) -> None:
+    """Reject a register no simulation of `command` can hold, before any compute."""
+    nq = cfg.params.num_qubits
+    if nq > STATEVECTOR_MAX_QUBITS:
+        raise ConfigError(f"statevector runs are capped at {STATEVECTOR_MAX_QUBITS} qubits ({nq} requested)")
+    if command != "route" and not cfg.noise.is_trivial and nq > DENSITY_MAX_QUBITS:
+        raise ConfigError(f"noisy density runs are capped at {DENSITY_MAX_QUBITS} qubits ({nq} requested)")
+    tomography = command == "tomo" or (command == "darwinism" and cfg.include_tomography)
+    if tomography and nq > TOMO_MAX_QUBITS:
+        raise ConfigError(
+            f"tomographic reconstruction is capped at {TOMO_MAX_QUBITS} qubits ({nq} requested)"
+        )
 
 
 def _require_pointer_theta(cfg: ExperimentConfig) -> None:
@@ -357,10 +387,6 @@ def cmd_coherence(cfg: ExperimentConfig) -> None:
 
 def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):
     nq = state.num_qubits
-    if nq > TOMO_MAX_QUBITS:
-        raise ConfigError(
-            f"tomographic reconstruction is capped at {TOMO_MAX_QUBITS} qubits ({nq} requested)"
-        )
     settings = pauli_settings(nq)
     records = [
         sample(state, s, cfg.shots, base_seed + j, cfg.noise.readout_flip)
@@ -572,6 +598,7 @@ def main(argv=None) -> int:
         if args.jobs is not None:
             raw["jobs"] = args.jobs
         cfg = ExperimentConfig.from_dict(raw)
+        _preflight(cfg, args.command)
         _COMMANDS[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PAULIS, DensityMatrix, partial_trace, von_neumann_entropy
+from .qstate import PAULIS, PureState, _entropy, _reduce, partial_trace
 from .scm import Scenario, ScmParams
 from .simulator import MeasSetting, basis_rotation
 
@@ -145,21 +145,50 @@ def system_coherence(state, system_qubit: int = 0) -> float:
     return float(2 * rho.matrix[0, 1].real)
 
 
+def _entropy_table(state, base: float):
+    """H(X) of `state` for sorted qubit tuples X, each side computed once.
+
+    Reductions are bare arrays: `state` was validated when it was built, so
+    no reduced `DensityMatrix` is constructed or checked. A pure state has
+    H(X) = H(complement of X) and is reduced onto the smaller side, so no
+    matrix above 2^(n/2) x 2^(n/2) is diagonalised; a mixed state is reduced
+    onto X itself.
+    """
+    pure = isinstance(state, PureState)
+    data = state.amplitudes if pure else state.matrix
+    cache: dict[tuple[int, ...], float] = {}
+
+    def entropy(qubits: tuple[int, ...]) -> float:
+        if pure:
+            rest = tuple(q for q in range(state.num_qubits) if q not in qubits)
+            if len(rest) < len(qubits):
+                qubits = rest
+            if not qubits:
+                return 0.0
+        if qubits not in cache:
+            cache[qubits] = _entropy(_reduce(data, qubits), base)
+        return cache[qubits]
+
+    return entropy
+
+
+def _qmi(entropy, sys_q, frac_q) -> float:
+    return entropy(sys_q) + entropy(frac_q) - entropy(tuple(sorted(sys_q + frac_q)))
+
+
 def qmi(state, sys_qubits, frac_qubits, base: float = 2) -> float:
     """I(S:F) = H(S) + H(F) - H(SF)."""
-    sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
-    h_s = von_neumann_entropy(partial_trace(state, sys_q), base)
-    h_f = von_neumann_entropy(partial_trace(state, frac_q), base)
-    h_sf = von_neumann_entropy(partial_trace(state, tuple(sorted(sys_q + frac_q))), base)
-    return h_s + h_f - h_sf
+    return _qmi(_entropy_table(state, base), *_check_parts(state, sys_qubits, frac_qubits))
 
 
 def averaged_qmi(state, sys_qubits, scheme: PartitionScheme, base: float = 2) -> MiCurve:
     """QMI averaged over all same-size fractions, with the standard error of
-    the mean as the spread measure."""
+    the mean as the spread measure. H(S), and any side two fractions share,
+    is computed once per call."""
+    entropy = _entropy_table(state, base)
     points = []
     for f in range(1, scheme.num_units + 1):
-        vals = [qmi(state, sys_qubits, frac, base) for frac in scheme.fractions(f)]
+        vals = [_qmi(entropy, *_check_parts(state, sys_qubits, frac)) for frac in scheme.fractions(f)]
         arr = np.array(vals)
         stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         points.append((f, float(arr.mean()), stderr))
@@ -168,10 +197,10 @@ def averaged_qmi(state, sys_qubits, scheme: PartitionScheme, base: float = 2) ->
 
 def _reduced_parts(state, sys_q, frac_q):
     kept = tuple(sorted(sys_q + frac_q))
-    rho = partial_trace(state, kept)
+    mat = _reduce(state.amplitudes if isinstance(state, PureState) else state.matrix, kept)
     sys_pos = tuple(kept.index(q) for q in sys_q)
     frac_pos = tuple(kept.index(q) for q in frac_q)
-    return rho.matrix, sys_pos, frac_pos, len(kept)
+    return mat, sys_pos, frac_pos, len(kept)
 
 
 def _rotations(setting: MeasSetting) -> list[np.ndarray]:
@@ -312,8 +341,7 @@ def holevo_bound(state, sys_qubits, frac_qubits, base: float = 2) -> float:
     mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
     tensor = mat.reshape([2] * (2 * k))
     s = len(sys_pos)
-    rho_f = partial_trace(DensityMatrix(k, mat), frac_pos).matrix
-    chi = _vn_entropy_raw(rho_f, base)
+    chi = _vn_entropy_raw(_reduce(mat, frac_pos), base)
     for i in range(2**s):
         idx: list = [slice(None)] * (2 * k)
         for bitpos, pos in enumerate(sys_pos):

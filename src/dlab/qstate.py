@@ -200,22 +200,34 @@ def partial_trace(state: PureState | DensityMatrix, keep: list[int]) -> DensityM
         raise ValueError("keep list must be non-empty")
     if len(set(keep)) != len(keep) or any(not 0 <= q < n for q in keep):
         raise ValueError(f"keep {keep} must be distinct and in range 0..{n - 1}")
-    rest = [q for q in range(n) if q not in keep]
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return DensityMatrix(len(keep), _reduce(data, keep))
+
+
+def _reduce(data: np.ndarray, keep) -> np.ndarray:
+    """Reduced matrix on `keep` of a register's amplitude vector (1-D) or
+    density matrix (2-D), as a bare array. `keep` must be sorted, distinct and
+    in range: nothing here checks it or the result."""
+    n = data.shape[0].bit_length() - 1
+    keep = list(keep)
     dk = 2 ** len(keep)
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape([2] * n)
-        psi = np.transpose(psi, keep + rest).reshape(dk, -1)
-        return DensityMatrix(len(keep), psi @ psi.conj().T)
-    tensor = state.matrix.reshape([2] * (2 * n))
+    if data.ndim == 1:
+        rest = [q for q in range(n) if q not in keep]
+        psi = np.transpose(data.reshape([2] * n), keep + rest).reshape(dk, -1)
+        return psi @ psi.conj().T
     subs = list(range(n)) + [n + q if q in keep else q for q in range(n)]
     out_subs = keep + [n + q for q in keep]
-    reduced = np.einsum(tensor, subs, out_subs).reshape(dk, dk)
-    return DensityMatrix(len(keep), reduced)
+    return np.einsum(data.reshape([2] * (2 * n)), subs, out_subs).reshape(dk, dk)
 
 
 def von_neumann_entropy(rho: DensityMatrix, base: float = 2) -> float:
     """-sum eig*log(eig) over eigenvalues above the cutoff; base-2 by default."""
-    eigs = np.linalg.eigvalsh(rho.matrix)
+    return _entropy(rho.matrix, base)
+
+
+def _entropy(mat: np.ndarray, base: float) -> float:
+    """von_neumann_entropy of a bare Hermitian matrix."""
+    eigs = np.linalg.eigvalsh(mat)
     eigs = eigs[eigs > EIG_CUTOFF]
     return float(-np.sum(eigs * np.log(eigs)) / math.log(base))
 

@@ -41,14 +41,19 @@ class ScmParams:
     scenario: Scenario = Scenario.CONDENSED
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"rate lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"rate lam must be positive and finite, got {self.lam}")
         if self.n < 1:
             raise ValueError(f"need at least one ancilla-emitter pair, got n={self.n}")
         if not 0 <= self.theta < 2 * math.pi:
             raise ValueError(f"theta {self.theta} outside [0, 2*pi)")
         if self.scenario is Scenario.CONDENSED and abs(self.theta - math.pi) > THETA_PI_ATOL:
             raise ValueError("condensed scenario requires theta = pi (non-entangling collisions)")
+
+    @property
+    def num_qubits(self) -> int:
+        """Register size: the system plus n (condensed) or 2n (full) environment qubits."""
+        return 1 + (self.n if self.scenario is Scenario.CONDENSED else 2 * self.n)
 
 
 @dataclass(frozen=True)
@@ -154,5 +159,4 @@ def ideal_global_state(t: float, p: ScmParams) -> PureState:
             env = np.kron(env, branch[sigma])
         parts.append(env)
     amps = np.concatenate(parts) / math.sqrt(2.0)
-    num_qubits = 1 + (p.n if p.scenario is Scenario.CONDENSED else 2 * p.n)
-    return PureState(num_qubits, amps)
+    return PureState(p.num_qubits, amps)

@@ -218,9 +218,29 @@ def test_config_errors(tmp_path):
         ("coherence", {"jobs": 1.5}),
         ("darwinism", {"sizes": [1.5]}),
         ("coherence", {"times": {"start": 0.0, "stop": 1.0, "count": 2.5}}),
+        # numbers out of range, and registers no simulator here can hold
+        ("coherence", {"times": [float("nan")]}),
+        ("coherence", {"lam": float("inf")}),
+        ("coherence", {"times": {"start": 0.0, "stop": float("inf"), "count": 3}}),
+        ("tomo", {"n": 1, "times": ["t_max"], "max_iters": 0}),
+        ("tomo", {"n": 1, "times": ["t_max"], "tol": -1}),
+        ("tomo", {"n": 1, "times": ["t_max"], "tol": float("nan")}),
+        ("tomo", {"n": 1, "times": ["t_max"], "dilution": 0}),
+        ("tomo", {"n": 1, "times": ["t_max"], "dilution": 1.5}),
+        ("darwinism", {"dilution": -0.1}),
+        ("coherence", {"n": 40}),
+        ("route", {"scenario": "full", "n": 8, "times": ["t_max"]}),
+        ("darwinism", {"n": 10, "noise": {"depol_1q": 0.01}}),
+        ("tomo", {"n": 5, "times": ["t_max"]}),
+        ("darwinism", {"n": 5, "include_tomography": True}),
     ):
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG, overrides
+    # JSON reads 1e400 as inf
+    huge = write_config(tmp_path)
+    huge.write_text(huge.read_text().replace(f"{T_MAX!r}]", "1e400]"))
+    assert "1e400" in huge.read_text()
+    assert main(["coherence", "--config", str(huge)]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
     # an integral-valued number is an integer
     whole = write_config(tmp_path, n=1.0, times=[0.3], shots=128.0)

@@ -12,6 +12,7 @@ from dlab import (
     DensityMatrix,
     MeasSetting,
     PartitionScheme,
+    PureState,
     Scenario,
     SchemeMode,
     ScmParams,
@@ -30,6 +31,7 @@ from dlab import (
     pauli_cmi_scan,
     qmi,
     system_coherence,
+    von_neumann_entropy,
 )
 from dlab.darwinism import basis_grid_to_csv, mi_curve_to_csv, scan_to_csv
 from dlab.kernels import apply_matrix
@@ -132,6 +134,74 @@ def test_basis_cmi_matches_the_loop(problem):
     assert np.max(np.abs(grid.values - loop_grid(state, sys_q, frac_q, 3, 4, sys_basis))) < 1e-12
 
 
+# Reference: the QMI loop the entropy table replaced. Every side is reduced
+# through the checked `partial_trace` and diagonalised at its own size.
+
+
+def loop_qmi(state, sys_q, frac_q, base=2):
+    def h(qubits):
+        return von_neumann_entropy(partial_trace(state, qubits), base)
+
+    return h(sys_q) + h(frac_q) - h(tuple(sorted(sys_q + frac_q)))
+
+
+def loop_averaged_qmi(state, sys_q, scheme, base=2):
+    points = []
+    for f in range(1, scheme.num_units + 1):
+        arr = np.array([loop_qmi(state, sys_q, frac, base) for frac in scheme.fractions(f)])
+        stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+        points.append((f, float(arr.mean()), stderr))
+    return points
+
+
+@st.composite
+def qmi_problems(draw):
+    """A random k-qubit pure or mixed state, a system anywhere in the
+    register, and environment units of one or more qubits over some or all
+    of the rest."""
+    k = draw(st.integers(2, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        amps = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+        state = PureState(k, amps / np.linalg.norm(amps))
+    else:
+        rank = draw(st.integers(1, 2**k))
+        g = rng.normal(size=(2**k, rank)) + 1j * rng.normal(size=(2**k, rank))
+        rho = g @ g.conj().T
+        state = DensityMatrix(k, rho / np.trace(rho).real)
+    qubits = draw(st.permutations(range(k)))
+    s = draw(st.integers(1, k - 1))
+    env = qubits[s : s + draw(st.integers(1, k - s))]
+    cuts = sorted(draw(st.sets(st.integers(1, len(env) - 1)))) if len(env) > 1 else []
+    units = tuple(env[a:b] for a, b in zip([0] + cuts, cuts + [len(env)]))
+    base = draw(st.sampled_from((2, math.e)))
+    return state, tuple(qubits[:s]), PartitionScheme(units), base
+
+
+@settings(max_examples=60, deadline=None)
+@given(qmi_problems())
+def test_qmi_matches_the_loop(problem):
+    state, sys_q, scheme, base = problem
+    for f in range(1, scheme.num_units + 1):
+        for frac in scheme.fractions(f):
+            assert abs(qmi(state, sys_q, frac, base) - loop_qmi(state, sys_q, frac, base)) < 1e-12
+    got = averaged_qmi(state, sys_q, scheme, base).points
+    want = loop_averaged_qmi(state, sys_q, scheme, base)
+    assert [f for f, _, _ in got] == [f for f, _, _ in want]
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+
+
+def test_construction_still_checks_what_reductions_skip():
+    # the QMI path reads bare reduced arrays of validated states; a matrix
+    # with a negative eigenvalue is still refused where it is built
+    rho = partial_trace(ideal_global_state(T_REC, COND3), (0, 1, 2))
+    w, v = np.linalg.eigh(rho.matrix)
+    w[0] -= 1e-6  # a rank-2 state: this eigenvalue was 0
+    w[-1] += 1e-6
+    with pytest.raises(ValueError, match="eigenvalue"):
+        DensityMatrix(3, (v * w) @ v.conj().T)
+
+
 def test_partition_scheme_layouts():
     full = ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL)
     assert partition_scheme(full, SchemeMode.PER_PAIR).units == ((1, 2), (3, 4), (5, 6))
@@ -161,8 +231,6 @@ def test_qmi_symmetry_and_purity():
     psi = ideal_global_state(T_CLOSE, COND2)
     assert abs(qmi(psi, (0,), (1, 2)) - qmi(psi, (1, 2), (0,))) < 1e-10
     # pure global state: I(S : everything else) = 2 H(S)
-    from dlab import partial_trace, von_neumann_entropy
-
     h_s = von_neumann_entropy(partial_trace(psi, (0,)))
     assert abs(qmi(psi, (0,), (1, 2)) - 2 * h_s) < 1e-10
 
@@ -184,15 +252,17 @@ def test_qmi_errors():
 
 
 def test_averaged_qmi_plateau():
-    # classical plateau at 1 bit for proper fractions, 2 bits for the whole
-    psi = ideal_global_state(T_MAX, COND3)
-    scheme = partition_scheme(COND3, SchemeMode.PER_QUBIT)
-    curve = averaged_qmi(psi, (0,), scheme)
-    assert [f for f, _, _ in curve.points] == [1, 2, 3]
-    for f, v, se in curve.points[:-1]:
-        assert abs(v - 1.0) < 1e-6 and se < 1e-9
-    assert abs(curve.points[-1][1] - 2.0) < 1e-6
-    assert curve.values() == [v for _, v, _ in curve.points]
+    # classical plateau at 1 bit for proper fractions, 2 bits for the whole;
+    # n=12 is 4095 fractions of a 13-qubit state
+    for n in (3, 12):
+        params = ScmParams(theta=math.pi, lam=1.0, n=n)
+        psi = ideal_global_state(T_MAX, params)
+        curve = averaged_qmi(psi, (0,), partition_scheme(params, SchemeMode.PER_QUBIT))
+        assert [f for f, _, _ in curve.points] == list(range(1, n + 1))
+        for f, v, se in curve.points[:-1]:
+            assert abs(v - 1.0) < 1e-9 and se < 1e-9
+        assert abs(curve.points[-1][1] - 2.0) < 1e-9
+        assert curve.values() == [v for _, v, _ in curve.points]
 
 
 def test_averaged_qmi_spread_detects_unit_mixing():

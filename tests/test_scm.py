@@ -33,6 +33,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ScmParams(theta=math.pi, lam=0.0, n=1)
     with pytest.raises(ValueError):
+        ScmParams(theta=math.pi, lam=math.inf, n=1)
+    with pytest.raises(ValueError):
         ScmParams(theta=math.pi, lam=1.0, n=0)
     with pytest.raises(ValueError):
         ScmParams(theta=-0.1, lam=1.0, n=1)
