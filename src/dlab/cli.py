@@ -393,7 +393,14 @@ def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):
         for j, s in enumerate(settings)
     ]
     job = TomographyJob(nq, tuple(records), cfg.dilution, cfg.tol, cfg.max_iters)
-    return job, mle_reconstruct(job)
+    result = mle_reconstruct(job)
+    if result.stop_reason != "tol":
+        print(
+            f"warning: MLE stopped by {result.stop_reason} after {result.iterations} iterations,"
+            f" not by tol {cfg.tol!r}",
+            file=sys.stderr,
+        )
+    return job, result
 
 
 def _darwinism_point(payload):
@@ -550,6 +557,7 @@ def cmd_tomo(cfg: ExperimentConfig) -> None:
         "fidelity_vs_ideal": fid,
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "final_log_likelihood": lls[-1],
         "log_likelihood_monotone": all(b >= a - 1e-12 for a, b in zip(lls, lls[1:])),
         "config": cfg.resolved_dict(),

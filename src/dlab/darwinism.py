@@ -122,11 +122,6 @@ def _entropies(probs: np.ndarray) -> np.ndarray:
     return -np.sum(probs * logs, axis=-1)
 
 
-def _vn_entropy_raw(mat: np.ndarray, base: float) -> float:
-    vals = np.linalg.eigvalsh(mat)
-    return float(_entropies(np.clip(vals, 0.0, None))) / math.log(base)
-
-
 def _check_parts(state, sys_qubits, frac_qubits):
     sys_q = tuple(sorted(sys_qubits))
     frac_q = tuple(sorted(frac_qubits))
@@ -341,7 +336,7 @@ def holevo_bound(state, sys_qubits, frac_qubits, base: float = 2) -> float:
     mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
     tensor = mat.reshape([2] * (2 * k))
     s = len(sys_pos)
-    chi = _vn_entropy_raw(_reduce(mat, frac_pos), base)
+    chi = _entropy(_reduce(mat, frac_pos), base)
     for i in range(2**s):
         idx: list = [slice(None)] * (2 * k)
         for bitpos, pos in enumerate(sys_pos):
@@ -352,7 +347,7 @@ def holevo_bound(state, sys_qubits, frac_qubits, base: float = 2) -> float:
         p_i = np.trace(cond).real
         if p_i < _PROB_CUTOFF:
             continue
-        chi -= p_i * _vn_entropy_raw(cond / p_i, base)
+        chi -= p_i * _entropy(cond / p_i, base)
     return chi
 
 

@@ -175,21 +175,16 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets: list[int]) -> D
         raise ValueError(f"targets {targets} must be distinct and in range 0..{n - 1}")
     if ch.dim != 2 ** len(targets):
         raise ValueError(f"operator dim {ch.dim} does not match 2^{len(targets)} targets")
-    out = _apply_kraus_flat(rho.matrix.reshape(-1), ch.operators, tuple(targets), n)
-    return DensityMatrix(n, out.reshape(2**n, 2**n))
+    flat = rho.matrix.reshape(-1).copy()
+    axes = tuple(targets) + tuple(n + q for q in targets)
+    apply_matrix(flat, _superop(ch.operators), axes, 2 * n)
+    return DensityMatrix(n, flat.reshape(2**n, 2**n))
 
 
-def _apply_kraus_flat(rho: np.ndarray, ops, targets: tuple[int, ...], n: int) -> np.ndarray:
-    """sum_i (K_i x I) rho (K_i^dag x I) on a flattened complex n-qubit density
-    matrix, as a new array; `rho` is left untouched."""
-    col = tuple(n + q for q in targets)
-    out = np.zeros(4**n, dtype=complex)
-    for k in ops:
-        work = rho.copy()
-        apply_matrix(work, k, targets, 2 * n)
-        apply_matrix(work, k.conj(), col, 2 * n)
-        out += work
-    return out
+def _superop(ops) -> np.ndarray:
+    """sum_i K_i x conj(K_i): the map rho -> sum_i K_i rho K_i^dag as one
+    matrix on the channel qubits' row axes followed by their column axes."""
+    return sum(np.kron(k, k.conj()) for k in ops)
 
 
 def partial_trace(state: PureState | DensityMatrix, keep: list[int]) -> DensityMatrix:

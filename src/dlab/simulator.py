@@ -7,8 +7,10 @@ to; reduce with `partial_trace` first to measure a subsystem.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -17,7 +19,7 @@ from .kernels import apply_matrix
 from .qstate import (
     DensityMatrix,
     PureState,
-    _apply_kraus_flat,
+    _superop,
     amplitude_damping_channel,
     depolarizing_channel,
 )
@@ -193,39 +195,47 @@ def run_statevector(c: Circuit) -> PureState:
 def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
     """Evolve |0..0><0..0| through the circuit, interleaving noise channels
     after each gate: depolarizing on the gate qubits, then amplitude damping,
-    then (optionally) single-qubit noise on every idle qubit."""
+    then (optionally) single-qubit noise on every idle qubit.
+
+    Each gate and its noise are one superoperator on the gate qubits' row
+    and column axes, so a gate costs one kernel sweep, and idle noise one
+    sweep per idle qubit."""
     if c.num_qubits > DENSITY_MAX_QUBITS:
         raise ValueError(f"density runs support at most {DENSITY_MAX_QUBITS} qubits")
     n = c.num_qubits
     rho = np.zeros(4**n, dtype=complex)
     rho[0] = 1.0
     noise = noise or NoiseModel()
-    depol1 = depolarizing_channel(noise.depol_1q).operators if noise.depol_1q > 0 else None
-    depol2 = depolarizing_channel(noise.depol_2q, 2).operators if noise.depol_2q > 0 else None
-    damp = (
-        amplitude_damping_channel(noise.amp_damp_gamma).operators
-        if noise.amp_damp_gamma > 0
-        else None
-    )
+    gate_noise = {
+        1: _noise_superop(noise.depol_1q, noise.amp_damp_gamma, 1),
+        2: _noise_superop(noise.depol_2q, noise.amp_damp_gamma, 2),
+    }
+    idle = gate_noise[1] if noise.idle_noise else None
     for g in c.gates:
-        mat = g.matrix()
-        apply_matrix(rho, mat, g.qubits, 2 * n)
-        apply_matrix(rho, mat.conj(), tuple(n + q for q in g.qubits), 2 * n)
-        if len(g.qubits) == 2 and depol2 is not None:
-            rho = _apply_kraus_flat(rho, depol2, g.qubits, n)
-        elif len(g.qubits) == 1 and depol1 is not None:
-            rho = _apply_kraus_flat(rho, depol1, g.qubits, n)
-        if damp is not None:
-            for q in g.qubits:
-                rho = _apply_kraus_flat(rho, damp, (q,), n)
-        if noise.idle_noise:
-            idle = [q for q in range(n) if q not in g.qubits]
-            for q in idle:
-                if depol1 is not None:
-                    rho = _apply_kraus_flat(rho, depol1, (q,), n)
-                if damp is not None:
-                    rho = _apply_kraus_flat(rho, damp, (q,), n)
+        sup = _superop((g.matrix(),))
+        after = gate_noise[len(g.qubits)]
+        if after is not None:
+            sup = after @ sup
+        apply_matrix(rho, sup, g.qubits + tuple(n + q for q in g.qubits), 2 * n)
+        if idle is not None:
+            for q in range(n):
+                if q not in g.qubits:
+                    apply_matrix(rho, idle, (q, n + q), 2 * n)
     return DensityMatrix(n, rho.reshape(2**n, 2**n))
+
+
+def _noise_superop(p: float, gamma: float, k: int) -> np.ndarray | None:
+    """Superoperator of k-qubit depolarizing at `p`, then amplitude damping at
+    `gamma` on each of the k qubits; None when both are zero."""
+    sup = None
+    if p > 0:
+        sup = _superop(depolarizing_channel(p, k).operators)
+    if gamma > 0:
+        # damping channels on different qubits commute: one set of tensor products
+        damp = amplitude_damping_channel(gamma).operators
+        damp_k = _superop([reduce(np.kron, ks) for ks in itertools.product(damp, repeat=k)])
+        sup = damp_k if sup is None else damp_k @ sup
+    return sup
 
 
 def born_distribution(state, setting: MeasSetting) -> np.ndarray:

@@ -74,10 +74,17 @@ class TomographyJob:
 
 @dataclass(frozen=True)
 class MleResult:
+    """`stop_reason`: "tol" (the step fell below tol), "max_iters" (budget
+    spent) or "stalled" (no ascending step at any dilution above the floor)."""
+
     state: DensityMatrix
     iterations: int
-    converged: bool
+    stop_reason: str
     log_likelihoods: tuple[float, ...]
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tol"
 
 
 def _log_likelihood(freqs: np.ndarray, probs: np.ndarray) -> float:
@@ -94,39 +101,39 @@ def _mle_core(num_qubits, vectors, freqs, dilution, tol, max_iters):
     rho = np.eye(dim, dtype=complex) / dim
     eye = np.eye(dim, dtype=complex)
     eps = dilution
-    probs = np.einsum("ja,ab,jb->j", vectors.conj(), rho, vectors).real
+    vectors_c = vectors.conj()
+    # Born probabilities <v_j|rho|v_j> as one matmul and a row sum
+    probs = ((vectors_c @ rho) * vectors).sum(axis=1).real
     history = [_log_likelihood(freqs, probs)]
-    converged = False
     iterations = 0
     mask = freqs > 0
     while iterations < max_iters:
         iterations += 1
         weights = np.zeros_like(freqs)
         weights[mask] = freqs[mask] / np.maximum(probs[mask], freqs[mask] / _RATIO_CAP)
-        r_op = (weights[:, None] * vectors).T @ vectors.conj()
+        r_op = (weights[:, None] * vectors).T @ vectors_c
         # trust-region dilution: shrink eps until the step ascends, regrow after
         while True:
             gain = eye + eps * r_op
             cand = gain @ rho @ gain.conj().T
             cand = (cand + cand.conj().T) / 2
             cand /= np.trace(cand).real
-            cand_probs = np.einsum("ja,ab,jb->j", vectors.conj(), cand, vectors).real
+            cand_probs = ((vectors_c @ cand) * vectors).sum(axis=1).real
             ll = _log_likelihood(freqs, cand_probs)
             if ll >= history[-1] - 1e-12:
                 break
             eps /= 2
             if eps < _MIN_DILUTION:
                 # no ascending step left at any dilution: a stall, not convergence
-                return rho, iterations, False, tuple(history)
+                return rho, iterations, "stalled", tuple(history)
         step = _trace_distance_raw(cand, rho)
         rho = cand
         probs = cand_probs
         history.append(ll)
         if step < tol:
-            converged = True
-            break
+            return rho, iterations, "tol", tuple(history)
         eps = min(eps * 2, _MAX_DILUTION)
-    return rho, iterations, converged, tuple(history)
+    return rho, iterations, "max_iters", tuple(history)
 
 
 def mle_reconstruct_from_frequencies(
@@ -159,10 +166,10 @@ def mle_reconstruct_from_frequencies(
         blocks_f.append(freq / len(settings))
     vectors = np.concatenate(blocks_v, axis=0)
     freqs = np.concatenate(blocks_f)
-    rho, iters, converged, history = _mle_core(
+    rho, iters, stop_reason, history = _mle_core(
         num_qubits, vectors, freqs, dilution, tol, max_iters
     )
-    return MleResult(DensityMatrix(num_qubits, rho), iters, converged, history)
+    return MleResult(DensityMatrix(num_qubits, rho), iters, stop_reason, history)
 
 
 def mle_reconstruct(job: TomographyJob) -> MleResult:

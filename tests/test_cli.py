@@ -136,17 +136,30 @@ def test_route_map_file(tmp_path):
     assert report["equivalent_statevector"] is True
 
 
-def test_tomo_command(tmp_path):
+def test_tomo_command(tmp_path, capsys):
     cfg = write_config(tmp_path, n=1, times=["t_max"], shots=2048)
     assert main(["tomo", "--config", str(cfg)]) == EXIT_OK
     out = tmp_path / "out"
     report = json.loads((out / "tomo_report.json").read_text())
+    assert report["stop_reason"] == "tol" and report["converged"] is True
+    assert capsys.readouterr().err == ""
     assert report["num_qubits"] == 2
     assert report["fidelity_vs_ideal"] > 0.95
     assert report["log_likelihood_monotone"] is True
     state = load_state_text(out / "state.txt")
     assert state.shape == (4, 4) and abs(np.trace(state) - 1.0) < 1e-9
     assert (out / "job" / "manifest.json").exists()
+
+
+def test_tomo_reports_an_early_stop(tmp_path, capsys):
+    # a spent iteration budget is reported and warned about, not an error
+    cfg = write_config(tmp_path, n=1, times=["t_max"], shots=2048, max_iters=5)
+    assert main(["tomo", "--config", str(cfg)]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "tomo_report.json").read_text())
+    assert report["stop_reason"] == "max_iters" and report["converged"] is False
+    assert report["iterations"] == 5
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "max_iters" in err
 
 
 def test_byte_identical_rerun(tmp_path):

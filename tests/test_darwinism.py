@@ -191,6 +191,37 @@ def test_qmi_matches_the_loop(problem):
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
 
 
+def loop_holevo(state, sys_q, frac_q, base=2):
+    """chi = H(F) - sum_i p_i H(F | system outcome i), each conditional state
+    projected explicitly and reduced through `partial_trace`."""
+    both = sorted(sys_q + frac_q)
+    rho = partial_trace(state, both).matrix
+    k = len(both)
+    bits = (np.arange(2**k)[:, None] >> (k - 1 - np.arange(k))) & 1
+    sys_pos = [both.index(q) for q in sorted(sys_q)]
+    frac_pos = [both.index(q) for q in sorted(frac_q)]
+    chi = von_neumann_entropy(partial_trace(state, frac_q), base)
+    for outcome in np.unique(bits[:, sys_pos], axis=0):
+        proj = np.diag(np.all(bits[:, sys_pos] == outcome, axis=1).astype(float))
+        cond = proj @ rho @ proj
+        p_i = np.trace(cond).real
+        if p_i < 1e-15:
+            continue
+        reduced = partial_trace(DensityMatrix(k, cond / p_i), frac_pos)
+        chi -= p_i * von_neumann_entropy(reduced, base)
+    return chi
+
+
+@settings(max_examples=60, deadline=None)
+@given(qmi_problems())
+def test_holevo_matches_the_loop(problem):
+    state, sys_q, scheme, base = problem
+    for f in range(1, scheme.num_units + 1):
+        for frac in scheme.fractions(f):
+            want = loop_holevo(state, sys_q, frac, base)
+            assert abs(holevo_bound(state, sys_q, frac, base) - want) < 1e-12
+
+
 def test_construction_still_checks_what_reductions_skip():
     # the QMI path reads bare reduced arrays of validated states; a matrix
     # with a negative eigenvalue is still refused where it is built

@@ -20,6 +20,7 @@ from dlab import (
     trace_distance,
     von_neumann_entropy,
 )
+from test_kernels import dense_operator
 
 BELL = PureState.from_amplitudes(np.array([1, 0, 0, 1]) / math.sqrt(2))
 PLUS = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2))
@@ -90,6 +91,27 @@ def test_apply_channel_embedding_and_trace():
     b = apply_channel(apply_channel(rho, depolarizing_channel(0.2), [2]),
                       amplitude_damping_channel(0.3), [0])
     assert np.max(np.abs(a.matrix - b.matrix)) < 1e-12
+
+
+def random_channel(num_qubits, num_ops, rng):
+    """Kraus operators cut from a random isometry, so sum K^dag K = I."""
+    dim = 2**num_qubits
+    m = rng.standard_normal((num_ops * dim, dim)) + 1j * rng.standard_normal((num_ops * dim, dim))
+    iso, _ = np.linalg.qr(m)
+    return KrausChannel(tuple(iso[i * dim : (i + 1) * dim] for i in range(num_ops)))
+
+
+def test_apply_channel_matches_explicit_kraus_sum():
+    rng = np.random.default_rng(17)
+    rho = random_density(5, rng)
+    for targets in ([2], [4], [0, 3], [4, 1], [3, 0]):
+        for ch in (random_channel(len(targets), 3, rng), depolarizing_channel(0.3, len(targets))):
+            expected = sum(
+                dense_operator(k, targets, 5) @ rho.matrix @ dense_operator(k, targets, 5).conj().T
+                for k in ch.operators
+            )
+            out = apply_channel(rho, ch, targets)
+            assert np.max(np.abs(out.matrix - expected)) < 1e-12, targets
 
 
 def test_apply_channel_errors():

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dlab import (
     Circuit,
+    DensityMatrix,
     Gate,
     GateKind,
     MeasRecord,
@@ -15,16 +18,20 @@ from dlab import (
     PureState,
     Scenario,
     ScmParams,
+    amplitude_damping_channel,
     basis_rotation,
     born_distribution,
     build_condensed_circuit,
     build_full_circuit,
+    depolarizing_channel,
     partial_trace,
     run_density,
     run_statevector,
     sample,
     trace_distance,
 )
+from dlab.circuit import GATE_ARITY
+from dlab.kernels import apply_matrix
 
 PLUS = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2))
 BELL_CIRCUIT = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1))))
@@ -103,6 +110,94 @@ def test_noiseless_density_equals_projector():
 def test_run_density_guard():
     with pytest.raises(ValueError):
         run_density(Circuit(11, ()))
+
+
+def loop_apply_kraus(rho, ops, targets, n):
+    """sum_i (K_i x I) rho (K_i^dag x I) on a flattened n-qubit density
+    matrix, one copy and two kernel sweeps per Kraus operator."""
+    col = tuple(n + q for q in targets)
+    out = np.zeros(4**n, dtype=complex)
+    for k in ops:
+        work = rho.copy()
+        apply_matrix(work, k, targets, 2 * n)
+        apply_matrix(work, k.conj(), col, 2 * n)
+        out += work
+    return out
+
+
+def loop_run_density(c, noise):
+    """The per-Kraus density evolution: gate, depolarizing on the gate
+    qubits, damping on each gate qubit, then idle noise qubit by qubit."""
+    n = c.num_qubits
+    rho = np.zeros(4**n, dtype=complex)
+    rho[0] = 1.0
+    depol1 = depolarizing_channel(noise.depol_1q).operators if noise.depol_1q > 0 else None
+    depol2 = depolarizing_channel(noise.depol_2q, 2).operators if noise.depol_2q > 0 else None
+    damp = (
+        amplitude_damping_channel(noise.amp_damp_gamma).operators
+        if noise.amp_damp_gamma > 0
+        else None
+    )
+    for g in c.gates:
+        mat = g.matrix()
+        apply_matrix(rho, mat, g.qubits, 2 * n)
+        apply_matrix(rho, mat.conj(), tuple(n + q for q in g.qubits), 2 * n)
+        if len(g.qubits) == 2 and depol2 is not None:
+            rho = loop_apply_kraus(rho, depol2, g.qubits, n)
+        elif len(g.qubits) == 1 and depol1 is not None:
+            rho = loop_apply_kraus(rho, depol1, g.qubits, n)
+        if damp is not None:
+            for q in g.qubits:
+                rho = loop_apply_kraus(rho, damp, (q,), n)
+        if noise.idle_noise:
+            for q in [q for q in range(n) if q not in g.qubits]:
+                if depol1 is not None:
+                    rho = loop_apply_kraus(rho, depol1, (q,), n)
+                if damp is not None:
+                    rho = loop_apply_kraus(rho, damp, (q,), n)
+    return DensityMatrix(n, rho.reshape(2**n, 2**n))
+
+
+_STRENGTHS = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
+
+
+@st.composite
+def noisy_circuits(draw):
+    """A random circuit over every GateKind on 1-5 qubits, with each noise
+    strength zero or not and idle noise on or off."""
+    n = draw(st.integers(1, 5))
+    kinds = [k for k in GateKind if n >= GATE_ARITY[k]]
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = tuple(draw(st.permutations(range(n)))[: GATE_ARITY[kind]])
+        angle = draw(st.floats(-math.pi, math.pi)) if kind is GateKind.RY else None
+        gates.append(Gate(kind, qubits, angle))
+    noise = NoiseModel(
+        depol_1q=draw(_STRENGTHS),
+        depol_2q=draw(_STRENGTHS),
+        amp_damp_gamma=draw(_STRENGTHS),
+        idle_noise=draw(st.booleans()),
+    )
+    return Circuit(n, tuple(gates)), noise
+
+
+@settings(max_examples=80, deadline=None)
+@given(noisy_circuits())
+def test_run_density_matches_the_kraus_loop(problem):
+    c, noise = problem
+    got = run_density(c, noise).matrix
+    assert np.max(np.abs(got - loop_run_density(c, noise).matrix)) < 1e-12
+
+
+def test_run_density_matches_the_kraus_loop_on_circuits():
+    # every gate kind in every noise combination, on the workbench circuits
+    p = ScmParams(theta=math.pi, lam=1.0, n=2, scenario=Scenario.FULL)
+    c = build_full_circuit(0.7, p)
+    strong = NoiseModel(depol_1q=0.05, depol_2q=0.1, amp_damp_gamma=0.2, idle_noise=True)
+    for noise in (strong, NoiseModel(depol_2q=0.1), NoiseModel(amp_damp_gamma=0.2, idle_noise=True)):
+        got = run_density(c, noise).matrix
+        assert np.max(np.abs(got - loop_run_density(c, noise).matrix)) < 1e-12
 
 
 def test_depolarizing_limit_is_maximally_mixed():

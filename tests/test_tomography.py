@@ -70,7 +70,7 @@ def test_mle_recovers_plus_state():
     settings = pauli_settings(1)
     res = mle_reconstruct_from_frequencies(1, settings, exact_frequencies(PLUS, settings))
     assert fidelity(res.state, PLUS.density_matrix()) >= 1 - 1e-6
-    assert res.converged
+    assert res.converged and res.stop_reason == "tol"
     assert_monotone(res.log_likelihoods)
 
 
@@ -89,10 +89,19 @@ def test_mle_stall_is_not_convergence(monkeypatch):
     res = mle_reconstruct_from_frequencies(
         1, settings, exact_frequencies(PLUS, settings), tol=0.0, max_iters=100
     )
-    assert res.converged is False
+    assert res.converged is False and res.stop_reason == "stalled"
     assert res.iterations < 100
     assert len(res.log_likelihoods) == 4
     assert_monotone(res.log_likelihoods)
+
+
+def test_mle_budget_is_not_convergence():
+    settings = pauli_settings(1)
+    res = mle_reconstruct_from_frequencies(
+        1, settings, exact_frequencies(PLUS, settings), tol=0.0, max_iters=7
+    )
+    assert res.converged is False and res.stop_reason == "max_iters"
+    assert res.iterations == 7 and len(res.log_likelihoods) == 8
 
 
 def test_mle_recovers_maximally_mixed():
