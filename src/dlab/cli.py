@@ -7,12 +7,12 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,30 +72,7 @@ class ConfigError(Exception):
     pass
 
 
-_KNOWN_KEYS = {
-    "scenario",
-    "n",
-    "theta",
-    "lam",
-    "times",
-    "shots",
-    "seed",
-    "noise",
-    "coupling_map",
-    "partition",
-    "outputs",
-    "phi_steps",
-    "xi_steps",
-    "fraction_units",
-    "sizes",
-    "include_tomography",
-    "sampled",
-    "dilution",
-    "tol",
-    "max_iters",
-    "jobs",
-}
-_NOISE_KEYS = {"depol_1q", "depol_2q", "amp_damp_gamma", "readout_flip", "idle_noise"}
+_NOISE_KEYS = {f.name for f in dataclasses.fields(NoiseModel)}
 
 
 def _integer(value, key: str) -> int:
@@ -153,7 +130,7 @@ def _resolve_times(raw) -> tuple[float, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     scenario: Scenario
     n: int
@@ -181,7 +158,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _KNOWN_KEYS
+        unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         for key in ("scenario", "n"):
@@ -251,35 +228,14 @@ class ExperimentConfig:
         return ScmParams(theta=self.theta, lam=self.lam, n=self.n, scenario=self.scenario)
 
     def resolved_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.value,
-            "n": self.n,
-            "theta": self.theta,
-            "lam": self.lam,
-            "times": list(self.times),
-            "shots": self.shots,
-            "seed": self.seed,
-            "noise": {
-                "depol_1q": self.noise.depol_1q,
-                "depol_2q": self.noise.depol_2q,
-                "amp_damp_gamma": self.noise.amp_damp_gamma,
-                "readout_flip": self.noise.readout_flip,
-                "idle_noise": self.noise.idle_noise,
-            },
-            "coupling_map": self.coupling_map,
-            "partition": self.partition.value,
-            "outputs": self.outputs,
-            "phi_steps": self.phi_steps,
-            "xi_steps": self.xi_steps,
-            "fraction_units": self.fraction_units,
-            "sizes": None if self.sizes is None else list(self.sizes),
-            "include_tomography": self.include_tomography,
-            "sampled": self.sampled,
-            "dilution": self.dilution,
-            "tol": self.tol,
-            "max_iters": self.max_iters,
-            "jobs": self.jobs,
-        }
+        """Every field as JSON data; `from_dict` reads it back to an equal config."""
+        return dict(
+            dataclasses.asdict(self),
+            scenario=self.scenario.value,
+            partition=self.partition.value,
+            times=list(self.times),
+            sizes=None if self.sizes is None else list(self.sizes),
+        )
 
     def provenance_lines(self) -> str:
         blob = json.dumps(self.resolved_dict(), sort_keys=True)
@@ -351,12 +307,11 @@ def _pmap(fn, payloads, jobs: int):
 
 
 def _coherence_point(payload):
-    cfg_dict, index, t = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, index, t = payload
     analytic = coherence_finite(t, cfg.params)
     ideal = _ideal_state(cfg, t)
     simulated = system_coherence(ideal)
-    reduced = partial_trace(_run_state(cfg, t), (0,))
+    reduced = partial_trace(ideal if cfg.noise.is_trivial else _run_state(cfg, t), (0,))
     records = [
         sample(
             reduced,
@@ -376,7 +331,7 @@ def _coherence_point(payload):
 
 def cmd_coherence(cfg: ExperimentConfig) -> None:
     _require_pointer_theta(cfg)
-    payloads = [(cfg.resolved_dict(), i, t) for i, t in enumerate(cfg.times)]
+    payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
     rows = _pmap(_coherence_point, payloads, cfg.jobs)
     lines = [cfg.provenance_lines() + "time,analytic,simulated,sampled,sampled_stderr"]
     for t, ana, sim, samp, se in rows:
@@ -404,21 +359,22 @@ def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):
 
 
 def _darwinism_point(payload):
-    cfg_dict, index, t = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, index, t = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
-    curves = {"ideal": averaged_qmi(_ideal_state(cfg, t), (0,), scheme)}
+    state = _ideal_state(cfg, t)
+    curves = {"ideal": averaged_qmi(state, (0,), scheme)}
     if not cfg.noise.is_trivial:
-        curves["noisy"] = averaged_qmi(_run_state(cfg, t), (0,), scheme)
+        state = _run_state(cfg, t)
+        curves["noisy"] = averaged_qmi(state, (0,), scheme)
     if cfg.include_tomography:
-        _, result = _tomo_reconstruction(cfg, _run_state(cfg, t), cfg.seed + 10_000 * index)
+        _, result = _tomo_reconstruction(cfg, state, cfg.seed + 10_000 * index)
         curves["tomo"] = averaged_qmi(result.state, (0,), scheme)
     return index, t, curves
 
 
 def cmd_darwinism(cfg: ExperimentConfig) -> None:
     _require_pointer_theta(cfg)
-    payloads = [(cfg.resolved_dict(), i, t) for i, t in enumerate(cfg.times)]
+    payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
     for index, t, curves in _pmap(_darwinism_point, payloads, cfg.jobs):
         for variant, curve in sorted(curves.items()):
@@ -438,8 +394,7 @@ def _fraction_qubits(cfg: ExperimentConfig, scheme) -> tuple[int, ...]:
 
 
 def _cmi_point(payload):
-    cfg_dict, index, t = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, index, t = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
     frac = _fraction_qubits(cfg, scheme)
     state = _run_state(cfg, t)
@@ -452,7 +407,7 @@ def _cmi_point(payload):
 
 def cmd_cmi(cfg: ExperimentConfig) -> None:
     _require_pointer_theta(cfg)
-    payloads = [(cfg.resolved_dict(), i, t) for i, t in enumerate(cfg.times)]
+    payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
     for index, t, frac, grid in _pmap(_cmi_point, payloads, cfg.jobs):
         name = f"cmi_t{index:02d}.csv"
@@ -465,8 +420,7 @@ def cmd_cmi(cfg: ExperimentConfig) -> None:
 
 
 def _compare_point(payload):
-    cfg_dict, t, size = payload
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+    cfg, t, size = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
     state = _run_state(cfg, t)
     qmis, chis, cmis = [], [], []
@@ -486,7 +440,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"'sizes' must lie in 1..{scheme.num_units}")
     ct = canonical_times()
     payloads = [
-        (cfg.resolved_dict(), t, size)
+        (cfg, t, size)
         for t in (ct.t_max, ct.t_close, ct.t_rec)
         for size in sizes
     ]
@@ -545,10 +499,11 @@ def cmd_route(cfg: ExperimentConfig) -> None:
 def cmd_tomo(cfg: ExperimentConfig) -> None:
     _require_pointer_theta(cfg)
     t = cfg.times[0]
-    state = _run_state(cfg, t)
+    ideal = _ideal_state(cfg, t)
+    state = ideal if cfg.noise.is_trivial else _run_state(cfg, t)
     job, result = _tomo_reconstruction(cfg, state, cfg.seed)
     save_tomography_job(job, os.path.join(cfg.outputs, "job"))
-    ideal = _ideal_state(cfg, t).density_matrix()
+    ideal = ideal.density_matrix()
     fid = fidelity(result.state, ideal)
     lls = result.log_likelihoods
     report = {

@@ -14,16 +14,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PAULIS, PureState, _entropy, _reduce, partial_trace
+from .qstate import PureState, _entropy, _reduce, partial_trace
 from .scm import Scenario, ScmParams
-from .simulator import MeasSetting, basis_rotation
+from .simulator import (
+    _PROB_CUTOFF,
+    MeasSetting,
+    _bloch_rows,
+    _draw,
+    _local_apply,
+    _pauli_expansion,
+    basis_rotation,
+)
 
 DEFAULT_PHI_STEPS = 61
 DEFAULT_XI_STEPS = 61
-_PROB_CUTOFF = 1e-15
-_PAULI_BASIS = np.stack([PAULIS[m] for m in "IXYZ"])
-# _PAULI_TRACE[mu, 2a + b] = sigma_mu[b, a]: one qubit's tr(rho sigma_mu) from its (row, column) pair
-_PAULI_TRACE = _PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
 # Basis grids are contracted in chunks of cells whose largest intermediate
 # stays within this many bytes. The whole grid at once would hold 32 KiB per
 # cell for a 6-qubit fraction, 14 MB on a 21x21 grid, for no gain in speed.
@@ -202,22 +206,6 @@ def _rotations(setting: MeasSetting) -> list[np.ndarray]:
     return [setting.rotation(i) for i in range(setting.num_qubits)]
 
 
-def _bloch_rows(rotations) -> np.ndarray:
-    """v[..., o, mu] = Re(u[o] sigma_mu u[o]^dag) for rotations u[..., o, :]
-    (rows are the new bras): outcome o projects onto sum_mu v[o, mu] sigma_mu / 2."""
-    u = np.asarray(rotations)
-    return np.einsum("...oa,mab,...ob->...om", u, _PAULI_BASIS, u.conj()).real
-
-
-def _pauli_expansion(mat: np.ndarray, k: int) -> np.ndarray:
-    """T[mu_0, ..., mu_{k-1}] = tr(rho sigma_mu_0 x ... x sigma_mu_{k-1})."""
-    t = mat.reshape([2] * (2 * k))
-    t = t.transpose([ax for q in range(k) for ax in (q, k + q)]).reshape([4] * k)
-    for _ in range(k):  # each pass turns the last qubit's (row, column) pair into mu, in front
-        t = np.tensordot(_PAULI_TRACE, t, axes=([1], [k - 1]))
-    return t.real
-
-
 def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=None, seeds=None) -> np.ndarray:
     """Shannon MI between system and fraction outcomes, one value per cell.
 
@@ -227,15 +215,13 @@ def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=Non
     probabilities are p(o) = 2^-k sum_mu T[mu] prod_i v_i[o_i, mu_i], with T
     the Pauli expansion of the state: the system axes are contracted once, the
     fraction axes one at a time over chunks of cells. With `shots`, cell c is
-    the plug-in MI of a multinomial draw seeded with seeds[c]; the draw runs
-    over outcomes in register order, as `sample` does.
+    the plug-in MI of `sample`'s draw seeded with seeds[c], over outcomes in
+    register order.
     """
     s, f = len(sys_pos), len(frac_pos)
     k = s + f
     order = sys_pos + frac_pos
-    t = _pauli_expansion(mat, k).transpose(order)
-    for v in _bloch_rows(sys_rotations)[::-1]:
-        t = np.tensordot(v, t, axes=([1], [s - 1]))
+    t = _local_apply(_bloch_rows(sys_rotations), _pauli_expansion(mat, k).transpose(order))
     system = t.reshape(1, 2**s, 4**f) / 2**k
     to_register = (0,) + tuple(1 + np.argsort(order))
     from_register = (0,) + tuple(1 + q for q in order)
@@ -250,14 +236,8 @@ def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=Non
             p = rows[:, None, j] @ p  # (C, 1, 2, 4) @ (C or 1, X, 4, R) -> (C, X, 2, R)
         p = np.clip(p.reshape((len(rows),) + (2,) * k), 0.0, None)
         if shots is not None:
-            # ulp noise on outcomes that cannot occur would still consume draws
-            p = np.where(p > _PROB_CUTOFF, p, 0.0).transpose(to_register).reshape(len(rows), -1)
-            p = p / p.sum(axis=1, keepdims=True)
-            draws = [
-                np.random.default_rng(seed).multinomial(shots, q)
-                for q, seed in zip(p, seeds[lo : lo + step])
-            ]
-            p = (np.array(draws) / shots).reshape((len(rows),) + (2,) * k).transpose(from_register)
+            draws = _draw(p.transpose(to_register).reshape(len(rows), -1), shots, seeds[lo : lo + step])
+            p = (draws / shots).reshape((len(rows),) + (2,) * k).transpose(from_register)
         joint = p.reshape(len(rows), 2**s, 2**f)
         joint = joint / joint.sum(axis=(1, 2), keepdims=True)
         out[lo : lo + len(rows)] = (
@@ -334,20 +314,15 @@ def holevo_bound(state, sys_qubits, frac_qubits, base: float = 2) -> float:
     (pointer) outcomes; zero-probability branches are dropped."""
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
-    tensor = mat.reshape([2] * (2 * k))
-    s = len(sys_pos)
-    chi = _entropy(_reduce(mat, frac_pos), base)
-    for i in range(2**s):
-        idx: list = [slice(None)] * (2 * k)
-        for bitpos, pos in enumerate(sys_pos):
-            bit = (i >> (s - 1 - bitpos)) & 1
-            idx[pos] = bit
-            idx[k + pos] = bit
-        cond = tensor[tuple(idx)].reshape(2 ** len(frac_pos), 2 ** len(frac_pos))
-        p_i = np.trace(cond).real
-        if p_i < _PROB_CUTOFF:
-            continue
-        chi -= p_i * _entropy(cond / p_i, base)
+    # blocks[i] = <i|_S rho |i>_S: the system-diagonal blocks, one per pointer outcome
+    cols = [a if a in sys_pos else k + a for a in range(k)]
+    out = list(sys_pos) + list(frac_pos) + [k + a for a in frac_pos]
+    d = 2 ** len(frac_pos)
+    blocks = np.einsum(mat.reshape([2] * (2 * k)), list(range(k)) + cols, out).reshape(-1, d, d)
+    chi = _entropy(blocks.sum(axis=0), base)
+    for p_i, cond in zip(np.trace(blocks, axis1=1, axis2=2).real, blocks):
+        if p_i >= _PROB_CUTOFF:
+            chi -= p_i * _entropy(cond / p_i, base)
     return chi
 
 

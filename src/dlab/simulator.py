@@ -17,6 +17,7 @@ import numpy as np
 from .circuit import Circuit
 from .kernels import apply_matrix
 from .qstate import (
+    PAULIS,
     DensityMatrix,
     PureState,
     _superop,
@@ -26,6 +27,13 @@ from .qstate import (
 
 STATEVECTOR_MAX_QUBITS = 16
 DENSITY_MAX_QUBITS = 10
+
+# Outcomes at or below this probability are rounding noise: draws and
+# Shannon entropies drop them.
+_PROB_CUTOFF = 1e-15
+_PAULI_BASIS = np.stack([PAULIS[m] for m in "IXYZ"])
+# _PAULI_TRACE[mu, 2a + b] = sigma_mu[b, a]: one qubit's tr(rho sigma_mu) from its (row, column) pair
+_PAULI_TRACE = _PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
 
 _SQRT2_INV = 1 / math.sqrt(2)
 _PAULI_ROTATIONS = {
@@ -238,49 +246,74 @@ def _noise_superop(p: float, gamma: float, k: int) -> np.ndarray | None:
     return sup
 
 
+def _local_apply(mats, t: np.ndarray) -> np.ndarray:
+    """out[o_0, ..., o_{m-1}, ...] = sum_a prod_i mats[i][o_i, a_i] t[a_0, ..., a_{m-1}, ...]:
+    matrix i acts on leading axis i of `t`, and the result keeps the axis order."""
+    m = len(mats)
+    for mat in reversed(mats):  # each pass contracts the last untouched leading axis, in front
+        t = np.tensordot(mat, t, axes=([1], [m - 1]))
+    return t
+
+
+def _bloch_rows(rotations) -> np.ndarray:
+    """v[..., o, mu] = Re(u[o] sigma_mu u[o]^dag) for rotations u[..., o, :]
+    (rows are the new bras): outcome o projects onto sum_mu v[o, mu] sigma_mu / 2."""
+    u = np.asarray(rotations)
+    return np.einsum("...oa,mab,...ob->...om", u, _PAULI_BASIS, u.conj()).real
+
+
+def _pauli_expansion(mat: np.ndarray, k: int) -> np.ndarray:
+    """T[mu_0, ..., mu_{k-1}] = tr(rho sigma_mu_0 x ... x sigma_mu_{k-1})."""
+    t = mat.reshape([2] * (2 * k))
+    t = t.transpose([ax for q in range(k) for ax in (q, k + q)]).reshape([4] * k)
+    return _local_apply([_PAULI_TRACE] * k, t).real
+
+
 def born_distribution(state, setting: MeasSetting) -> np.ndarray:
     """Exact outcome probabilities of `state` measured in `setting`, indexed
-    by bitstring value (qubit 0 = most significant bit)."""
+    by bitstring value (qubit 0 = most significant bit). A pure state's
+    amplitudes are rotated qubit by qubit; a density matrix's Pauli expansion
+    is contracted with each qubit's Bloch rows."""
     n = state.num_qubits
     if setting.num_qubits != n:
         raise ValueError(
             f"basis arity mismatch: setting covers {setting.num_qubits} qubits, state has {n}"
         )
+    rotations = [setting.rotation(q) for q in range(n)]
     if isinstance(state, PureState):
-        psi = state.amplitudes.copy()
-        for q in range(n):
-            apply_matrix(psi, setting.rotation(q), (q,), n)
-        probs = np.abs(psi) ** 2
+        probs = np.abs(_local_apply(rotations, state.amplitudes.reshape([2] * n))) ** 2
     else:
-        rho = state.matrix.reshape(-1).copy()
-        for q in range(n):
-            r = setting.rotation(q)
-            apply_matrix(rho, r, (q,), 2 * n)
-            apply_matrix(rho, r.conj(), (n + q,), 2 * n)
-        probs = np.real(np.diag(rho.reshape(2**n, 2**n))).copy()
-    probs = np.clip(probs, 0.0, None)
+        probs = _local_apply(_bloch_rows(rotations), _pauli_expansion(state.matrix, n)) / 2**n
+    probs = np.clip(probs.reshape(-1), 0.0, None)
     return probs / probs.sum()
 
 
 def _fold_readout_flip(probs: np.ndarray, n: int, r: float) -> np.ndarray:
     """Push independent per-bit classical flips into the distribution."""
-    t = probs.reshape([2] * n)
-    for q in range(n):
-        t = (1 - r) * t + r * np.flip(t, axis=q)
-    return t.reshape(-1)
+    flip = np.array([[1 - r, r], [r, 1 - r]])
+    return _local_apply([flip] * n, probs.reshape([2] * n)).reshape(-1)
+
+
+def _draw(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """Seeded multinomial counts over each row of `probs`, row r drawn with
+    seeds[r]. Outcomes at or below _PROB_CUTOFF, negative rounding included,
+    are dropped first: noise on an outcome that cannot occur would still
+    consume random numbers."""
+    p = np.where(probs > _PROB_CUTOFF, probs, 0.0)
+    p = p / p.sum(axis=-1, keepdims=True)
+    return np.array([np.random.default_rng(seed).multinomial(shots, q) for q, seed in zip(p, seeds)])
 
 
 def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: float = 0.0) -> MeasRecord:
     """Multinomial shot sampling with a seeded generator; `readout_flip` is
-    folded into the outcome distribution before drawing."""
+    folded into the outcome distribution, and outcomes of probability at
+    most 1e-15 are dropped, before drawing."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     probs = born_distribution(state, setting)
-    if readout_flip > 0.0:
-        probs = _fold_readout_flip(probs, state.num_qubits, readout_flip)
-        probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
     n = state.num_qubits
+    if readout_flip > 0.0:
+        probs = _fold_readout_flip(probs, n, readout_flip)
+    draws = _draw(probs[None], shots, [seed])[0]
     counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
     return MeasRecord(setting=setting, counts=counts, shots=shots, seed=seed)

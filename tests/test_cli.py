@@ -1,14 +1,16 @@
 """End-to-end runs of the config-driven command line interface."""
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from dlab import canonical_times, load_state_text
-from dlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from dlab import canonical_times, cli, load_state_text
+from dlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ExperimentConfig, main
 
 T_MAX, T_CLOSE, T_REC = canonical_times()
 
@@ -173,12 +175,71 @@ def test_byte_identical_rerun(tmp_path):
 
 
 def test_parallel_jobs_match_serial(tmp_path):
-    serial = write_config(tmp_path, n=1, times=[0.2, 0.5, 0.9], shots=512)
-    assert main(["coherence", "--config", str(serial)]) == EXIT_OK
-    serial_rows = data_lines(tmp_path / "out" / "coherence.csv")
-    assert main(["coherence", "--config", str(serial), "--jobs", "3", "--out", str(tmp_path / "par")]) == EXIT_OK
-    par_rows = data_lines(tmp_path / "par" / "coherence.csv")
-    assert par_rows == serial_rows
+    for command, extra in (("coherence", {}), ("darwinism", {"noise": {"depol_1q": 0.01}})):
+        serial = write_config(tmp_path, n=1, times=[0.2, 0.5, 0.9], shots=512, **extra)
+        out, par = tmp_path / command, tmp_path / f"{command}_par"
+        assert main([command, "--config", str(serial), "--out", str(out)]) == EXIT_OK
+        assert main([command, "--config", str(serial), "--jobs", "3", "--out", str(par)]) == EXIT_OK
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names and names == sorted(p.name for p in par.glob("*.csv"))
+        for name in names:
+            assert data_lines(par / name) == data_lines(out / name), (command, name)
+
+
+@pytest.mark.parametrize("command", ["coherence", "darwinism", "tomo"])
+@pytest.mark.parametrize("noise", [{}, {"depol_1q": 0.01}])
+def test_each_time_is_evolved_once(tmp_path, monkeypatch, command, noise):
+    calls = Counter()
+    for name in ("run_statevector", "run_density"):
+        def counted(*args, _name=name, _run=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    cfg = write_config(tmp_path, include_tomography=True, max_iters=20, noise=noise)
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    times = 1 if command == "tomo" else 2
+    # the ideal statevector, and the density run only when there is noise
+    assert calls == Counter(run_statevector=times, run_density=times if noise else 0)
+
+
+def test_resolved_config_reads_back_equal():
+    raw = {
+        "scenario": "full",
+        "n": 3,
+        "theta": 1.0,
+        "lam": 0.5,
+        "times": [0.3, 0.1],
+        "shots": 100,
+        "seed": 5,
+        "noise": {
+            "depol_1q": 0.01,
+            "depol_2q": 0.02,
+            "amp_damp_gamma": 0.03,
+            "readout_flip": 0.04,
+            "idle_noise": True,
+        },
+        "coupling_map": "line",
+        "partition": "per_qubit",
+        "outputs": "elsewhere",
+        "phi_steps": 5,
+        "xi_steps": 7,
+        "fraction_units": 2,
+        "sizes": [1, 2],
+        "include_tomography": True,
+        "sampled": True,
+        "dilution": 0.5,
+        "tol": 1e-5,
+        "max_iters": 10,
+        "jobs": 2,
+    }
+    cfg = ExperimentConfig.from_dict(raw)
+    defaults = ExperimentConfig.from_dict({"scenario": "condensed", "n": 2, "times": [0.0]})
+    for owner, default in ((cfg, defaults), (cfg.noise, defaults.noise)):
+        for field in dataclasses.fields(owner):
+            assert getattr(owner, field.name) != getattr(default, field.name), field.name
+    assert ExperimentConfig.from_dict(cfg.resolved_dict()) == cfg
+    assert json.loads(json.dumps(cfg.resolved_dict())) == cfg.resolved_dict()
 
 
 def test_seed_override_changes_samples(tmp_path):

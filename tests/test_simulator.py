@@ -23,6 +23,7 @@ from dlab import (
     born_distribution,
     build_condensed_circuit,
     build_full_circuit,
+    canonical_times,
     depolarizing_channel,
     partial_trace,
     run_density,
@@ -32,6 +33,8 @@ from dlab import (
 )
 from dlab.circuit import GATE_ARITY
 from dlab.kernels import apply_matrix
+from dlab.simulator import _fold_readout_flip
+from dlab.tomography import setting_unitary
 
 PLUS = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2))
 BELL_CIRCUIT = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1))))
@@ -92,6 +95,75 @@ def test_born_distribution_bit_order():
     c = Circuit(2, (Gate(GateKind.X, (0,)),))
     probs = born_distribution(run_statevector(c), MeasSetting.computational(2))
     assert probs[0b10] == pytest.approx(1.0, abs=1e-14)
+
+
+# Reference: the kernel sweeps and the per-axis flip loop that the shared
+# local contraction replaced.
+
+
+def loop_born_distribution(state, setting):
+    """Rotate each qubit with one kernel sweep (a density matrix: one on its
+    row axis, one on its column axis) and read the diagonal."""
+    n = state.num_qubits
+    if isinstance(state, PureState):
+        psi = state.amplitudes.copy()
+        for q in range(n):
+            apply_matrix(psi, setting.rotation(q), (q,), n)
+        probs = np.abs(psi) ** 2
+    else:
+        rho = state.matrix.reshape(-1).copy()
+        for q in range(n):
+            r = setting.rotation(q)
+            apply_matrix(rho, r, (q,), 2 * n)
+            apply_matrix(rho, r.conj(), (n + q,), 2 * n)
+        probs = np.real(np.diag(rho.reshape(2**n, 2**n))).copy()
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+def loop_fold_readout_flip(probs, n, r):
+    t = probs.reshape([2] * n)
+    for q in range(n):
+        t = (1 - r) * t + r * np.flip(t, axis=q)
+    return t.reshape(-1)
+
+
+_BASES = st.one_of(
+    st.sampled_from("XYZ"),
+    st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+)
+
+
+@st.composite
+def measured_states(draw):
+    """A random pure or mixed (random rank) state on 1-6 qubits, a Pauli or
+    (phi, xi) basis per qubit, and a readout flip rate."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = PureState(n, psi / np.linalg.norm(psi))
+    else:
+        rank = draw(st.integers(1, 2**n))
+        g = rng.normal(size=(2**n, rank)) + 1j * rng.normal(size=(2**n, rank))
+        rho = g @ g.conj().T
+        state = DensityMatrix(n, rho / np.trace(rho).real)
+    setting = MeasSetting(tuple(draw(st.lists(_BASES, min_size=n, max_size=n))))
+    return state, setting, draw(st.floats(0.0, 0.5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(measured_states())
+def test_born_distribution_matches_the_loop_and_the_dense_rotation(problem):
+    state, setting, r = problem
+    n = state.num_qubits
+    got = born_distribution(state, setting)
+    assert np.max(np.abs(got - loop_born_distribution(state, setting))) < 1e-12
+    u = setting_unitary(setting)
+    rho = state.density_matrix().matrix if isinstance(state, PureState) else state.matrix
+    assert np.max(np.abs(got - np.diag(u @ rho @ u.conj().T).real)) < 1e-12
+    folded = _fold_readout_flip(got, n, r)
+    assert np.max(np.abs(folded - loop_fold_readout_flip(got, n, r))) < 1e-12
 
 
 def test_run_statevector_guard():
@@ -279,6 +351,21 @@ def test_sample_chi_square_goodness_of_fit():
     assert pval > 0.001
     # impossible outcomes never get a count
     assert freq[~mask].sum() == 0.0
+
+
+def test_sample_drops_rounding_noise_like_every_draw():
+    # condensed n=2 at t_max in XXX puts ~1e-34 on outcomes that cannot occur;
+    # every draw, sample's included, drops outcomes <= 1e-15 before drawing
+    p = ScmParams(theta=math.pi, lam=1.0, n=2)
+    psi = run_statevector(build_condensed_circuit(canonical_times().t_max, p))
+    setting = MeasSetting.pauli("XXX")
+    probs = born_distribution(psi, setting)
+    assert np.any((probs > 0) & (probs <= 1e-15))
+    kept = np.where(probs > 1e-15, probs, 0.0)
+    for seed in range(20):
+        draws = np.random.default_rng(seed).multinomial(4096, kept / kept.sum())
+        want = {format(i, "03b"): int(c) for i, c in enumerate(draws) if c > 0}
+        assert sample(psi, setting, 4096, seed).counts == want, seed
 
 
 def test_readout_flip_folding():
