@@ -118,13 +118,6 @@ class Circuit:
             if n_sys != 1:
                 raise ValueError(f"expected exactly one system label, got {n_sys}")
 
-    @property
-    def system_qubit(self) -> int:
-        for q, r in self.labels.items():
-            if r.kind is RoleKind.SYSTEM:
-                return q
-        raise ValueError("circuit has no system label")
-
 
 def build_full_circuit(t: float, p: ScmParams) -> Circuit:
     """Purified circuit: per pair Ry(2a) on emitter, CNOT(E->A), X on emitter;

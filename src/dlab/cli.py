@@ -19,6 +19,8 @@ import numpy as np
 from . import __version__
 from .circuit import build_condensed_circuit, build_full_circuit, circuit_to_text
 from .darwinism import (
+    DEFAULT_PHI_STEPS,
+    DEFAULT_XI_STEPS,
     SchemeMode,
     averaged_qmi,
     basis_grid_to_csv,
@@ -49,6 +51,9 @@ from .simulator import (
     sample,
 )
 from .tomography import (
+    DEFAULT_DILUTION,
+    DEFAULT_MAX_ITERS,
+    DEFAULT_TOL,
     TomographyJob,
     coherence_from_tomo,
     mle_reconstruct,
@@ -111,15 +116,19 @@ def _resolve_times(raw) -> tuple[float, ...]:
         if extra:
             raise ConfigError(f"unknown time-grid keys {sorted(extra)}")
         try:
-            values = np.linspace(
-                float(raw["start"]), float(raw["stop"]), _integer(raw["count"], "count")
-            ).tolist()
+            start, stop = float(raw["start"]), float(raw["stop"])
+            count = _integer(raw["count"], "count")
         except KeyError as e:
             raise ConfigError(f"time grid needs 'start', 'stop', 'count' (missing {e})") from None
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError("times must be finite")
+        values = np.linspace(start, stop, count).tolist()
     elif isinstance(raw, list):
         values = [_named_time(v, ct) if isinstance(v, str) else float(v) for v in raw]
     else:
         raise ConfigError(f"cannot interpret 'times': {raw!r}")
+    if not values:
+        raise ConfigError("'times' must hold at least one time")
     if not all(math.isfinite(t) for t in values):
         raise ConfigError("times must be finite")
     values = sorted(values)
@@ -193,17 +202,17 @@ class ExperimentConfig:
                 coupling_map=str(raw.get("coupling_map", "t7")),
                 partition=partition,
                 outputs=str(raw.get("outputs", "out")),
-                phi_steps=_integer(raw.get("phi_steps", 61), "phi_steps"),
-                xi_steps=_integer(raw.get("xi_steps", 61), "xi_steps"),
+                phi_steps=_integer(raw.get("phi_steps", DEFAULT_PHI_STEPS), "phi_steps"),
+                xi_steps=_integer(raw.get("xi_steps", DEFAULT_XI_STEPS), "xi_steps"),
                 fraction_units=_integer(raw.get("fraction_units", 1), "fraction_units"),
                 sizes=None if raw.get("sizes") is None else tuple(_integer(s, "sizes") for s in raw["sizes"]),
                 include_tomography=_boolean(
                     raw.get("include_tomography", False), "include_tomography"
                 ),
                 sampled=_boolean(raw.get("sampled", False), "sampled"),
-                dilution=float(raw.get("dilution", 0.1)),
-                tol=float(raw.get("tol", 1e-7)),
-                max_iters=_integer(raw.get("max_iters", 5000), "max_iters"),
+                dilution=float(raw.get("dilution", DEFAULT_DILUTION)),
+                tol=float(raw.get("tol", DEFAULT_TOL)),
+                max_iters=_integer(raw.get("max_iters", DEFAULT_MAX_ITERS), "max_iters"),
                 jobs=_integer(raw.get("jobs", 1), "jobs"),
             )
             cfg.params  # force ScmParams invariants now, as a config check
@@ -243,11 +252,14 @@ class ExperimentConfig:
 
 
 def _preflight(cfg: ExperimentConfig, command: str) -> None:
-    """Reject a register no simulation of `command` can hold, before any compute."""
+    """Reject an angle no circuit builder takes, or a register no simulation
+    of `command` can hold, before any compute."""
+    if abs(cfg.theta - math.pi) > 1e-12:
+        raise ConfigError("circuit-based commands require theta = pi")
     nq = cfg.params.num_qubits
     if nq > STATEVECTOR_MAX_QUBITS:
         raise ConfigError(f"statevector runs are capped at {STATEVECTOR_MAX_QUBITS} qubits ({nq} requested)")
-    if command != "route" and not cfg.noise.is_trivial and nq > DENSITY_MAX_QUBITS:
+    if command != "route" and cfg.noise.is_mixing and nq > DENSITY_MAX_QUBITS:
         raise ConfigError(f"noisy density runs are capped at {DENSITY_MAX_QUBITS} qubits ({nq} requested)")
     tomography = command == "tomo" or (command == "darwinism" and cfg.include_tomography)
     if tomography and nq > TOMO_MAX_QUBITS:
@@ -256,27 +268,19 @@ def _preflight(cfg: ExperimentConfig, command: str) -> None:
         )
 
 
-def _require_pointer_theta(cfg: ExperimentConfig) -> None:
-    if abs(cfg.theta - math.pi) > 1e-12:
-        raise ConfigError("circuit-based commands require theta = pi")
-
-
 def _build_circuit(cfg: ExperimentConfig, t: float):
     if cfg.scenario is Scenario.FULL:
         return build_full_circuit(t, cfg.params)
     return build_condensed_circuit(t, cfg.params)
 
 
-def _ideal_state(cfg: ExperimentConfig, t: float):
-    return run_statevector(_build_circuit(cfg, t))
-
-
-def _run_state(cfg: ExperimentConfig, t: float):
-    """Statevector when the noise model is trivial, density evolution else."""
+def _evolve(cfg: ExperimentConfig, t: float):
+    """The ideal statevector at `t`, and the state the noise model leaves:
+    a density run when the noise mixes the state, else the same statevector
+    (readout flips act only on sampled records)."""
     circuit = _build_circuit(cfg, t)
-    if cfg.noise.is_trivial:
-        return run_statevector(circuit)
-    return run_density(circuit, cfg.noise)
+    ideal = run_statevector(circuit)
+    return ideal, run_density(circuit, cfg.noise) if cfg.noise.is_mixing else ideal
 
 
 def _write(path: str, text: str) -> None:
@@ -309,9 +313,9 @@ def _pmap(fn, payloads, jobs: int):
 def _coherence_point(payload):
     cfg, index, t = payload
     analytic = coherence_finite(t, cfg.params)
-    ideal = _ideal_state(cfg, t)
+    ideal, state = _evolve(cfg, t)
     simulated = system_coherence(ideal)
-    reduced = partial_trace(ideal if cfg.noise.is_trivial else _run_state(cfg, t), (0,))
+    reduced = partial_trace(state, (0,))
     records = [
         sample(
             reduced,
@@ -330,7 +334,6 @@ def _coherence_point(payload):
 
 
 def cmd_coherence(cfg: ExperimentConfig) -> None:
-    _require_pointer_theta(cfg)
     payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
     rows = _pmap(_coherence_point, payloads, cfg.jobs)
     lines = [cfg.provenance_lines() + "time,analytic,simulated,sampled,sampled_stderr"]
@@ -361,10 +364,9 @@ def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):
 def _darwinism_point(payload):
     cfg, index, t = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
-    state = _ideal_state(cfg, t)
-    curves = {"ideal": averaged_qmi(state, (0,), scheme)}
-    if not cfg.noise.is_trivial:
-        state = _run_state(cfg, t)
+    ideal, state = _evolve(cfg, t)
+    curves = {"ideal": averaged_qmi(ideal, (0,), scheme)}
+    if cfg.noise.is_mixing:
         curves["noisy"] = averaged_qmi(state, (0,), scheme)
     if cfg.include_tomography:
         _, result = _tomo_reconstruction(cfg, state, cfg.seed + 10_000 * index)
@@ -373,7 +375,6 @@ def _darwinism_point(payload):
 
 
 def cmd_darwinism(cfg: ExperimentConfig) -> None:
-    _require_pointer_theta(cfg)
     payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
     for index, t, curves in _pmap(_darwinism_point, payloads, cfg.jobs):
@@ -397,7 +398,7 @@ def _cmi_point(payload):
     cfg, index, t = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
     frac = _fraction_qubits(cfg, scheme)
-    state = _run_state(cfg, t)
+    _, state = _evolve(cfg, t)
     shots = cfg.shots if cfg.sampled else None
     grid = cmi_grid(
         state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=cfg.seed + 100_000 * index
@@ -406,7 +407,6 @@ def _cmi_point(payload):
 
 
 def cmd_cmi(cfg: ExperimentConfig) -> None:
-    _require_pointer_theta(cfg)
     payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
     for index, t, frac, grid in _pmap(_cmi_point, payloads, cfg.jobs):
@@ -422,7 +422,7 @@ def cmd_cmi(cfg: ExperimentConfig) -> None:
 def _compare_point(payload):
     cfg, t, size = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
-    state = _run_state(cfg, t)
+    _, state = _evolve(cfg, t)
     qmis, chis, cmis = [], [], []
     for frac in scheme.fractions(size):
         qmis.append(qmi(state, (0,), frac))
@@ -433,7 +433,6 @@ def _compare_point(payload):
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
     """QMI / Holevo / max-basis CMI per fraction size at the canonical times."""
-    _require_pointer_theta(cfg)
     scheme = partition_scheme(cfg.params, cfg.partition)
     sizes = cfg.sizes or tuple(range(1, scheme.num_units + 1))
     if any(not 1 <= s <= scheme.num_units for s in sizes):
@@ -466,7 +465,6 @@ def _resolve_coupling_map(cfg: ExperimentConfig):
 
 
 def cmd_route(cfg: ExperimentConfig) -> None:
-    _require_pointer_theta(cfg)
     cmap = _resolve_coupling_map(cfg)
     circuit = _build_circuit(cfg, canonical_times().t_max)
     rc = route(circuit, cmap)
@@ -497,14 +495,11 @@ def cmd_route(cfg: ExperimentConfig) -> None:
 
 
 def cmd_tomo(cfg: ExperimentConfig) -> None:
-    _require_pointer_theta(cfg)
     t = cfg.times[0]
-    ideal = _ideal_state(cfg, t)
-    state = ideal if cfg.noise.is_trivial else _run_state(cfg, t)
+    ideal, state = _evolve(cfg, t)
     job, result = _tomo_reconstruction(cfg, state, cfg.seed)
     save_tomography_job(job, os.path.join(cfg.outputs, "job"))
-    ideal = ideal.density_matrix()
-    fid = fidelity(result.state, ideal)
+    fid = fidelity(result.state, ideal.density_matrix())
     lls = result.log_likelihoods
     report = {
         "time": t,

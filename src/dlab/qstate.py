@@ -94,12 +94,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", mat)
 
     @classmethod
-    def from_matrix(cls, mat) -> DensityMatrix:
-        mat = np.asarray(mat, dtype=complex)
-        n = int(round(math.log2(mat.shape[0])))
-        return cls(n, mat)
-
-    @classmethod
     def maximally_mixed(cls, num_qubits: int) -> DensityMatrix:
         dim = 2**num_qubits
         return cls(num_qubits, np.eye(dim, dtype=complex) / dim)

@@ -172,78 +172,65 @@ def _swap_exec_cost(u: int, v: int, zero: set[int]) -> int:
     return 2 if (zu or zv) else 3
 
 
-def _note_zero(g: Gate, zero: set[int]) -> None:
-    if g.kind in (GateKind.X, GateKind.H, GateKind.RY):
-        zero.discard(g.qubits[0])
-    elif g.kind is GateKind.CNOT:
-        if g.qubits[0] not in zero:
-            zero.discard(g.qubits[1])
+def _note_zero(kind: GateKind, qubits: tuple[int, ...], zero: set[int]) -> None:
+    if kind in (GateKind.X, GateKind.H, GateKind.RY):
+        zero.discard(qubits[0])
+    elif kind is GateKind.CNOT:
+        if qubits[0] not in zero:
+            zero.discard(qubits[1])
     # CZ on |0> x anything is the identity, flags survive
 
 
-def _route_once(c: Circuit, cmap: CouplingMap, placement: dict[int, int], paths):
-    """Greedy walk: per non-adjacent gate, try every shortest path in both
-    directions and keep the cheapest under zero-SWAP accounting. Returns the
-    gate list, the final logical->physical map, the SWAP tally and the
-    executable CNOT count used as the placement objective."""
-    l2p = dict(placement)
-    p2l = {p: None for p in range(cmap.num_physical)}
-    for l, p in placement.items():
+def _route_once(ops, placement: tuple[int, ...], cmap: CouplingMap, paths):
+    """Greedy walk of `ops`, the circuit's (kind, logical qubits, angle)
+    triples, from `placement` (logical qubit l starts on slot placement[l]).
+    Per non-adjacent gate, try every shortest path in both directions and
+    keep the cheapest under zero-SWAP accounting. Returns the routed
+    (kind, physical qubits, angle) triples, the final logical->physical
+    list, the number of inserted SWAPs and the executable CNOT count used
+    as the placement objective."""
+    l2p = list(placement)
+    p2l = [None] * cmap.num_physical
+    for l, p in enumerate(l2p):
         p2l[p] = l
     zero = set(range(cmap.num_physical))
-    gates = []
+    out = []
     swaps = 0
     exec_cost = 0
-    for g in c.gates:
-        if len(g.qubits) == 1:
-            moved = Gate(g.kind, (l2p[g.qubits[0]],), g.angle)
-            gates.append(moved)
-            _note_zero(moved, zero)
-            continue
-        a, b = g.qubits
-        pa, pb = l2p[a], l2p[b]
-        if not cmap.has_edge(pa, pb):
-            best = None
-            for path in paths[(pa, pb)]:
-                for reverse in (False, True):
-                    seq = path[::-1] if reverse else path
-                    trial = set(zero)
-                    cost = 0
-                    for i in range(len(seq) - 2):
-                        cost += _swap_exec_cost(seq[i], seq[i + 1], trial)
-                    key = (cost, reverse, path)
-                    if best is None or key < best[0]:
-                        best = (key, seq)
-            seq = best[1]
-            for i in range(len(seq) - 2):
-                u, v = seq[i], seq[i + 1]
-                gates.append(Gate(GateKind.SWAP, (u, v)))
-                swaps += 1
-                exec_cost += _swap_exec_cost(u, v, zero)
-                lu, lv = p2l[u], p2l[v]
-                if lu is not None:
-                    l2p[lu] = v
-                if lv is not None:
-                    l2p[lv] = u
-                p2l[u], p2l[v] = lv, lu
-        moved = Gate(g.kind, (l2p[a], l2p[b]), g.angle)
-        gates.append(moved)
-        _note_zero(moved, zero)
-        exec_cost += _CNOT_COST.get(g.kind, 0)
-    return gates, l2p, swaps, exec_cost
-
-
-def _assemble(c, cmap, placement, gates, l2p, swaps):
-    labels = {l2p[q]: role for q, role in c.labels.items()}
-    routed = Circuit(cmap.num_physical, tuple(gates), labels)
-    return RoutedCircuit(
-        circuit=routed,
-        coupling_map=cmap,
-        placement=dict(placement),
-        final_placement={l: l2p[l] for l in placement},
-        swap_count=swaps,
-        cnot_count=circuit_cnot_count(routed),
-    )
+    for kind, qubits, angle in ops:
+        if len(qubits) == 1:
+            moved = (l2p[qubits[0]],)
+        else:
+            a, b = qubits
+            pa, pb = l2p[a], l2p[b]
+            if not cmap.has_edge(pa, pb):
+                best = None
+                for path in paths[(pa, pb)]:
+                    for reverse in (False, True):
+                        seq = path[::-1] if reverse else path
+                        trial = set(zero)
+                        cost = 0
+                        for u, v in zip(seq, seq[1:-1]):
+                            cost += _swap_exec_cost(u, v, trial)
+                        key = (cost, reverse, path)
+                        if best is None or key < best[0]:
+                            best = (key, seq, trial)
+                (cost, _, _), seq, zero = best
+                exec_cost += cost
+                for u, v in zip(seq, seq[1:-1]):
+                    out.append((GateKind.SWAP, (u, v), None))
+                    lu, lv = p2l[u], p2l[v]
+                    if lu is not None:
+                        l2p[lu] = v
+                    if lv is not None:
+                        l2p[lv] = u
+                    p2l[u], p2l[v] = lv, lu
+                swaps += len(seq) - 2
+            moved = (l2p[a], l2p[b])
+            exec_cost += _CNOT_COST.get(kind, 0)
+        out.append((kind, moved, angle))
+        _note_zero(kind, moved, zero)
+    return out, l2p, swaps, exec_cost
 
 
 def _all_pair_paths(cmap: CouplingMap):
@@ -259,43 +246,57 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
     """Map `c` onto `cmap`. Without an explicit placement, every injective
     assignment is tried on devices of up to 8 qubits and the cheapest routed
     circuit wins, cost being the executable CNOT count after the zero-SWAP
-    rewrite (ties broken by lexicographic placement). The returned circuit
-    keeps its SWAPs intact; `peephole_zero_swap` realizes the discount."""
+    rewrite (ties broken by lexicographic placement); larger devices keep
+    the identity placement. The returned circuit keeps its SWAPs intact;
+    `peephole_zero_swap` realizes the discount, and `swap_count` counts the
+    SWAPs routing inserted."""
     if c.num_qubits > cmap.num_physical:
         raise ValueError(
             f"circuit needs {c.num_qubits} qubits but the device has {cmap.num_physical}"
         )
-    paths = _all_pair_paths(cmap)
     if placement is not None:
         if set(placement) != set(range(c.num_qubits)):
             raise ValueError("placement must cover exactly the logical qubits")
         if len(set(placement.values())) != len(placement):
             raise ValueError("placement is not injective")
-        gates, l2p, swaps, _ = _route_once(c, cmap, placement, paths)
-        return _assemble(c, cmap, placement, gates, l2p, swaps)
-    if cmap.num_physical > EXHAUSTIVE_PLACEMENT_MAX:
-        # big devices: skip the exhaustive search, keep the identity seed
-        placement = {q: q for q in range(c.num_qubits)}
-        gates, l2p, swaps, _ = _route_once(c, cmap, placement, paths)
-        return _assemble(c, cmap, placement, gates, l2p, swaps)
+        if any(not 0 <= p < cmap.num_physical for p in placement.values()):
+            raise ValueError("placement targets a slot outside the device")
+        candidates = [tuple(placement[q] for q in range(c.num_qubits))]
+    elif cmap.num_physical > EXHAUSTIVE_PLACEMENT_MAX:
+        candidates = [tuple(range(c.num_qubits))]
+    else:
+        candidates = itertools.permutations(range(cmap.num_physical), c.num_qubits)
+    ops = [(g.kind, g.qubits, g.angle) for g in c.gates]
+    paths = _all_pair_paths(cmap)
     best = None
-    for perm in itertools.permutations(range(cmap.num_physical), c.num_qubits):
-        cand = {q: perm[q] for q in range(c.num_qubits)}
-        gates, l2p, swaps, exec_cost = _route_once(c, cmap, cand, paths)
-        key = (exec_cost, perm)
+    for perm in candidates:
+        walk = _route_once(ops, perm, cmap, paths)
+        key = (walk[3], perm)
         if best is None or key < best[0]:
-            best = (key, cand, gates, l2p, swaps)
-    _, placement, gates, l2p, swaps = best
-    return _assemble(c, cmap, placement, gates, l2p, swaps)
+            best = (key, walk)
+    (_, perm), (out, l2p, swaps, _) = best
+    routed = Circuit(
+        cmap.num_physical,
+        tuple(Gate(kind, qubits, angle) for kind, qubits, angle in out),
+        {l2p[q]: role for q, role in c.labels.items()},
+    )
+    return RoutedCircuit(
+        circuit=routed,
+        coupling_map=cmap,
+        placement=dict(enumerate(perm)),
+        final_placement=dict(enumerate(l2p)),
+        swap_count=swaps,
+        cnot_count=circuit_cnot_count(routed),
+    )
 
 
-def peephole_zero_swap(rc: RoutedCircuit, known_zero: set[int] | None = None) -> RoutedCircuit:
+def peephole_zero_swap(rc: RoutedCircuit) -> RoutedCircuit:
     """Rewrite SWAPs with one operand provably in |0>: two CNOTs do the job.
 
     Zero-ness is tracked by forward dataflow from initialization (every slot
     starts in |0>). A SWAP between two zero slots is dropped outright.
     """
-    zero = set(range(rc.circuit.num_qubits)) if known_zero is None else set(known_zero)
+    zero = set(range(rc.circuit.num_qubits))
     gates = []
     for g in rc.circuit.gates:
         if g.kind is GateKind.SWAP:
@@ -312,7 +313,7 @@ def peephole_zero_swap(rc: RoutedCircuit, known_zero: set[int] | None = None) ->
                 gates.append(g)
             continue
         gates.append(g)
-        _note_zero(g, zero)
+        _note_zero(g.kind, g.qubits, zero)
     circuit = Circuit(rc.circuit.num_qubits, tuple(gates), dict(rc.circuit.labels))
     return RoutedCircuit(
         circuit=circuit,
@@ -324,18 +325,19 @@ def peephole_zero_swap(rc: RoutedCircuit, known_zero: set[int] | None = None) ->
     )
 
 
+def _padded(mapping: dict[int, int], num_physical: int) -> dict[int, int]:
+    """`mapping` with each idle slot, in slot order, taken by one more
+    logical id counting up from len(mapping)."""
+    used = set(mapping.values())
+    idle = [p for p in range(num_physical) if p not in used]
+    return mapping | dict(zip(itertools.count(len(mapping)), idle))
+
+
 def replay_permutation(rc: RoutedCircuit) -> tuple[dict[int, int], dict[int, int]]:
     """Initial and final slot maps with idle slots padded in as extra logical
     ids, recovered by replaying the SWAP gates. Only meaningful before
     `peephole_zero_swap` rewrites SWAPs away."""
-    num_logical = len(rc.placement)
-    init = dict(rc.placement)
-    used = set(init.values())
-    pad = num_logical
-    for p in range(rc.coupling_map.num_physical):
-        if p not in used:
-            init[pad] = p
-            pad += 1
+    init = _padded(rc.placement, rc.coupling_map.num_physical)
     p2l = {p: l for l, p in init.items()}
     for g in rc.circuit.gates:
         if g.kind is GateKind.SWAP:
@@ -371,13 +373,7 @@ def routed_statevector_equivalent(rc: RoutedCircuit, original: Circuit, atol: fl
     psi = run_statevector(original).amplitudes
     phi = run_statevector(rc.circuit).amplitudes
     num_physical = rc.coupling_map.num_physical
-    mapping = dict(rc.final_placement)
-    used = set(mapping.values())
-    pad = original.num_qubits
-    for p in range(num_physical):
-        if p not in used:
-            mapping[pad] = p
-            pad += 1
+    mapping = _padded(rc.final_placement, num_physical)
     full = psi.reshape([2] * original.num_qubits)
     for _ in range(num_physical - original.num_qubits):
         full = np.stack([full, np.zeros_like(full)], axis=-1)

@@ -79,10 +79,6 @@ class MeasSetting:
         return cls(tuple(letters.upper()))
 
     @classmethod
-    def angles(cls, phi: float, xi: float, num_qubits: int) -> "MeasSetting":
-        return cls(((phi, xi),) * num_qubits)
-
-    @classmethod
     def computational(cls, num_qubits: int) -> "MeasSetting":
         return cls(("Z",) * num_qubits)
 
@@ -176,13 +172,10 @@ class NoiseModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
     @property
-    def is_trivial(self) -> bool:
-        return (
-            self.depol_1q == 0.0
-            and self.depol_2q == 0.0
-            and self.amp_damp_gamma == 0.0
-            and self.readout_flip == 0.0
-        )
+    def is_mixing(self) -> bool:
+        """Whether gate noise can leave the state mixed, so that runs need a
+        density matrix; readout flips act only on sampled records."""
+        return self.depol_1q > 0.0 or self.depol_2q > 0.0 or self.amp_damp_gamma > 0.0
 
     @classmethod
     def placeholder(cls) -> "NoiseModel":

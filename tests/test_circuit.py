@@ -53,10 +53,7 @@ def test_circuit_validation_and_labels():
     with pytest.raises(ValueError):
         Role(RoleKind.ANCILLA)
     c = build_full_circuit(0.3, FULL3)
-    assert c.system_qubit == 0
     assert str(c.labels[1]) == "emitter0" and str(c.labels[2]) == "ancilla0"
-    with pytest.raises(ValueError):
-        Circuit(2, ()).system_qubit
 
 
 def test_full_builder_shape():

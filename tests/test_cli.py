@@ -187,7 +187,7 @@ def test_parallel_jobs_match_serial(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["coherence", "darwinism", "tomo"])
-@pytest.mark.parametrize("noise", [{}, {"depol_1q": 0.01}])
+@pytest.mark.parametrize("noise", [{}, {"depol_1q": 0.01}, {"readout_flip": 0.02}])
 def test_each_time_is_evolved_once(tmp_path, monkeypatch, command, noise):
     calls = Counter()
     for name in ("run_statevector", "run_density"):
@@ -199,8 +199,18 @@ def test_each_time_is_evolved_once(tmp_path, monkeypatch, command, noise):
     cfg = write_config(tmp_path, include_tomography=True, max_iters=20, noise=noise)
     assert main([command, "--config", str(cfg)]) == EXIT_OK
     times = 1 if command == "tomo" else 2
-    # the ideal statevector, and the density run only when there is noise
-    assert calls == Counter(run_statevector=times, run_density=times if noise else 0)
+    # the ideal statevector, and the density run only when gate noise can
+    # mix the state; readout flips act on the sampled records alone
+    density = times if "depol_1q" in noise else 0
+    assert calls == Counter(run_statevector=times, run_density=density)
+
+
+def test_readout_only_noise_runs_as_a_statevector(tmp_path):
+    # past the density-run cap, and with no noisy curve to write
+    cfg = write_config(tmp_path, n=10, times=["t_max"], noise={"readout_flip": 0.02})
+    assert main(["darwinism", "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["artifacts"] == ["mi_t00_ideal.csv"]
 
 
 def test_resolved_config_reads_back_equal():
@@ -296,6 +306,10 @@ def test_config_errors(tmp_path):
         ("coherence", {"times": [float("nan")]}),
         ("coherence", {"lam": float("inf")}),
         ("coherence", {"times": {"start": 0.0, "stop": float("inf"), "count": 3}}),
+        ("darwinism", {"times": {"start": float("-inf"), "stop": 1.0, "count": 3}}),
+        ("coherence", {"times": []}),
+        ("darwinism", {"times": {"start": 0.0, "stop": 1.0, "count": 0}}),
+        ("tomo", {"n": 1, "times": []}),
         ("tomo", {"n": 1, "times": ["t_max"], "max_iters": 0}),
         ("tomo", {"n": 1, "times": ["t_max"], "tol": -1}),
         ("tomo", {"n": 1, "times": ["t_max"], "tol": float("nan")}),

@@ -366,7 +366,7 @@ def test_sampled_grid_matches_per_cell_draws():
         xis = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
         for i, phi in enumerate(np.linspace(0.0, math.pi, 4)):
             for j, xi in enumerate(xis):
-                setting = MeasSetting.angles(phi, xi, len(frac))
+                setting = MeasSetting(((phi, xi),) * len(frac))
                 cell = cmi_joint_sampled(psi, sys_q, frac, setting, 512, 40 + i * 5 + j)
                 assert grid.values[i, j] == cell
 

@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlab import (
     Circuit,
     CouplingMap,
     Gate,
     GateKind,
+    Role,
+    RoleKind,
     RoutedCircuit,
     Scenario,
     ScmParams,
@@ -27,11 +31,120 @@ from dlab import (
     routed_statevector_equivalent,
     routed_unitary_equivalent,
 )
-from dlab.routing import _all_pair_paths, _route_once
+from dlab.circuit import GATE_ARITY
+from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX, _all_pair_paths, _route_once
 
 T7_EDGES = frozenset({(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)})
 LINE3 = CouplingMap(3, frozenset({(0, 1), (1, 2)}))
 RING4 = CouplingMap(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+RING6 = CouplingMap(6, frozenset((q, (q + 1) % 6) for q in range(6)))
+GRID23 = CouplingMap(6, frozenset({(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}))
+LINE9 = CouplingMap(9, frozenset((q, q + 1) for q in range(8)))
+
+_LOOP_CNOT_COST = {GateKind.CNOT: 1, GateKind.CZ: 1, GateKind.SWAP: 3}
+
+
+def _loop_swap_cost(u, v, zero):
+    zu, zv = u in zero, v in zero
+    if zu != zv:
+        zero.discard(u if zu else v)
+        zero.add(v if zu else u)
+    if zu and zv:
+        return 0
+    return 2 if (zu or zv) else 3
+
+
+def _loop_note_zero(g, zero):
+    if g.kind in (GateKind.X, GateKind.H, GateKind.RY):
+        zero.discard(g.qubits[0])
+    elif g.kind is GateKind.CNOT:
+        if g.qubits[0] not in zero:
+            zero.discard(g.qubits[1])
+
+
+def _loop_route_once(c, cmap, placement, paths):
+    # builds a Gate per step and walks the chosen path a second time
+    l2p = dict(placement)
+    p2l = {p: None for p in range(cmap.num_physical)}
+    for l, p in placement.items():
+        p2l[p] = l
+    zero = set(range(cmap.num_physical))
+    gates = []
+    swaps = 0
+    exec_cost = 0
+    for g in c.gates:
+        if len(g.qubits) == 1:
+            moved = Gate(g.kind, (l2p[g.qubits[0]],), g.angle)
+            gates.append(moved)
+            _loop_note_zero(moved, zero)
+            continue
+        a, b = g.qubits
+        pa, pb = l2p[a], l2p[b]
+        if not cmap.has_edge(pa, pb):
+            best = None
+            for path in paths[(pa, pb)]:
+                for reverse in (False, True):
+                    seq = path[::-1] if reverse else path
+                    trial = set(zero)
+                    cost = 0
+                    for i in range(len(seq) - 2):
+                        cost += _loop_swap_cost(seq[i], seq[i + 1], trial)
+                    key = (cost, reverse, path)
+                    if best is None or key < best[0]:
+                        best = (key, seq)
+            seq = best[1]
+            for i in range(len(seq) - 2):
+                u, v = seq[i], seq[i + 1]
+                gates.append(Gate(GateKind.SWAP, (u, v)))
+                swaps += 1
+                exec_cost += _loop_swap_cost(u, v, zero)
+                lu, lv = p2l[u], p2l[v]
+                if lu is not None:
+                    l2p[lu] = v
+                if lv is not None:
+                    l2p[lv] = u
+                p2l[u], p2l[v] = lv, lu
+        moved = Gate(g.kind, (l2p[a], l2p[b]), g.angle)
+        gates.append(moved)
+        _loop_note_zero(moved, zero)
+        exec_cost += _LOOP_CNOT_COST.get(g.kind, 0)
+    return gates, l2p, swaps, exec_cost
+
+
+def loop_route(c, cmap, placement=None):
+    """Reference: one branch per placement source, each routing and
+    assembling on its own, with every candidate's gates built."""
+    paths = _all_pair_paths(cmap)
+    if placement is None and cmap.num_physical > EXHAUSTIVE_PLACEMENT_MAX:
+        placement = {q: q for q in range(c.num_qubits)}
+    if placement is not None:
+        gates, l2p, swaps, _ = _loop_route_once(c, cmap, placement, paths)
+    else:
+        best = None
+        for perm in itertools.permutations(range(cmap.num_physical), c.num_qubits):
+            cand = {q: perm[q] for q in range(c.num_qubits)}
+            gates, l2p, swaps, exec_cost = _loop_route_once(c, cmap, cand, paths)
+            key = (exec_cost, perm)
+            if best is None or key < best[0]:
+                best = (key, cand, gates, l2p, swaps)
+        _, placement, gates, l2p, swaps = best
+    routed = Circuit(cmap.num_physical, tuple(gates), {l2p[q]: r for q, r in c.labels.items()})
+    return RoutedCircuit(
+        circuit=routed,
+        coupling_map=cmap,
+        placement=dict(placement),
+        final_placement={l: l2p[l] for l in placement},
+        swap_count=swaps,
+        cnot_count=circuit_cnot_count(routed),
+    )
+
+
+def assert_same_routing(got, want):
+    assert got.placement == want.placement
+    assert got.final_placement == want.final_placement
+    assert got.circuit.gates == want.circuit.gates
+    assert got.circuit.labels == want.circuit.labels
+    assert (got.swap_count, got.cnot_count) == (want.swap_count, want.cnot_count)
 
 
 def test_coupling_map_normalization():
@@ -143,9 +256,59 @@ def test_placement_objective_matches_peephole_count():
         c = build(math.log(2), ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario))
         for perm in itertools.permutations(range(t7.num_physical), c.num_qubits):
             placement = dict(enumerate(perm))
-            objective = _route_once(c, t7, placement, paths)[3]
-            realized = peephole_zero_swap(route(c, t7, placement=placement)).cnot_count
+            ops = [(g.kind, g.qubits, g.angle) for g in c.gates]
+            objective = _route_once(ops, perm, t7, paths)[3]
+            rc = route(c, t7, placement=placement)
+            assert_same_routing(rc, loop_route(c, t7, placement))
+            realized = peephole_zero_swap(rc).cnot_count
             assert objective == realized, (scenario, placement)
+
+
+@st.composite
+def routing_problems(draw):
+    """A random circuit over every GateKind, input SWAPs included, on 2-5
+    logical qubits; a connected map of up to 6 nodes (random, or a ring or
+    grid whose equal shortest paths exercise the tie-break), or the 9-node
+    line that skips the exhaustive search; and sometimes an explicit
+    placement."""
+    cmap = draw(st.sampled_from((None, LINE9, RING4, RING6, GRID23)))
+    if cmap is None:
+        num = draw(st.integers(2, 6))
+        edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, num)}
+        pairs = list(itertools.combinations(range(num), 2))
+        edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=6)))
+        cmap = CouplingMap(num, frozenset(edges))
+    n = draw(st.integers(2, min(5, cmap.num_physical)))
+    gates = []
+    for _ in range(draw(st.integers(1, 16))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        qubits = tuple(draw(st.permutations(range(n)))[: GATE_ARITY[kind]])
+        angle = draw(st.floats(-math.pi, math.pi)) if kind is GateKind.RY else None
+        gates.append(Gate(kind, qubits, angle))
+    labels = {}
+    if draw(st.booleans()):
+        system = draw(st.integers(0, n - 1))
+        labels = {q: Role(RoleKind.SYSTEM) if q == system else Role(RoleKind.PAIR, q) for q in range(n)}
+    placement = None
+    if draw(st.booleans()):
+        placement = dict(enumerate(draw(st.permutations(range(cmap.num_physical)))[:n]))
+    return Circuit(n, tuple(gates), labels), cmap, placement
+
+
+@settings(max_examples=100, deadline=None)
+@given(routing_problems())
+def test_route_matches_the_loop(problem):
+    c, cmap, placement = problem
+    assert_same_routing(route(c, cmap, placement=placement), loop_route(c, cmap, placement))
+
+
+def test_route_builds_gates_only_for_the_winner(monkeypatch):
+    c = build_condensed_circuit(math.log(2), ScmParams(theta=math.pi, lam=1.0, n=3))
+    built = []
+    check = Gate.__post_init__
+    monkeypatch.setattr(Gate, "__post_init__", lambda g: built.append(g) or check(g))
+    rc = route(c, builtin_coupling_map("t7"))
+    assert built == list(rc.circuit.gates)
 
 
 def test_route_condensed_star_centers_system():
@@ -241,10 +404,6 @@ def test_peephole_dataflow_rules():
     )
     out = peephole_zero_swap(rc)
     assert [g.kind for g in out.circuit.gates] == [GateKind.H, GateKind.CZ]
-    # explicit known_zero overrides the all-zero default
-    rc = _manual_routed([Gate(GateKind.SWAP, (0, 1))])
-    out = peephole_zero_swap(rc, known_zero=set())
-    assert out.circuit.gates[0].kind is GateKind.SWAP
 
 
 def test_peephole_rewrite_preserves_state():

@@ -63,7 +63,6 @@ def test_meas_setting_validation():
     s = MeasSetting.pauli("xyz")
     assert s.bases == ("X", "Y", "Z") and s.is_pauli and s.num_qubits == 3
     assert MeasSetting.computational(2).bases == ("Z", "Z")
-    assert MeasSetting.angles(0.5, 1.0, 2).bases == ((0.5, 1.0), (0.5, 1.0))
 
 
 def test_meas_setting_label_and_json():
@@ -283,7 +282,8 @@ def test_noise_model_validation():
         NoiseModel(depol_1q=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(readout_flip=1.5)
-    assert NoiseModel().is_trivial and not NoiseModel.placeholder().is_trivial
+    assert not NoiseModel().is_mixing and NoiseModel.placeholder().is_mixing
+    assert not NoiseModel(readout_flip=0.1, idle_noise=True).is_mixing
 
 
 def test_noise_monotonicity():
