@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import __version__
+from . import KERNEL_IMPLEMENTATION, __version__
 from .circuit import build_condensed_circuit, build_full_circuit, circuit_to_text
 from .darwinism import (
     DEFAULT_PHI_STEPS,
@@ -55,7 +55,6 @@ from .tomography import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     TomographyJob,
-    coherence_from_tomo,
     mle_reconstruct,
     pauli_settings,
     qubit_tomography,
@@ -89,9 +88,25 @@ def _integer(value, key: str) -> int:
     return value
 
 
+def _number(value, key: str) -> float:
+    """A JSON number; never a bool or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"'{key}' must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"'{key}' is too large for a float") from None
+
+
 def _boolean(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"'{key}' must be true or false, got {value!r}")
+    return value
+
+
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' must be a string, got {value!r}")
     return value
 
 
@@ -116,7 +131,7 @@ def _resolve_times(raw) -> tuple[float, ...]:
         if extra:
             raise ConfigError(f"unknown time-grid keys {sorted(extra)}")
         try:
-            start, stop = float(raw["start"]), float(raw["stop"])
+            start, stop = _number(raw["start"], "start"), _number(raw["stop"], "stop")
             count = _integer(raw["count"], "count")
         except KeyError as e:
             raise ConfigError(f"time grid needs 'start', 'stop', 'count' (missing {e})") from None
@@ -124,7 +139,7 @@ def _resolve_times(raw) -> tuple[float, ...]:
             raise ConfigError("times must be finite")
         values = np.linspace(start, stop, count).tolist()
     elif isinstance(raw, list):
-        values = [_named_time(v, ct) if isinstance(v, str) else float(v) for v in raw]
+        values = [_named_time(v, ct) if isinstance(v, str) else _number(v, "times") for v in raw]
     else:
         raise ConfigError(f"cannot interpret 'times': {raw!r}")
     if not values:
@@ -185,23 +200,22 @@ class ExperimentConfig:
         partition = _PARTITIONS.get(raw.get("partition", "per_pair"))
         if partition is None:
             raise ConfigError(f"'partition' must be one of {sorted(_PARTITIONS)}")
-        lam = float(raw.get("lam", 1.0))
-        if "idle_noise" in noise_raw:
-            noise_raw = dict(noise_raw, idle_noise=_boolean(noise_raw["idle_noise"], "idle_noise"))
         try:
-            noise = NoiseModel(**noise_raw)
+            noise = NoiseModel(
+                **{k: _boolean(v, k) if k == "idle_noise" else _number(v, k) for k, v in noise_raw.items()}
+            )
             cfg = cls(
                 scenario=scenario,
                 n=_integer(raw["n"], "n"),
-                theta=float(raw.get("theta", math.pi)),
-                lam=lam,
+                theta=_number(raw.get("theta", math.pi), "theta"),
+                lam=_number(raw.get("lam", 1.0), "lam"),
                 times=_resolve_times(raw.get("times")),
                 shots=_integer(raw.get("shots", 4096), "shots"),
                 seed=_integer(raw.get("seed", 0), "seed"),
                 noise=noise,
-                coupling_map=str(raw.get("coupling_map", "t7")),
+                coupling_map=_string(raw.get("coupling_map", "t7"), "coupling_map"),
                 partition=partition,
-                outputs=str(raw.get("outputs", "out")),
+                outputs=_string(raw.get("outputs", "out"), "outputs"),
                 phi_steps=_integer(raw.get("phi_steps", DEFAULT_PHI_STEPS), "phi_steps"),
                 xi_steps=_integer(raw.get("xi_steps", DEFAULT_XI_STEPS), "xi_steps"),
                 fraction_units=_integer(raw.get("fraction_units", 1), "fraction_units"),
@@ -210,8 +224,8 @@ class ExperimentConfig:
                     raw.get("include_tomography", False), "include_tomography"
                 ),
                 sampled=_boolean(raw.get("sampled", False), "sampled"),
-                dilution=float(raw.get("dilution", DEFAULT_DILUTION)),
-                tol=float(raw.get("tol", DEFAULT_TOL)),
+                dilution=_number(raw.get("dilution", DEFAULT_DILUTION), "dilution"),
+                tol=_number(raw.get("tol", DEFAULT_TOL), "tol"),
                 max_iters=_integer(raw.get("max_iters", DEFAULT_MAX_ITERS), "max_iters"),
                 jobs=_integer(raw.get("jobs", 1), "jobs"),
             )
@@ -297,6 +311,8 @@ def _finish(cfg: ExperimentConfig, command: str, artifacts: list[str]) -> None:
     manifest = {
         "command": command,
         "version": __version__,
+        "numpy": np.__version__,
+        "kernel": KERNEL_IMPLEMENTATION,
         "config": cfg.resolved_dict(),
         "artifacts": sorted(artifacts),
     }
@@ -326,7 +342,7 @@ def _coherence_point(payload):
         )
         for k, basis in enumerate("XYZ")
     ]
-    sampled = coherence_from_tomo(qubit_tomography(records))
+    sampled = system_coherence(qubit_tomography(records))
     freq_x = records[0].frequencies()
     mean_x = float(freq_x[0] - freq_x[1])
     stderr = math.sqrt(max(0.0, 1.0 - mean_x**2) / cfg.shots)

@@ -202,10 +202,6 @@ def _reduced_parts(state, sys_q, frac_q):
     return mat, sys_pos, frac_pos, len(kept)
 
 
-def _rotations(setting: MeasSetting) -> list[np.ndarray]:
-    return [setting.rotation(i) for i in range(setting.num_qubits)]
-
-
 def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=None, seeds=None) -> np.ndarray:
     """Shannon MI between system and fraction outcomes, one value per cell.
 
@@ -256,7 +252,20 @@ def _system_basis(sys_basis: MeasSetting | None, num_qubits: int) -> MeasSetting
     return sys_basis
 
 
-def _fixed_basis_cmi(state, sys_qubits, frac_qubits, env_basis, sys_basis, base, shots=None, seed=None) -> float:
+def cmi_joint(
+    state,
+    sys_qubits,
+    frac_qubits,
+    env_basis: MeasSetting,
+    sys_basis: MeasSetting | None = None,
+    base: float = 2,
+    shots: int | None = None,
+    seed: int = 0,
+) -> float:
+    """Shannon MI between system and fraction outcomes under fixed local
+    measurement bases, from the exact Born distribution. With `shots`, the
+    plug-in MI of `shots` seeded multinomial counts instead: a finite-shot
+    estimate of the same quantity."""
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     if env_basis.num_qubits != len(frac_q):
         raise ValueError(
@@ -264,20 +273,8 @@ def _fixed_basis_cmi(state, sys_qubits, frac_qubits, env_basis, sys_basis, base,
         )
     sys_basis = _system_basis(sys_basis, len(sys_q))
     mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
-    env_rows = _bloch_rows([_rotations(env_basis)])
-    return float(_basis_cmi(mat, sys_pos, frac_pos, _rotations(sys_basis), env_rows, base, shots, [seed])[0])
-
-
-def cmi_joint(state, sys_qubits, frac_qubits, env_basis: MeasSetting, sys_basis: MeasSetting | None = None, base: float = 2) -> float:
-    """Shannon MI between system and fraction outcomes under fixed local
-    measurement bases, from the exact Born distribution."""
-    return _fixed_basis_cmi(state, sys_qubits, frac_qubits, env_basis, sys_basis, base)
-
-
-def cmi_joint_sampled(state, sys_qubits, frac_qubits, env_basis: MeasSetting, shots: int, seed: int, sys_basis: MeasSetting | None = None, base: float = 2) -> float:
-    """Plug-in MI from seeded multinomial counts instead of exact Born
-    probabilities; emulates a finite-shot estimate of the same quantity."""
-    return _fixed_basis_cmi(state, sys_qubits, frac_qubits, env_basis, sys_basis, base, shots, seed)
+    env_rows = _bloch_rows([env_basis.rotations()])
+    return float(_basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), env_rows, base, shots, [seed])[0])
 
 
 def cmi_grid(
@@ -293,7 +290,7 @@ def cmi_grid(
 ) -> BasisGrid:
     """cmi_joint over the uniform basis grid phi in [0, pi], xi in [0, 2*pi),
     with the same (phi, xi) basis on every fraction qubit. With `shots`, each
-    cell is instead the cmi_joint_sampled estimate, cell (i, j) drawn with
+    cell is instead cmi_joint's sampled estimate, cell (i, j) drawn with
     seed + i * xi_steps + j. The state is reduced and expanded once."""
     if phi_steps < 2 or xi_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
@@ -305,7 +302,7 @@ def cmi_grid(
     rows = _bloch_rows([basis_rotation(phi, xi) for phi in phis for xi in xis])
     frac_rows = np.broadcast_to(rows[:, None], (len(rows), len(frac_q), 2, 4))
     seeds = range(seed, seed + len(rows))
-    values = _basis_cmi(mat, sys_pos, frac_pos, _rotations(sys_basis), frac_rows, base, shots, seeds)
+    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), frac_rows, base, shots, seeds)
     return BasisGrid(tuple(phis.tolist()), tuple(xis.tolist()), values.reshape(phi_steps, xi_steps))
 
 
@@ -339,23 +336,23 @@ def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme, b
     scheme units."""
     if frac_size < 1:
         raise ValueError("fraction size must be positive")
-    fractions = []
-    for r in range(1, scheme.num_units + 1):
-        for combo in itertools.combinations(scheme.units, r):
-            qubits = tuple(sorted(q for u in combo for q in u))
-            if len(qubits) == frac_size:
-                fractions.append(qubits)
+    fractions = [
+        frac
+        for r in range(1, scheme.num_units + 1)
+        for frac in scheme.fractions(r)
+        if len(frac) == frac_size
+    ]
     if not fractions:
         raise ValueError(f"no fraction of {frac_size} qubits fits whole units")
     sys_q = tuple(sorted(sys_qubits))
     sys_labels = ["".join(p) for p in itertools.product("XYZ", repeat=len(sys_q))]
     env_labels = ["".join(p) for p in itertools.product("XYZ", repeat=frac_size)]
-    env_rows = _bloch_rows([_rotations(MeasSetting.pauli(e)) for e in env_labels])
+    env_rows = _bloch_rows([MeasSetting.pauli(e).rotations() for e in env_labels])
     values = np.zeros((len(sys_labels), len(env_labels)))
     for frac in fractions:
         mat, sys_pos, frac_pos, _ = _reduced_parts(state, *_check_parts(state, sys_q, frac))
         for b, label in enumerate(sys_labels):
-            sys_rot = _rotations(MeasSetting.pauli(label))
+            sys_rot = MeasSetting.pauli(label).rotations()
             values[b] += _basis_cmi(mat, sys_pos, frac_pos, sys_rot, env_rows, base)
     values /= len(fractions)
     return tuple(

@@ -101,10 +101,9 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Set of Kraus operators; optional weights are folded in as sqrt(w)*K."""
+    """Set of Kraus operators K_i with sum K_i^dag K_i = I."""
 
     operators: tuple
-    weights: tuple | None = None
 
     def __post_init__(self):
         ops = [np.ascontiguousarray(k, dtype=complex) for k in self.operators]
@@ -113,10 +112,6 @@ class KrausChannel:
         dim = ops[0].shape[0]
         if any(k.shape != (dim, dim) for k in ops):
             raise ValueError("Kraus operators must be square and of equal dimension")
-        if self.weights is not None:
-            if len(self.weights) != len(ops):
-                raise ValueError("one weight per operator required")
-            ops = [math.sqrt(w) * k for k, w in zip(ops, self.weights)]
         complete = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(complete - np.eye(dim)))
         if dev > CHANNEL_ATOL:
@@ -124,7 +119,6 @@ class KrausChannel:
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "operators", tuple(ops))
-        object.__setattr__(self, "weights", None)
 
     @property
     def dim(self) -> int:
@@ -140,7 +134,7 @@ def depolarizing_channel(p: float, num_qubits: int = 1) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
     labels = ["I", "X", "Y", "Z"]
-    ops, weights = [], []
+    ops = []
     d2 = 4**num_qubits
     for idx in range(d2):
         op = np.eye(1, dtype=complex)
@@ -148,9 +142,8 @@ def depolarizing_channel(p: float, num_qubits: int = 1) -> KrausChannel:
         for _ in range(num_qubits):
             op = np.kron(op, PAULIS[labels[rem % 4]])
             rem //= 4
-        ops.append(op)
-        weights.append(1.0 - p + p / d2 if idx == 0 else p / d2)
-    return KrausChannel(tuple(ops), tuple(weights))
+        ops.append(math.sqrt(1.0 - p + p / d2 if idx == 0 else p / d2) * op)
+    return KrausChannel(tuple(ops))
 
 
 def amplitude_damping_channel(gamma: float) -> KrausChannel:
@@ -224,8 +217,12 @@ def _entropy(mat: np.ndarray, base: float) -> float:
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.num_qubits != b.num_qubits:
         raise ValueError("dimension mismatch")
-    eigs = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return float(0.5 * np.sum(np.abs(eigs)))
+    return _trace_distance(a.matrix, b.matrix)
+
+
+def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """trace_distance of two bare Hermitian matrices."""
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

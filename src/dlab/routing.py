@@ -2,9 +2,9 @@
 
 Placement search is exhaustive over injective assignments (small registers
 only), scored by post-decomposition CNOT count: CNOT=CZ=1, SWAP=3, except
-that a SWAP whose operand is provably still |0> decomposes to 2 CNOTs (or
-vanishes when both are), so the objective is the count the device actually
-executes after the zero-SWAP rewrite. Connectivity violations are repaired
+that a SWAP, inserted or in the input, whose operand is provably still |0>
+decomposes to 2 CNOTs (or vanishes when both are), so the objective is the
+count the device actually executes after the zero-SWAP rewrite. Connectivity violations are repaired
 greedily per gate by walking one operand along a shortest path, picking the
 cheapest (path, direction) under the same accounting.
 """
@@ -51,16 +51,8 @@ class CouplingMap:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "_adj", {q: tuple(sorted(ns)) for q, ns in adj.items()})
-        if self.num_physical > 0:
-            seen = {0}
-            queue = deque([0])
-            while queue:
-                for nb in self._adj[queue.popleft()]:
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
-            if len(seen) != self.num_physical:
-                raise ValueError("coupling map is not connected")
+        if self.num_physical > 0 and len(self._distances(0)) != self.num_physical:
+            raise ValueError("coupling map is not connected")
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
@@ -68,8 +60,8 @@ class CouplingMap:
     def neighbors(self, q: int) -> tuple[int, ...]:
         return self._adj[q]
 
-    def all_shortest_paths(self, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
-        """Every shortest path src->dst, sorted lexicographically."""
+    def _distances(self, src: int) -> dict[int, int]:
+        """Hop count from `src` to every node reachable from it (breadth first)."""
         dist = {src: 0}
         queue = deque([src])
         while queue:
@@ -78,6 +70,11 @@ class CouplingMap:
                 if v not in dist:
                     dist[v] = dist[u] + 1
                     queue.append(v)
+        return dist
+
+    def all_shortest_paths(self, src: int, dst: int) -> tuple[tuple[int, ...], ...]:
+        """Every shortest path src->dst, sorted lexicographically."""
+        dist = self._distances(src)
         if dst not in dist:
             raise ValueError(f"no path from {src} to {dst}")
         found = []
@@ -185,10 +182,10 @@ def _route_once(ops, placement: tuple[int, ...], cmap: CouplingMap, paths):
     """Greedy walk of `ops`, the circuit's (kind, logical qubits, angle)
     triples, from `placement` (logical qubit l starts on slot placement[l]).
     Per non-adjacent gate, try every shortest path in both directions and
-    keep the cheapest under zero-SWAP accounting. Returns the routed
-    (kind, physical qubits, angle) triples, the final logical->physical
-    list, the number of inserted SWAPs and the executable CNOT count used
-    as the placement objective."""
+    keep the cheapest under zero-SWAP accounting; a SWAP of the input is
+    scored the same way. Returns the routed (kind, physical qubits, angle)
+    triples, the final logical->physical list, the number of inserted SWAPs
+    and the executable CNOT count used as the placement objective."""
     l2p = list(placement)
     p2l = [None] * cmap.num_physical
     for l, p in enumerate(l2p):
@@ -227,7 +224,7 @@ def _route_once(ops, placement: tuple[int, ...], cmap: CouplingMap, paths):
                     p2l[u], p2l[v] = lv, lu
                 swaps += len(seq) - 2
             moved = (l2p[a], l2p[b])
-            exec_cost += _CNOT_COST.get(kind, 0)
+            exec_cost += _swap_exec_cost(*moved, zero) if kind is GateKind.SWAP else _CNOT_COST.get(kind, 0)
         out.append((kind, moved, angle))
         _note_zero(kind, moved, zero)
     return out, l2p, swaps, exec_cost

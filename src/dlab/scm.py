@@ -56,25 +56,6 @@ class ScmParams:
         return 1 + (self.n if self.scenario is Scenario.CONDENSED else 2 * self.n)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Strictly increasing, non-negative times in lam=1 units."""
-
-    times: tuple
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.times)
-        if any(t < 0 for t in ts):
-            raise ValueError("times must be non-negative")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("times must be strictly increasing")
-        object.__setattr__(self, "times", ts)
-
-    @classmethod
-    def linspace(cls, start: float, stop: float, count: int) -> TimeGrid:
-        return cls(tuple(np.linspace(start, stop, count)))
-
-
 class CanonicalTimes(NamedTuple):
     t_max: float
     t_close: float
@@ -125,7 +106,8 @@ def coherence_finite(t: float, p: ScmParams, convention: str = "per-ancilla") ->
 def collision_channel(theta: float) -> KrausChannel:
     """Single-collision map: equal-weight Kraus pair K = diag(e^{-i theta/2}, e^{i theta/2}), K^dag."""
     k = np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
-    return KrausChannel((k, k.conj().T), weights=(0.5, 0.5))
+    half = math.sqrt(0.5)
+    return KrausChannel((half * k, half * k.conj().T))
 
 
 def ideal_global_state(t: float, p: ScmParams) -> PureState:

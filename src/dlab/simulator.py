@@ -90,11 +90,9 @@ class MeasSetting:
     def is_pauli(self) -> bool:
         return all(isinstance(b, str) for b in self.bases)
 
-    def rotation(self, i: int) -> np.ndarray:
-        b = self.bases[i]
-        if isinstance(b, str):
-            return _PAULI_ROTATIONS[b]
-        return basis_rotation(*b)
+    def rotations(self) -> list[np.ndarray]:
+        """Each qubit's rotation into its measurement basis, in qubit order."""
+        return [_PAULI_ROTATIONS[b] if isinstance(b, str) else basis_rotation(*b) for b in self.bases]
 
     def label(self) -> str:
         if self.is_pauli:
@@ -272,7 +270,7 @@ def born_distribution(state, setting: MeasSetting) -> np.ndarray:
         raise ValueError(
             f"basis arity mismatch: setting covers {setting.num_qubits} qubits, state has {n}"
         )
-    rotations = [setting.rotation(q) for q in range(n)]
+    rotations = setting.rotations()
     if isinstance(state, PureState):
         probs = np.abs(_local_apply(rotations, state.amplitudes.reshape([2] * n))) ** 2
     else:

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .qstate import DensityMatrix, PAULIS
+from .qstate import DensityMatrix, PAULIS, _trace_distance
 from .simulator import MeasRecord, MeasSetting
 
 DEFAULT_DILUTION = 0.1
@@ -33,7 +33,7 @@ def pauli_settings(num_qubits: int) -> list[MeasSetting]:
 
 
 def setting_unitary(setting: MeasSetting) -> np.ndarray:
-    return reduce(np.kron, (setting.rotation(i) for i in range(setting.num_qubits)))
+    return reduce(np.kron, setting.rotations())
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,6 @@ def _log_likelihood(freqs: np.ndarray, probs: np.ndarray) -> float:
     return float(np.sum(freqs[mask] * np.log(np.maximum(probs[mask], _PROB_FLOOR))))
 
 
-def _trace_distance_raw(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
-
-
 def _mle_core(num_qubits, vectors, freqs, dilution, tol, max_iters):
     dim = 2**num_qubits
     rho = np.eye(dim, dtype=complex) / dim
@@ -126,7 +122,7 @@ def _mle_core(num_qubits, vectors, freqs, dilution, tol, max_iters):
             if eps < _MIN_DILUTION:
                 # no ascending step left at any dilution: a stall, not convergence
                 return rho, iterations, "stalled", tuple(history)
-        step = _trace_distance_raw(cand, rho)
+        step = _trace_distance(cand, rho)
         rho = cand
         probs = cand_probs
         history.append(ll)
@@ -208,13 +204,6 @@ def qubit_tomography(records) -> DensityMatrix:
     if sorted(means) != ["X", "Y", "Z"]:
         raise ValueError("expected exactly one record per X, Y, Z basis")
     return qubit_tomography_from_means(means["X"], means["Y"], means["Z"])
-
-
-def coherence_from_tomo(rho: DensityMatrix) -> float:
-    """Off-diagonal coherence 2 Re <0|rho|1> of a single-qubit state."""
-    if rho.num_qubits != 1:
-        raise ValueError("coherence readout expects a single-qubit state")
-    return float(2 * rho.matrix[0, 1].real)
 
 
 def save_state_text(matrix, path) -> None:

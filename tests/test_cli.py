@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import dlab
 from dlab import canonical_times, cli, load_state_text
 from dlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ExperimentConfig, main
 
@@ -165,9 +167,14 @@ def test_tomo_reports_an_early_stop(tmp_path, capsys):
 
 
 def test_byte_identical_rerun(tmp_path):
+    # the bytes depend on the config, the seed, and the versions the manifest records
     cfg = write_config(tmp_path, n=1, times=[0.2, 0.5, 0.9], shots=512)
     assert main(["coherence", "--config", str(cfg)]) == EXIT_OK
     out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["version"] == dlab.__version__
+    assert manifest["numpy"] == np.__version__
+    assert manifest["kernel"] == dlab.KERNEL_IMPLEMENTATION
     snapshot = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
     assert main(["coherence", "--config", str(cfg)]) == EXIT_OK
     again = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
@@ -250,6 +257,9 @@ def test_resolved_config_reads_back_equal():
             assert getattr(owner, field.name) != getattr(default, field.name), field.name
     assert ExperimentConfig.from_dict(cfg.resolved_dict()) == cfg
     assert json.loads(json.dumps(cfg.resolved_dict())) == cfg.resolved_dict()
+    # an integer-valued probability reads back as a float
+    whole = ExperimentConfig.from_dict(dict(raw, noise={"readout_flip": 1}))
+    assert repr(whole.resolved_dict()["noise"]["readout_flip"]) == "1.0"
 
 
 def test_seed_override_changes_samples(tmp_path):
@@ -262,7 +272,8 @@ def test_seed_override_changes_samples(tmp_path):
     assert base.split(",")[1] == reseeded.split(",")[1]  # analytic column unchanged
 
 
-def test_config_errors(tmp_path):
+def test_config_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     bad_key = write_config(tmp_path, bogus=1)
     assert main(["coherence", "--config", str(bad_key)]) == EXIT_CONFIG
     missing = tmp_path / "nope.json"
@@ -302,6 +313,19 @@ def test_config_errors(tmp_path):
         ("coherence", {"jobs": 1.5}),
         ("darwinism", {"sizes": [1.5]}),
         ("coherence", {"times": {"start": 0.0, "stop": 1.0, "count": 2.5}}),
+        # numbers are JSON numbers, never booleans or numeric strings
+        ("darwinism", {"noise": {"depol_1q": True}}),
+        ("coherence", {"lam": True}),
+        ("coherence", {"lam": "2"}),
+        ("coherence", {"theta": "3.141592653589793"}),
+        ("darwinism", {"dilution": True}),
+        ("tomo", {"n": 1, "times": ["t_max"], "tol": "1e-7"}),
+        ("coherence", {"times": [True]}),
+        ("coherence", {"times": {"start": "0", "stop": 1.0, "count": 3}}),
+        ("coherence", {"lam": 10**400}),
+        # and names are strings
+        ("coherence", {"outputs": 5}),
+        ("route", {"times": ["t_max"], "coupling_map": 7}),
         # numbers out of range, and registers no simulator here can hold
         ("coherence", {"times": [float("nan")]}),
         ("coherence", {"lam": float("inf")}),
@@ -329,7 +353,7 @@ def test_config_errors(tmp_path):
     huge.write_text(huge.read_text().replace(f"{T_MAX!r}]", "1e400]"))
     assert "1e400" in huge.read_text()
     assert main(["coherence", "--config", str(huge)]) == EXIT_CONFIG
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "5").exists()
     # an integral-valued number is an integer
     whole = write_config(tmp_path, n=1.0, times=[0.3], shots=128.0)
     assert main(["coherence", "--config", str(whole)]) == EXIT_OK
@@ -341,6 +365,16 @@ def test_numeric_failure_exit_code(tmp_path):
     map_path.write_text("3\n0 1\n1 2\n")
     cfg = write_config(tmp_path, scenario="full", n=3, times=["t_max"], coupling_map=str(map_path))
     assert main(["route", "--config", str(cfg)]) == EXIT_NUMERIC
+
+
+def test_package_exports_every_public_name():
+    public = {
+        name
+        for name, obj in vars(dlab).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert set(dlab.__all__) == public | {"__version__"}
+    assert len(dlab.__all__) == len(set(dlab.__all__))
 
 
 def test_module_entry_point(tmp_path):

@@ -21,7 +21,6 @@ from dlab import (
     canonical_times,
     cmi_grid,
     cmi_joint,
-    cmi_joint_sampled,
     coherence_finite,
     coherence_markovian,
     holevo_bound,
@@ -83,7 +82,7 @@ def loop_cell(state, sys_q, frac_q, sys_rotations, frac_rotations, base=2):
 
 
 def loop_grid(state, sys_q, frac_q, phi_steps, xi_steps, sys_basis):
-    sys_rot = [sys_basis.rotation(i) for i in range(len(sys_q))]
+    sys_rot = sys_basis.rotations()
     phis = np.linspace(0.0, math.pi, phi_steps)
     xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
     return np.array(
@@ -125,8 +124,8 @@ def basis_problems(draw):
 @given(basis_problems())
 def test_basis_cmi_matches_the_loop(problem):
     state, sys_q, frac_q, sys_basis, env_basis = problem
-    sys_rot = [sys_basis.rotation(i) for i in range(len(sys_q))]
-    env_rot = [env_basis.rotation(i) for i in range(len(frac_q))]
+    sys_rot = sys_basis.rotations()
+    env_rot = env_basis.rotations()
     want = loop_cell(state, sys_q, frac_q, sys_rot, env_rot, base=math.e)
     got = cmi_joint(state, sys_q, frac_q, env_basis, sys_basis, base=math.e)
     assert abs(got - want) < 1e-12
@@ -314,6 +313,11 @@ def test_system_coherence_tracks_oracle():
         for t in np.linspace(0.0, T_REC, 12):
             psi = ideal_global_state(t, p)
             assert abs(system_coherence(psi) - coherence_finite(t, p)) < 1e-12
+    # the readout of a reconstructed qubit, and of the system of a mixed register
+    plus = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2))
+    assert system_coherence(plus.density_matrix()) == pytest.approx(1.0, abs=1e-14)
+    assert system_coherence(PureState.zero(1).density_matrix()) == 0.0
+    assert system_coherence(DensityMatrix.maximally_mixed(2)) == 0.0
 
 
 def test_cmi_joint_matched_bases():
@@ -340,24 +344,22 @@ def test_cmi_joint_errors():
 def test_cmi_joint_sampled_consistency():
     psi = ideal_global_state(T_MAX, COND2)
     exact = cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"))
-    est = cmi_joint_sampled(psi, (0,), (1,), MeasSetting.pauli("X"), shots=100_000, seed=4)
+    est = cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"), shots=100_000, seed=4)
     assert abs(est - exact) < 0.02
-    again = cmi_joint_sampled(psi, (0,), (1,), MeasSetting.pauli("X"), shots=100_000, seed=4)
+    again = cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"), shots=100_000, seed=4)
     assert est == again
 
 
 def test_cmi_joint_sampled_errors():
     psi = ideal_global_state(T_MAX, COND2)
     with pytest.raises(ValueError):
-        cmi_joint_sampled(psi, (0,), (1, 2), MeasSetting.pauli("X"), shots=100, seed=0)
+        cmi_joint(psi, (0,), (1, 2), MeasSetting.pauli("X"), shots=100, seed=0)
     with pytest.raises(ValueError):
-        cmi_joint_sampled(
-            psi, (0,), (1,), MeasSetting.pauli("X"), shots=100, seed=0, sys_basis=MeasSetting.pauli("ZZ")
-        )
+        cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"), MeasSetting.pauli("ZZ"), shots=100, seed=0)
 
 
 def test_sampled_grid_matches_per_cell_draws():
-    # cell (i, j) is cmi_joint_sampled with seed + i * xi_steps + j. The loop
+    # cell (i, j) is cmi_joint sampled with seed + i * xi_steps + j. The loop
     # is no reference here: numpy's binomial sampler branches on
     # floor((n + 1) p), so an ulp in a rational Born probability can change a draw
     psi = ideal_global_state(T_REC, FULL2)
@@ -367,7 +369,7 @@ def test_sampled_grid_matches_per_cell_draws():
         for i, phi in enumerate(np.linspace(0.0, math.pi, 4)):
             for j, xi in enumerate(xis):
                 setting = MeasSetting(((phi, xi),) * len(frac))
-                cell = cmi_joint_sampled(psi, sys_q, frac, setting, 512, 40 + i * 5 + j)
+                cell = cmi_joint(psi, sys_q, frac, setting, shots=512, seed=40 + i * 5 + j)
                 assert grid.values[i, j] == cell
 
 
@@ -379,7 +381,7 @@ def test_sampled_cmi_draws_like_sample():
     freqs = sample(state, MeasSetting(("X", "Y", (0.4, 1.1))), 1000, seed=9).frequencies()
     want = loop_shannon_mi(freqs, 3, (2,), (0, 1))
     sys_basis = MeasSetting(((0.4, 1.1),))
-    got = cmi_joint_sampled(state, (2,), (0, 1), MeasSetting.pauli("XY"), 1000, 9, sys_basis)
+    got = cmi_joint(state, (2,), (0, 1), MeasSetting.pauli("XY"), sys_basis, shots=1000, seed=9)
     assert abs(got - want) < 1e-12
 
 
@@ -447,8 +449,8 @@ def test_pauli_scan_pairs_recover_the_bit():
     assert best.value > 0.4
     assert best.sys_basis == "Z"
     for e in entries:
-        sys_rot = [MeasSetting.pauli(e.sys_basis).rotation(0)]
-        env_rot = [MeasSetting.pauli(e.env_basis).rotation(i) for i in range(2)]
+        sys_rot = MeasSetting.pauli(e.sys_basis).rotations()
+        env_rot = MeasSetting.pauli(e.env_basis).rotations()
         loop = [loop_cell(psi, (0,), frac, sys_rot, env_rot) for frac in scheme.fractions(1)]
         assert abs(e.value - np.mean(loop)) < 1e-12
 

@@ -41,7 +41,7 @@ RING6 = CouplingMap(6, frozenset((q, (q + 1) % 6) for q in range(6)))
 GRID23 = CouplingMap(6, frozenset({(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}))
 LINE9 = CouplingMap(9, frozenset((q, q + 1) for q in range(8)))
 
-_LOOP_CNOT_COST = {GateKind.CNOT: 1, GateKind.CZ: 1, GateKind.SWAP: 3}
+_LOOP_CNOT_COST = {GateKind.CNOT: 1, GateKind.CZ: 1}
 
 
 def _loop_swap_cost(u, v, zero):
@@ -107,7 +107,11 @@ def _loop_route_once(c, cmap, placement, paths):
         moved = Gate(g.kind, (l2p[a], l2p[b]), g.angle)
         gates.append(moved)
         _loop_note_zero(moved, zero)
-        exec_cost += _LOOP_CNOT_COST.get(g.kind, 0)
+        if g.kind is GateKind.SWAP:
+            # an input SWAP costs what the zero-SWAP rewrite leaves of it
+            exec_cost += _loop_swap_cost(*moved.qubits, zero)
+        else:
+            exec_cost += _LOOP_CNOT_COST.get(g.kind, 0)
     return gates, l2p, swaps, exec_cost
 
 
@@ -299,7 +303,30 @@ def routing_problems(draw):
 @given(routing_problems())
 def test_route_matches_the_loop(problem):
     c, cmap, placement = problem
-    assert_same_routing(route(c, cmap, placement=placement), loop_route(c, cmap, placement))
+    rc = route(c, cmap, placement=placement)
+    assert_same_routing(rc, loop_route(c, cmap, placement))
+    # the winning score is the count the zero-SWAP rewrite realizes, input SWAPs included
+    ops = [(g.kind, g.qubits, g.angle) for g in c.gates]
+    perm = tuple(rc.placement[q] for q in range(c.num_qubits))
+    score = _route_once(ops, perm, cmap, _all_pair_paths(cmap))[3]
+    assert score == peephole_zero_swap(rc).cnot_count
+
+
+def test_input_swaps_are_scored_as_realized():
+    line2 = CouplingMap(2, frozenset({(0, 1)}))
+    for c, cmap, realized in (
+        (Circuit(2, (Gate(GateKind.SWAP, (0, 1)),)), line2, 0),
+        (
+            Circuit(3, (Gate(GateKind.H, (0,)), Gate(GateKind.SWAP, (0, 1)), Gate(GateKind.CZ, (0, 2)))),
+            LINE3,
+            5,
+        ),
+    ):
+        placement = tuple(range(c.num_qubits))
+        rc = route(c, cmap, placement=dict(enumerate(placement)))
+        ops = [(g.kind, g.qubits, g.angle) for g in c.gates]
+        assert _route_once(ops, placement, cmap, _all_pair_paths(cmap))[3] == realized
+        assert peephole_zero_swap(rc).cnot_count == realized
 
 
 def test_route_builds_gates_only_for_the_winner(monkeypatch):

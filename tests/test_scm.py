@@ -8,7 +8,6 @@ from dlab import (
     PureState,
     Scenario,
     ScmParams,
-    TimeGrid,
     apply_channel,
     canonical_times,
     coherence_finite,
@@ -41,15 +40,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ScmParams(theta=math.pi / 2, lam=1.0, n=2, scenario=Scenario.CONDENSED)
     ScmParams(theta=math.pi / 2, lam=1.0, n=2, scenario=Scenario.FULL)
-
-
-def test_time_grid():
-    with pytest.raises(ValueError):
-        TimeGrid((0.0, -1.0))
-    with pytest.raises(ValueError):
-        TimeGrid((0.0, 0.5, 0.5))
-    g = TimeGrid.linspace(0.0, math.log(6), 31)
-    assert len(g.times) == 31 and g.times[0] == 0.0
 
 
 def test_collision_probability():

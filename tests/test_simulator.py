@@ -107,12 +107,12 @@ def loop_born_distribution(state, setting):
     if isinstance(state, PureState):
         psi = state.amplitudes.copy()
         for q in range(n):
-            apply_matrix(psi, setting.rotation(q), (q,), n)
+            apply_matrix(psi, setting.rotations()[q], (q,), n)
         probs = np.abs(psi) ** 2
     else:
         rho = state.matrix.reshape(-1).copy()
         for q in range(n):
-            r = setting.rotation(q)
+            r = setting.rotations()[q]
             apply_matrix(rho, r, (q,), 2 * n)
             apply_matrix(rho, r.conj(), (n + q,), 2 * n)
         probs = np.real(np.diag(rho.reshape(2**n, 2**n))).copy()

@@ -13,7 +13,6 @@ from dlab import (
     TomographyJob,
     born_distribution,
     build_condensed_circuit,
-    coherence_from_tomo,
     fidelity,
     load_state_text,
     load_tomography_job,
@@ -179,13 +178,6 @@ def test_qubit_tomography_from_records():
         qubit_tomography(records[:2])
     with pytest.raises(ValueError):
         qubit_tomography(records[:2] + [MeasRecord(MeasSetting.pauli("X"), {"0": 100}, 100)])
-
-
-def test_coherence_from_tomo():
-    assert coherence_from_tomo(PLUS.density_matrix()) == pytest.approx(1.0, abs=1e-14)
-    assert coherence_from_tomo(PureState.zero(1).density_matrix()) == 0.0
-    with pytest.raises(ValueError):
-        coherence_from_tomo(DensityMatrix.maximally_mixed(2))
 
 
 def test_state_text_round_trip(tmp_path):
