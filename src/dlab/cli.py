@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import KERNEL_IMPLEMENTATION, __version__
-from .circuit import build_condensed_circuit, build_full_circuit, circuit_to_text
+from .circuit import UNITARY_MAX_QUBITS, build_condensed_circuit, build_full_circuit, circuit_to_text
 from .darwinism import (
     DEFAULT_PHI_STEPS,
     DEFAULT_XI_STEPS,
@@ -267,12 +267,16 @@ class ExperimentConfig:
 
 def _preflight(cfg: ExperimentConfig, command: str) -> None:
     """Reject an angle no circuit builder takes, or a register no simulation
-    of `command` can hold, before any compute."""
+    of `command` (or, for `route`, no device) can hold, before any compute."""
     if abs(cfg.theta - math.pi) > 1e-12:
         raise ConfigError("circuit-based commands require theta = pi")
     nq = cfg.params.num_qubits
     if nq > STATEVECTOR_MAX_QUBITS:
         raise ConfigError(f"statevector runs are capped at {STATEVECTOR_MAX_QUBITS} qubits ({nq} requested)")
+    if command == "route":
+        device = _resolve_coupling_map(cfg).num_physical
+        if nq > device:
+            raise ConfigError(f"the circuit needs {nq} qubits but the coupling map has {device}")
     if command != "route" and cfg.noise.is_mixing and nq > DENSITY_MAX_QUBITS:
         raise ConfigError(f"noisy density runs are capped at {DENSITY_MAX_QUBITS} qubits ({nq} requested)")
     tomography = command == "tomo" or (command == "darwinism" and cfg.include_tomography)
@@ -496,7 +500,7 @@ def cmd_route(cfg: ExperimentConfig) -> None:
         "equivalent_statevector": routed_statevector_equivalent(rc, circuit),
         "equivalent_statevector_peephole": routed_statevector_equivalent(pp, circuit),
         "equivalent_unitary": (
-            routed_unitary_equivalent(rc, circuit) if cmap.num_physical <= 6 else None
+            routed_unitary_equivalent(rc, circuit) if cmap.num_physical <= UNITARY_MAX_QUBITS else None
         ),
         "config": cfg.resolved_dict(),
         "seed": cfg.seed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState, _entropy, _reduce, partial_trace
+from .qstate import PureState, _entropy, _reduce
 from .scm import Scenario, ScmParams
 from .simulator import (
     _PROB_CUTOFF,
@@ -139,9 +139,15 @@ def _check_parts(state, sys_qubits, frac_qubits):
 
 
 def system_coherence(state, system_qubit: int = 0) -> float:
-    """Signed coherence factor 2 Re <0|rho_S|1> of the designated qubit."""
-    rho = partial_trace(state, (system_qubit,))
-    return float(2 * rho.matrix[0, 1].real)
+    """Signed coherence factor 2 Re <0|rho_S|1> of the designated qubit.
+
+    `state` was validated when it was built, so the qubit's 2x2 reduction
+    is read as a bare array: no reduced `DensityMatrix` is built or checked.
+    """
+    if not 0 <= system_qubit < state.num_qubits:
+        raise ValueError(f"system qubit {system_qubit} outside 0..{state.num_qubits - 1}")
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return float(2 * _reduce(data, (system_qubit,))[0, 1].real)
 
 
 def _entropy_table(state, base: float):

@@ -4,13 +4,23 @@ Placement search is exhaustive over injective assignments (small registers
 only), scored by post-decomposition CNOT count: CNOT=CZ=1, SWAP=3, except
 that a SWAP, inserted or in the input, whose operand is provably still |0>
 decomposes to 2 CNOTs (or vanishes when both are), so the objective is the
-count the device actually executes after the zero-SWAP rewrite. Connectivity violations are repaired
-greedily per gate by walking one operand along a shortest path, picking the
-cheapest (path, direction) under the same accounting.
+count the device actually executes after the zero-SWAP rewrite.
+Connectivity violations are repaired greedily per gate by walking one
+operand along a shortest path, picking the cheapest (path, direction) under
+the same accounting.
+
+The search stays exact while doing little per placement, in the spirit of
+exact qubit allocation with pruning (Siraichi et al., "Qubit allocation",
+CGO 2018; Zulehner, Paler and Wille, IEEE TCAD 38(7), 2019). The |0> flags
+and each gate's own cost do not depend on the placement and are computed
+once per `route` call; a path choice is memoised on (source slot, target
+slot, slot |0> flags); a walk stops as soon as it cannot beat the best
+score so far; and only the winner is walked again to emit its gates.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -157,77 +167,154 @@ class RoutedCircuit:
             raise ValueError("placement and final_placement cover different logical qubits")
 
 
-def _swap_exec_cost(u: int, v: int, zero: set[int]) -> int:
-    """Executable CNOTs for SWAP(u, v) given which slots are still |0>, and
-    the |0> flags updated in place (a SWAP always just exchanges them)."""
-    zu, zv = u in zero, v in zero
+def _swap_exec_cost(u: int, v: int, zero: int) -> tuple[int, int]:
+    """Executable CNOTs for SWAP(u, v) given the |0> flags `zero` (bit u set
+    while wire u is provably |0>), and the flags after it: a SWAP always
+    just exchanges them."""
+    zu, zv = zero >> u & 1, zero >> v & 1
     if zu != zv:
-        zero.discard(u if zu else v)
-        zero.add(v if zu else u)
-    if zu and zv:
-        return 0
-    return 2 if (zu or zv) else 3
+        zero ^= 1 << u | 1 << v
+    return (3, 2, 0)[zu + zv], zero
 
 
-def _note_zero(kind: GateKind, qubits: tuple[int, ...], zero: set[int]) -> None:
-    if kind in (GateKind.X, GateKind.H, GateKind.RY):
-        zero.discard(qubits[0])
-    elif kind is GateKind.CNOT:
-        if qubits[0] not in zero:
-            zero.discard(qubits[1])
-    # CZ on |0> x anything is the identity, flags survive
+def _note_zero(kind: GateKind, qubits: tuple[int, ...], zero: int) -> int:
+    """|0> flags after a non-SWAP gate: a 1-qubit gate clears its wire, a
+    CNOT clears its target unless its control is still |0>, and CZ on
+    |0> x anything is the identity."""
+    if kind is GateKind.CNOT:
+        if not zero >> qubits[0] & 1:
+            zero &= ~(1 << qubits[1])
+    elif kind is not GateKind.CZ:
+        zero &= ~(1 << qubits[0])
+    return zero
 
 
-def _route_once(ops, placement: tuple[int, ...], cmap: CouplingMap, paths):
-    """Greedy walk of `ops`, the circuit's (kind, logical qubits, angle)
-    triples, from `placement` (logical qubit l starts on slot placement[l]).
-    Per non-adjacent gate, try every shortest path in both directions and
-    keep the cheapest under zero-SWAP accounting; a SWAP of the input is
-    scored the same way. Returns the routed (kind, physical qubits, angle)
-    triples, the final logical->physical list, the number of inserted SWAPs
-    and the executable CNOT count used as the placement objective."""
-    l2p = list(placement)
-    p2l = [None] * cmap.num_physical
-    for l, p in enumerate(l2p):
-        p2l[p] = l
-    zero = set(range(cmap.num_physical))
-    out = []
-    swaps = 0
-    exec_cost = 0
-    for kind, qubits, angle in ops:
-        if len(qubits) == 1:
-            moved = (l2p[qubits[0]],)
+def _choose_path(paths: tuple[tuple[int, ...], ...], zero: int):
+    """Cheapest way to bring the ends of `paths` (every shortest path
+    between two slots) next to each other, with `zero` the slots' |0>
+    flags: each path in both directions, the operand at its start swapped
+    along it, scored by `_swap_exec_cost`; ties go to the forward direction,
+    then the least path. Returns the SWAP cost, the slots whose occupants
+    move, the slot each one lands on, the SWAPs and where the two operands
+    end up."""
+    best = None
+    for path in paths:
+        for reverse in (False, True):
+            seq = path[::-1] if reverse else path
+            trial, cost = zero, 0
+            for u, v in zip(seq, seq[1:-1]):
+                c, trial = _swap_exec_cost(u, v, trial)
+                cost += c
+            key = (cost, reverse, path)
+            if best is None or key < best[0]:
+                best = (key, seq)
+    (cost, reverse, _), seq = best
+    # the mover lands next to the other operand; everyone it passes steps back
+    ends = (seq[-1], seq[-2]) if reverse else (seq[-2], seq[-1])
+    return cost, seq[:-1], (seq[-2], *seq[:-2]), tuple(zip(seq, seq[1:-1])), ends
+
+
+@dataclass
+class _Plan:
+    """What every walk of one `route` call shares.
+
+    The |0> flags follow a wire's content, and routing SWAPs move content
+    with its flag, so the flags of the logical qubits (idle slots padded in
+    as extra ids, always |0>) evolve the same way under every placement.
+    They are computed here once, by `_note_zero` and `_swap_exec_cost`, and
+    so is every gate's own cost: CNOT = CZ = 1, an input SWAP what the
+    zero-SWAP rewrite leaves of it. The only cost a placement changes is
+    that of the routing SWAPs.
+
+    `ops` holds one (first logical qubit, second or -1, logical qubits
+    still |0> before the gate, Gate) per gate and `routed_ops` the 2-qubit
+    ones; `fixed` is the gates' own cost; `adjacent[p]` has bit q set when
+    (p, q) is an edge; `memo` maps (source slot, target slot, slot |0>
+    flags) to `_choose_path`'s answer.
+    """
+
+    ops: tuple
+    routed_ops: tuple
+    fixed: int
+    num_physical: int
+    adjacent: tuple[int, ...]
+    paths: dict
+    memo: dict = field(default_factory=dict)
+
+
+def _plan(c: Circuit, cmap: CouplingMap) -> _Plan:
+    zero = (1 << cmap.num_physical) - 1
+    fixed = 0
+    ops = []
+    for g in c.gates:
+        live = tuple(l for l in range(cmap.num_physical) if zero >> l & 1)
+        ops.append((g.qubits[0], g.qubits[1] if len(g.qubits) == 2 else -1, live, g))
+        if g.kind is GateKind.SWAP:
+            cost, zero = _swap_exec_cost(*g.qubits, zero)
+            fixed += cost
         else:
-            a, b = qubits
-            pa, pb = l2p[a], l2p[b]
-            if not cmap.has_edge(pa, pb):
-                best = None
-                for path in paths[(pa, pb)]:
-                    for reverse in (False, True):
-                        seq = path[::-1] if reverse else path
-                        trial = set(zero)
-                        cost = 0
-                        for u, v in zip(seq, seq[1:-1]):
-                            cost += _swap_exec_cost(u, v, trial)
-                        key = (cost, reverse, path)
-                        if best is None or key < best[0]:
-                            best = (key, seq, trial)
-                (cost, _, _), seq, zero = best
-                exec_cost += cost
-                for u, v in zip(seq, seq[1:-1]):
-                    out.append((GateKind.SWAP, (u, v), None))
-                    lu, lv = p2l[u], p2l[v]
-                    if lu is not None:
-                        l2p[lu] = v
-                    if lv is not None:
-                        l2p[lv] = u
-                    p2l[u], p2l[v] = lv, lu
-                swaps += len(seq) - 2
-            moved = (l2p[a], l2p[b])
-            exec_cost += _swap_exec_cost(*moved, zero) if kind is GateKind.SWAP else _CNOT_COST.get(kind, 0)
-        out.append((kind, moved, angle))
-        _note_zero(kind, moved, zero)
-    return out, l2p, swaps, exec_cost
+            fixed += _CNOT_COST.get(g.kind, 0)
+            zero = _note_zero(g.kind, g.qubits, zero)
+    adjacent = tuple(sum(1 << q for q in cmap.neighbors(p)) for p in range(cmap.num_physical))
+    return _Plan(
+        ops=tuple(ops),
+        routed_ops=tuple(op for op in ops if op[1] >= 0),
+        fixed=fixed,
+        num_physical=cmap.num_physical,
+        adjacent=adjacent,
+        paths=_all_pair_paths(cmap),
+    )
+
+
+def _walk(plan: _Plan, perm: tuple[int, ...], bound: float = math.inf, out: list | None = None):
+    """Greedy walk of the plan's circuit from `perm` (logical qubit l starts
+    on slot perm[l]), scored by the CNOT count the device executes after the
+    zero-SWAP rewrite. A non-adjacent gate first moves one operand along
+    the `_choose_path` answer for its slots and the slots' |0> flags.
+
+    Routing SWAPs cost at least 0, so the walk gives up, returning None,
+    as soon as its score can no longer fall below `bound`. Otherwise it
+    returns the score, the final slot of every logical qubit (idle slots
+    padded in as extra ids) and the number of inserted SWAPs, and appends
+    the routed (kind, physical qubits, angle) triples to `out` if given:
+    only then are 1-qubit gates visited at all."""
+    budget = bound - plan.fixed
+    if budget <= 0:
+        return None
+    memo, paths, adjacent = plan.memo, plan.paths, plan.adjacent
+    num_physical = plan.num_physical
+    l2p = list(perm)
+    if len(l2p) < num_physical:
+        l2p += sorted(set(range(num_physical)).difference(perm))
+    p2l = sorted(range(num_physical), key=l2p.__getitem__)
+    routed = swaps = 0
+    for a, b, live, gate in plan.routed_ops if out is None else plan.ops:
+        pa = l2p[a]
+        if b < 0:
+            out.append((gate.kind, (pa,), gate.angle))
+            continue
+        pb = l2p[b]
+        if not adjacent[pa] >> pb & 1:
+            zero = 0
+            for l in live:
+                zero |= 1 << l2p[l]
+            key = (pa, pb, zero)
+            choice = memo.get(key)
+            if choice is None:
+                choice = memo[key] = _choose_path(paths[pa, pb], zero)
+            cost, src, dst, inserted, (pa, pb) = choice
+            routed += cost
+            if routed >= budget:
+                return None
+            for l, p in zip([p2l[s] for s in src], dst):
+                l2p[l] = p
+                p2l[p] = l
+            swaps += len(inserted)
+            if out is not None:
+                out.extend((GateKind.SWAP, uv, None) for uv in inserted)
+        if out is not None:
+            out.append((gate.kind, (pa, pb), gate.angle))
+    return plan.fixed + routed, l2p, swaps
 
 
 def _all_pair_paths(cmap: CouplingMap):
@@ -246,7 +333,11 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
     rewrite (ties broken by lexicographic placement); larger devices keep
     the identity placement. The returned circuit keeps its SWAPs intact;
     `peephole_zero_swap` realizes the discount, and `swap_count` counts the
-    SWAPs routing inserted."""
+    SWAPs routing inserted.
+
+    The candidates are only scored, each walk stopping once it cannot beat
+    the best score so far (a later placement wins only with a strictly
+    lower one); the winner is walked once more to emit its gates."""
     if c.num_qubits > cmap.num_physical:
         raise ValueError(
             f"circuit needs {c.num_qubits} qubits but the device has {cmap.num_physical}"
@@ -263,15 +354,14 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
         candidates = [tuple(range(c.num_qubits))]
     else:
         candidates = itertools.permutations(range(cmap.num_physical), c.num_qubits)
-    ops = [(g.kind, g.qubits, g.angle) for g in c.gates]
-    paths = _all_pair_paths(cmap)
-    best = None
+    plan = _plan(c, cmap)
+    best, winner = math.inf, None
     for perm in candidates:
-        walk = _route_once(ops, perm, cmap, paths)
-        key = (walk[3], perm)
-        if best is None or key < best[0]:
-            best = (key, walk)
-    (_, perm), (out, l2p, swaps, _) = best
+        walk = _walk(plan, perm, best)
+        if walk is not None:
+            best, winner = walk[0], perm
+    out = []
+    _, l2p, swaps = _walk(plan, winner, out=out)
     routed = Circuit(
         cmap.num_physical,
         tuple(Gate(kind, qubits, angle) for kind, qubits, angle in out),
@@ -280,8 +370,8 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
     return RoutedCircuit(
         circuit=routed,
         coupling_map=cmap,
-        placement=dict(enumerate(perm)),
-        final_placement=dict(enumerate(l2p)),
+        placement=dict(enumerate(winner)),
+        final_placement={q: l2p[q] for q in range(c.num_qubits)},
         swap_count=swaps,
         cnot_count=circuit_cnot_count(routed),
     )
@@ -293,16 +383,16 @@ def peephole_zero_swap(rc: RoutedCircuit) -> RoutedCircuit:
     Zero-ness is tracked by forward dataflow from initialization (every slot
     starts in |0>). A SWAP between two zero slots is dropped outright.
     """
-    zero = set(range(rc.circuit.num_qubits))
+    zero = (1 << rc.circuit.num_qubits) - 1
     gates = []
     for g in rc.circuit.gates:
         if g.kind is GateKind.SWAP:
             a, b = g.qubits
-            src, dst = (b, a) if a in zero else (a, b)
+            src, dst = (b, a) if zero >> a & 1 else (a, b)
             # the placement objective's SWAP cost is the rewrite: 0 drops it,
             # 2 means dst is |0> (CNOT(src,dst) copies, CNOT(dst,src) clears
             # the source), 3 keeps it
-            cost = _swap_exec_cost(a, b, zero)
+            cost, zero = _swap_exec_cost(a, b, zero)
             if cost == 2:
                 gates.append(Gate(GateKind.CNOT, (src, dst)))
                 gates.append(Gate(GateKind.CNOT, (dst, src)))
@@ -310,7 +400,7 @@ def peephole_zero_swap(rc: RoutedCircuit) -> RoutedCircuit:
                 gates.append(g)
             continue
         gates.append(g)
-        _note_zero(g.kind, g.qubits, zero)
+        zero = _note_zero(g.kind, g.qubits, zero)
     circuit = Circuit(rc.circuit.num_qubits, tuple(gates), dict(rc.circuit.labels))
     return RoutedCircuit(
         circuit=circuit,

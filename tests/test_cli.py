@@ -354,17 +354,26 @@ def test_config_errors(tmp_path, monkeypatch):
     assert "1e400" in huge.read_text()
     assert main(["coherence", "--config", str(huge)]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists() and not (tmp_path / "5").exists()
+    # a register larger than the device is rejected before any compute
+    line3 = tmp_path / "line3.txt"
+    line3.write_text("3\n0 1\n1 2\n")
+    small = write_config(tmp_path, scenario="full", n=3, times=["t_max"], coupling_map=str(line3))
+    assert main(["route", "--config", str(small)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
     # an integral-valued number is an integer
     whole = write_config(tmp_path, n=1.0, times=[0.3], shots=128.0)
     assert main(["coherence", "--config", str(whole)]) == EXIT_OK
 
 
-def test_numeric_failure_exit_code(tmp_path):
-    # a 7-qubit circuit cannot be placed on a 3-node device
-    map_path = tmp_path / "line3.txt"
-    map_path.write_text("3\n0 1\n1 2\n")
-    cfg = write_config(tmp_path, scenario="full", n=3, times=["t_max"], coupling_map=str(map_path))
+def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a failure once the config has passed is a run failure, not a config error
+    def fail(*args, **kwargs):
+        raise FloatingPointError("overflow in the placement search")
+
+    monkeypatch.setattr(cli, "route", fail)
+    cfg = write_config(tmp_path, scenario="full", n=3, times=["t_max"])
     assert main(["route", "--config", str(cfg)]) == EXIT_NUMERIC
+    assert "overflow in the placement search" in capsys.readouterr().err
 
 
 def test_package_exports_every_public_name():

@@ -320,6 +320,26 @@ def test_system_coherence_tracks_oracle():
     assert system_coherence(DensityMatrix.maximally_mixed(2)) == 0.0
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+def test_system_coherence_reads_the_checked_reduction(k, seed, pure, data):
+    # the bare 2x2 reduction gives exactly what the checked partial trace reads
+    rng = np.random.default_rng(seed)
+    if pure:
+        amps = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+        state = PureState(k, amps / np.linalg.norm(amps))
+    else:
+        rank = data.draw(st.integers(1, 2**k))
+        g = rng.normal(size=(2**k, rank)) + 1j * rng.normal(size=(2**k, rank))
+        rho = g @ g.conj().T
+        state = DensityMatrix(k, rho / np.trace(rho).real)
+    q = data.draw(st.integers(0, k - 1))
+    assert system_coherence(state, q) == 2 * partial_trace(state, [q]).matrix[0, 1].real
+    for outside in (-1, k):
+        with pytest.raises(ValueError):
+            system_coherence(state, outside)
+
+
 def test_cmi_joint_matched_bases():
     # at t_max the pointer records are perfect: Z on the system against X on
     # the pair qubits reads out one full bit

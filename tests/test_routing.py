@@ -20,6 +20,7 @@ from dlab import (
     build_condensed_circuit,
     build_full_circuit,
     builtin_coupling_map,
+    canonical_times,
     circuit_cnot_count,
     coupling_map_from_file,
     coupling_map_from_text,
@@ -32,7 +33,7 @@ from dlab import (
     routed_unitary_equivalent,
 )
 from dlab.circuit import GATE_ARITY
-from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX, _all_pair_paths, _route_once
+from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX, _all_pair_paths, _plan, _walk
 
 T7_EDGES = frozenset({(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)})
 LINE3 = CouplingMap(3, frozenset({(0, 1), (1, 2)}))
@@ -252,20 +253,34 @@ def test_placement_objective_matches_peephole_count():
     # the exhaustive search scores each placement by the CNOT count the
     # zero-SWAP rewrite realizes; both must agree for every placement
     t7 = builtin_coupling_map("t7")
-    paths = _all_pair_paths(t7)
     for build, scenario, n in (
         (build_full_circuit, Scenario.FULL, 2),
         (build_condensed_circuit, Scenario.CONDENSED, 3),
     ):
         c = build(math.log(2), ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario))
+        plan = _plan(c, t7)
         for perm in itertools.permutations(range(t7.num_physical), c.num_qubits):
             placement = dict(enumerate(perm))
-            ops = [(g.kind, g.qubits, g.angle) for g in c.gates]
-            objective = _route_once(ops, perm, t7, paths)[3]
+            objective = _walk(plan, perm)[0]
             rc = route(c, t7, placement=placement)
             assert_same_routing(rc, loop_route(c, t7, placement))
             realized = peephole_zero_swap(rc).cnot_count
             assert objective == realized, (scenario, placement)
+
+
+@pytest.mark.parametrize(
+    "build, scenario, n",
+    [(build_full_circuit, Scenario.FULL, 3), (build_condensed_circuit, Scenario.CONDENSED, 6)],
+)
+def test_route_matches_the_loop_on_the_benchmark_circuits(build, scenario, n):
+    # the two circuits the benchmark routes, searched exhaustively on t7
+    c = build(canonical_times().t_max, ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario))
+    t7 = builtin_coupling_map("t7")
+    rc = route(c, t7)
+    assert_same_routing(rc, loop_route(c, t7))
+    assert _walk(_plan(c, t7), tuple(rc.placement[q] for q in range(c.num_qubits)))[0] == (
+        peephole_zero_swap(rc).cnot_count
+    )
 
 
 @st.composite
@@ -306,10 +321,8 @@ def test_route_matches_the_loop(problem):
     rc = route(c, cmap, placement=placement)
     assert_same_routing(rc, loop_route(c, cmap, placement))
     # the winning score is the count the zero-SWAP rewrite realizes, input SWAPs included
-    ops = [(g.kind, g.qubits, g.angle) for g in c.gates]
     perm = tuple(rc.placement[q] for q in range(c.num_qubits))
-    score = _route_once(ops, perm, cmap, _all_pair_paths(cmap))[3]
-    assert score == peephole_zero_swap(rc).cnot_count
+    assert _walk(_plan(c, cmap), perm)[0] == peephole_zero_swap(rc).cnot_count
 
 
 def test_input_swaps_are_scored_as_realized():
@@ -324,9 +337,22 @@ def test_input_swaps_are_scored_as_realized():
     ):
         placement = tuple(range(c.num_qubits))
         rc = route(c, cmap, placement=dict(enumerate(placement)))
-        ops = [(g.kind, g.qubits, g.angle) for g in c.gates]
-        assert _route_once(ops, placement, cmap, _all_pair_paths(cmap))[3] == realized
+        assert _walk(_plan(c, cmap), placement)[0] == realized
         assert peephole_zero_swap(rc).cnot_count == realized
+
+
+def test_zero_cost_input_swaps_do_not_tighten_the_bound():
+    # both input SWAPs meet two |0> wires and vanish. The identity placement
+    # must route SWAP(2, 0) past the live qubit 1 at 2 CNOTs; {0: 1, 1: 0,
+    # 2: 2} needs no routing and wins with 0. A bound that charged the free
+    # SWAPs would give up on it at once and keep the identity.
+    c = Circuit(3, (Gate(GateKind.SWAP, (1, 0)), Gate(GateKind.H, (1,)), Gate(GateKind.SWAP, (2, 0))))
+    plan = _plan(c, LINE3)
+    assert _walk(plan, (0, 1, 2))[0] == 2
+    rc = route(c, LINE3)
+    assert rc.placement == {0: 1, 1: 0, 2: 2}
+    assert_same_routing(rc, loop_route(c, LINE3))
+    assert _walk(plan, (1, 0, 2))[0] == peephole_zero_swap(rc).cnot_count == 0
 
 
 def test_route_builds_gates_only_for_the_winner(monkeypatch):
