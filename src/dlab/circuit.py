@@ -1,19 +1,19 @@
 """Gate-level IR and builders for the purified and condensed collision circuits.
 
-Both builders mirror the register layout of :mod:`dlab.scm`: qubit 0 is the
-system; the full circuit places emitter/ancilla pairs at (1+2i, 2+2i), the
-condensed circuit places pair qubits at 1..n.
+Both builders lay out their register by `ScmParams.units`; :mod:`dlab.scm`
+states the layout.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import apply_matrix
-from .scm import Scenario, ScmParams, prep_angle
+from .qstate import PAULIS
+from .scm import THETA_PI_ATOL, Scenario, ScmParams, prep_angle
 
 UNITARY_MAX_QUBITS = 6
 
@@ -38,7 +38,7 @@ GATE_ARITY = {
 
 _SQRT2_INV = 1 / math.sqrt(2)
 _FIXED_MATRICES = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    GateKind.X: PAULIS["X"],
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
     GateKind.CNOT: np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -48,29 +48,6 @@ _FIXED_MATRICES = {
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     ),
 }
-
-
-class RoleKind(enum.Enum):
-    SYSTEM = "system"
-    ANCILLA = "ancilla"
-    EMITTER = "emitter"
-    PAIR = "pair"
-
-
-@dataclass(frozen=True)
-class Role:
-    kind: RoleKind
-    index: int | None = None
-
-    def __post_init__(self):
-        if self.kind is RoleKind.SYSTEM:
-            if self.index is not None:
-                raise ValueError("system role carries no index")
-        elif self.index is None or self.index < 0:
-            raise ValueError(f"{self.kind.value} role needs a non-negative index")
-
-    def __str__(self):
-        return self.kind.value if self.index is None else f"{self.kind.value}{self.index}"
 
 
 @dataclass(frozen=True)
@@ -100,23 +77,16 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a register of named logical qubits."""
+    """Ordered gate list over a register of logical qubits."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
-    labels: dict[int, Role] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(not 0 <= q < self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} outside register of {self.num_qubits} qubits")
-        if self.labels:
-            if any(not 0 <= q < self.num_qubits for q in self.labels):
-                raise ValueError("label qubit id out of range")
-            n_sys = sum(1 for r in self.labels.values() if r.kind is RoleKind.SYSTEM)
-            if n_sys != 1:
-                raise ValueError(f"expected exactly one system label, got {n_sys}")
 
 
 def build_full_circuit(t: float, p: ScmParams) -> Circuit:
@@ -124,22 +94,18 @@ def build_full_circuit(t: float, p: ScmParams) -> Circuit:
     then H on the system and one CZ(system, ancilla) per pair."""
     if p.scenario is not Scenario.FULL:
         raise ValueError("params are not for the full scenario")
-    if abs(p.theta - math.pi) > 1e-12:
+    if abs(p.theta - math.pi) > THETA_PI_ATOL:
         raise ValueError("circuit construction requires theta = pi (non-entangling collisions)")
     alpha = prep_angle(t, p)
     gates = []
-    labels = {0: Role(RoleKind.SYSTEM)}
-    for i in range(p.n):
-        em, anc = 1 + 2 * i, 2 + 2 * i
-        labels[em] = Role(RoleKind.EMITTER, i)
-        labels[anc] = Role(RoleKind.ANCILLA, i)
+    for em, anc in p.units:
         gates.append(Gate(GateKind.RY, (em,), 2 * alpha))
         gates.append(Gate(GateKind.CNOT, (em, anc)))
         gates.append(Gate(GateKind.X, (em,)))
     gates.append(Gate(GateKind.H, (0,)))
-    for i in range(p.n):
-        gates.append(Gate(GateKind.CZ, (0, 2 + 2 * i)))
-    return Circuit(1 + 2 * p.n, tuple(gates), labels)
+    for _, anc in p.units:
+        gates.append(Gate(GateKind.CZ, (0, anc)))
+    return Circuit(p.num_qubits, tuple(gates))
 
 
 def build_condensed_circuit(t: float, p: ScmParams) -> Circuit:
@@ -148,14 +114,12 @@ def build_condensed_circuit(t: float, p: ScmParams) -> Circuit:
         raise ValueError("params are not for the condensed scenario")
     alpha = prep_angle(t, p)
     gates = []
-    labels = {0: Role(RoleKind.SYSTEM)}
-    for i in range(p.n):
-        labels[1 + i] = Role(RoleKind.PAIR, i)
-        gates.append(Gate(GateKind.RY, (1 + i,), 2 * alpha))
+    for (q,) in p.units:
+        gates.append(Gate(GateKind.RY, (q,), 2 * alpha))
     gates.append(Gate(GateKind.H, (0,)))
-    for i in range(p.n):
-        gates.append(Gate(GateKind.CZ, (0, 1 + i)))
-    return Circuit(1 + p.n, tuple(gates), labels)
+    for (q,) in p.units:
+        gates.append(Gate(GateKind.CZ, (0, q)))
+    return Circuit(p.num_qubits, tuple(gates))
 
 
 def unitary_of(c: Circuit) -> np.ndarray:

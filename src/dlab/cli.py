@@ -40,7 +40,7 @@ from .routing import (
     routed_statevector_equivalent,
     routed_unitary_equivalent,
 )
-from .scm import CanonicalTimes, Scenario, ScmParams, canonical_times, coherence_finite
+from .scm import THETA_PI_ATOL, CanonicalTimes, Scenario, ScmParams, canonical_times, coherence_finite
 from .simulator import (
     DENSITY_MAX_QUBITS,
     STATEVECTOR_MAX_QUBITS,
@@ -267,8 +267,10 @@ class ExperimentConfig:
 
 def _preflight(cfg: ExperimentConfig, command: str) -> None:
     """Reject an angle no circuit builder takes, or a register no simulation
-    of `command` (or, for `route`, no device) can hold, before any compute."""
-    if abs(cfg.theta - math.pi) > 1e-12:
+    of `command` (or, for `route`, no device) can hold, before any compute.
+    `route` checks its result by a statevector run over every device slot,
+    so the device must fit the statevector cap too."""
+    if abs(cfg.theta - math.pi) > THETA_PI_ATOL:
         raise ConfigError("circuit-based commands require theta = pi")
     nq = cfg.params.num_qubits
     if nq > STATEVECTOR_MAX_QUBITS:
@@ -277,6 +279,11 @@ def _preflight(cfg: ExperimentConfig, command: str) -> None:
         device = _resolve_coupling_map(cfg).num_physical
         if nq > device:
             raise ConfigError(f"the circuit needs {nq} qubits but the coupling map has {device}")
+        if device > STATEVECTOR_MAX_QUBITS:
+            raise ConfigError(
+                f"the routed circuit is checked by a statevector run over all {device} device"
+                f" slots, but statevector runs are capped at {STATEVECTOR_MAX_QUBITS} qubits"
+            )
     if command != "route" and cfg.noise.is_mixing and nq > DENSITY_MAX_QUBITS:
         raise ConfigError(f"noisy density runs are capped at {DENSITY_MAX_QUBITS} qubits ({nq} requested)")
     tomography = command == "tomo" or (command == "darwinism" and cfg.include_tomography)
@@ -440,15 +447,19 @@ def cmd_cmi(cfg: ExperimentConfig) -> None:
 
 
 def _compare_point(payload):
-    cfg, t, size = payload
+    """One row per fraction size, all from one evolution of the state at `t`."""
+    cfg, t, sizes = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
     _, state = _evolve(cfg, t)
-    qmis, chis, cmis = [], [], []
-    for frac in scheme.fractions(size):
-        qmis.append(qmi(state, (0,), frac))
-        chis.append(holevo_bound(state, (0,), frac))
-        cmis.append(cmi_grid(state, (0,), frac, cfg.phi_steps, cfg.xi_steps).max_value)
-    return t, size, float(np.mean(qmis)), float(np.mean(chis)), float(np.mean(cmis))
+    rows = []
+    for size in sizes:
+        qmis, chis, cmis = [], [], []
+        for frac in scheme.fractions(size):
+            qmis.append(qmi(state, (0,), frac))
+            chis.append(holevo_bound(state, (0,), frac))
+            cmis.append(cmi_grid(state, (0,), frac, cfg.phi_steps, cfg.xi_steps).max_value)
+        rows.append((t, size, float(np.mean(qmis)), float(np.mean(chis)), float(np.mean(cmis))))
+    return rows
 
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
@@ -458,12 +469,8 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     if any(not 1 <= s <= scheme.num_units for s in sizes):
         raise ConfigError(f"'sizes' must lie in 1..{scheme.num_units}")
     ct = canonical_times()
-    payloads = [
-        (cfg, t, size)
-        for t in (ct.t_max, ct.t_close, ct.t_rec)
-        for size in sizes
-    ]
-    rows = _pmap(_compare_point, payloads, cfg.jobs)
+    payloads = [(cfg, t, sizes) for t in (ct.t_max, ct.t_close, ct.t_rec)]
+    rows = [row for point in _pmap(_compare_point, payloads, cfg.jobs) for row in point]
     lines = [cfg.provenance_lines() + "time,size,qmi,holevo,cmi_max"]
     for t, size, q, chi, cmi in rows:
         lines.append(f"{t!r},{size},{q!r},{chi!r},{cmi!r}")

@@ -3,7 +3,9 @@ information curves, measurement-basis grids, Holevo bounds, Pauli correlation
 scans and the trace-distance backflow witness.
 
 Environment fractions are unions of partition-scheme units; averages run over
-every same-size fraction (unordered, exhaustive).
+every same-size fraction (unordered, exhaustive). `partition_scheme` builds
+its units from each collision's qubits, `ScmParams.units` (the register
+layout is stated in :mod:`dlab.scm`).
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ class PartitionScheme:
     """Disjoint environment units; fractions are unions of whole units."""
 
     units: tuple[tuple[int, ...], ...]
-    mode: SchemeMode | None = None
 
     def __post_init__(self):
         units = tuple(tuple(sorted(u)) for u in self.units)
@@ -67,19 +68,18 @@ class PartitionScheme:
 
 
 def partition_scheme(params: ScmParams, mode: SchemeMode) -> PartitionScheme:
-    """Environment partition for the register layout of the built circuits."""
-    if params.scenario is Scenario.FULL:
-        if mode is SchemeMode.PER_PAIR:
-            units = tuple((1 + 2 * i, 2 + 2 * i) for i in range(params.n))
-        elif mode is SchemeMode.PER_QUBIT:
-            units = tuple((q,) for q in range(1, 1 + 2 * params.n))
-        else:
-            units = tuple((2 + 2 * i,) for i in range(params.n))
+    """Environment partition over the collisions' units: per pair, the
+    units themselves; per qubit, each of their qubits alone; ancillae only,
+    each unit's last qubit (its ancilla)."""
+    if mode is SchemeMode.PER_PAIR:
+        units = params.units
+    elif mode is SchemeMode.PER_QUBIT:
+        units = tuple((q,) for unit in params.units for q in unit)
+    elif params.scenario is Scenario.FULL:
+        units = tuple(unit[-1:] for unit in params.units)
     else:
-        if mode is SchemeMode.ANCILLAE_ONLY:
-            raise ValueError("the condensed register has no emitters to trace out")
-        units = tuple((1 + i,) for i in range(params.n))
-    return PartitionScheme(units, mode)
+        raise ValueError("the condensed register has no emitters to trace out")
+    return PartitionScheme(units)
 
 
 @dataclass(frozen=True)
@@ -305,7 +305,7 @@ def cmi_grid(
     mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
     phis = np.linspace(0.0, math.pi, phi_steps)
     xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
-    rows = _bloch_rows([basis_rotation(phi, xi) for phi in phis for xi in xis])
+    rows = _bloch_rows(basis_rotation(phis[:, None], xis[None, :]).reshape(-1, 2, 2))
     frac_rows = np.broadcast_to(rows[:, None], (len(rows), len(frac_q), 2, 4))
     seeds = range(seed, seed + len(rows))
     values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), frac_rows, base, shots, seeds)

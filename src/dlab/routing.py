@@ -362,11 +362,7 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
             best, winner = walk[0], perm
     out = []
     _, l2p, swaps = _walk(plan, winner, out=out)
-    routed = Circuit(
-        cmap.num_physical,
-        tuple(Gate(kind, qubits, angle) for kind, qubits, angle in out),
-        {l2p[q]: role for q, role in c.labels.items()},
-    )
+    routed = Circuit(cmap.num_physical, tuple(Gate(kind, qubits, angle) for kind, qubits, angle in out))
     return RoutedCircuit(
         circuit=routed,
         coupling_map=cmap,
@@ -401,7 +397,7 @@ def peephole_zero_swap(rc: RoutedCircuit) -> RoutedCircuit:
             continue
         gates.append(g)
         zero = _note_zero(g.kind, g.qubits, zero)
-    circuit = Circuit(rc.circuit.num_qubits, tuple(gates), dict(rc.circuit.labels))
+    circuit = Circuit(rc.circuit.num_qubits, tuple(gates))
     return RoutedCircuit(
         circuit=circuit,
         coupling_map=rc.coupling_map,

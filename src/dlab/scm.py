@@ -7,9 +7,14 @@ p(t) = 1 - exp(-lam*t).  The purified picture adds one emitter per ancilla
 (Full scenario); at theta = pi each emitter-ancilla pair spans a 2-dimensional
 subspace and is remapped onto one qubit (Condensed scenario).
 
-Register orders produced here and mirrored by the circuit builders:
-  Full:      qubit 0 = system, then (E_1, A_1), (E_2, A_2), ...
-  Condensed: qubit 0 = system, then pair qubits 1..n.
+Register layout.  This module is the one statement of it; the circuit
+builders, the partition schemes and the CLI read it from `ScmParams`:
+  Full:      qubit 0 = system, then one (emitter, ancilla) unit per
+             collision: (1, 2), (3, 4), ..., (2n - 1, 2n).
+  Condensed: qubit 0 = system, then one pair-qubit unit per collision:
+             (1,), (2,), ..., (n,).
+`ScmParams.units` lists those units in register order.  The ideal state
+factorises over them once the system's pointer state is fixed.
 """
 from __future__ import annotations
 
@@ -49,6 +54,14 @@ class ScmParams:
             raise ValueError(f"theta {self.theta} outside [0, 2*pi)")
         if self.scenario is Scenario.CONDENSED and abs(self.theta - math.pi) > THETA_PI_ATOL:
             raise ValueError("condensed scenario requires theta = pi (non-entangling collisions)")
+
+    @property
+    def units(self) -> tuple[tuple[int, ...], ...]:
+        """Each collision's qubits in register order: an (emitter, ancilla)
+        pair in the full scenario, one pair qubit in the condensed one."""
+        if self.scenario is Scenario.CONDENSED:
+            return tuple((1 + i,) for i in range(self.n))
+        return tuple((1 + 2 * i, 2 + 2 * i) for i in range(self.n))
 
     @property
     def num_qubits(self) -> int:

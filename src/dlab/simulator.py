@@ -6,7 +6,6 @@ to; reduce with `partial_trace` first to measure a subsystem.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -14,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import _FIXED_MATRICES, _SQRT2_INV, Circuit, GateKind
 from .kernels import apply_matrix
 from .qstate import (
     PAULIS,
@@ -35,20 +34,26 @@ _PAULI_BASIS = np.stack([PAULIS[m] for m in "IXYZ"])
 # _PAULI_TRACE[mu, 2a + b] = sigma_mu[b, a]: one qubit's tr(rho sigma_mu) from its (row, column) pair
 _PAULI_TRACE = _PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
 
-_SQRT2_INV = 1 / math.sqrt(2)
 _PAULI_ROTATIONS = {
     "Z": np.eye(2, dtype=complex),
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
+    "X": _FIXED_MATRICES[GateKind.H],
     "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) * _SQRT2_INV,
 }
 
 
-def basis_rotation(phi: float, xi: float) -> np.ndarray:
+def basis_rotation(phi, xi) -> np.ndarray:
     """Rotation into the basis |0'> = cos(phi/2)|0> + e^{i xi} sin(phi/2)|1>,
-    |1'> = sin(phi/2)|0> - e^{i xi} cos(phi/2)|1> (rows are the new bras)."""
-    c, s = math.cos(phi / 2), math.sin(phi / 2)
-    ph = cmath.exp(-1j * xi)
-    return np.array([[c, ph * s], [s, -ph * c]], dtype=complex)
+    |1'> = sin(phi/2)|0> - e^{i xi} cos(phi/2)|1> (rows are the new bras).
+
+    Angles broadcast: arrays of phi and xi give one 2x2 per broadcast
+    element, on the last two axes; scalars give a single 2x2."""
+    half = np.asarray(phi, dtype=float) / 2
+    ph = np.exp(-1j * np.asarray(xi, dtype=float))
+    c, s = np.cos(half), np.sin(half)
+    u = np.empty(np.broadcast_shapes(half.shape, ph.shape) + (2, 2), dtype=complex)
+    u[..., 0, 0], u[..., 0, 1] = c, ph * s
+    u[..., 1, 0], u[..., 1, 1] = s, -ph * c
+    return u
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,6 @@ from dlab import (
     Circuit,
     Gate,
     GateKind,
-    Role,
-    RoleKind,
     Scenario,
     ScmParams,
     build_condensed_circuit,
@@ -46,14 +44,6 @@ def test_gate_validation():
 def test_circuit_validation_and_labels():
     with pytest.raises(ValueError):
         Circuit(1, (Gate(GateKind.CNOT, (0, 1)),))
-    with pytest.raises(ValueError):
-        Circuit(2, (), labels={0: Role(RoleKind.SYSTEM), 1: Role(RoleKind.SYSTEM)})
-    with pytest.raises(ValueError):
-        Role(RoleKind.SYSTEM, 3)
-    with pytest.raises(ValueError):
-        Role(RoleKind.ANCILLA)
-    c = build_full_circuit(0.3, FULL3)
-    assert str(c.labels[1]) == "emitter0" and str(c.labels[2]) == "ancilla0"
 
 
 def test_full_builder_shape():
@@ -66,8 +56,9 @@ def test_full_builder_shape():
         GateKind.RY, GateKind.CNOT, GateKind.X,
         GateKind.H, GateKind.CZ, GateKind.CZ, GateKind.CZ,
     ]
-    # pairs sit at (1+2i, 2+2i); CZs touch the ancillae only
+    # pairs sit at (1+2i, 2+2i); CZs touch the ancillae, each unit's last qubit
     assert [g.qubits for g in c.gates[10:]] == [(0, 2), (0, 4), (0, 6)]
+    assert [g.qubits[1] for g in c.gates[10:]] == [unit[-1] for unit in FULL3.units]
     assert c.gates[0].qubits == (1,) and c.gates[1].qubits == (1, 2)
 
 

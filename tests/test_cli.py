@@ -193,7 +193,7 @@ def test_parallel_jobs_match_serial(tmp_path):
             assert data_lines(par / name) == data_lines(out / name), (command, name)
 
 
-@pytest.mark.parametrize("command", ["coherence", "darwinism", "tomo"])
+@pytest.mark.parametrize("command", ["coherence", "darwinism", "tomo", "compare", "cmi"])
 @pytest.mark.parametrize("noise", [{}, {"depol_1q": 0.01}, {"readout_flip": 0.02}])
 def test_each_time_is_evolved_once(tmp_path, monkeypatch, command, noise):
     calls = Counter()
@@ -203,9 +203,11 @@ def test_each_time_is_evolved_once(tmp_path, monkeypatch, command, noise):
             return _run(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counted)
-    cfg = write_config(tmp_path, include_tomography=True, max_iters=20, noise=noise)
+    cfg = write_config(tmp_path, include_tomography=True, max_iters=20, phi_steps=3, xi_steps=3, noise=noise)
     assert main([command, "--config", str(cfg)]) == EXIT_OK
-    times = 1 if command == "tomo" else 2
+    # tomo reads the first time, compare the three canonical times for
+    # every fraction size, the others each configured time
+    times = {"tomo": 1, "compare": 3}.get(command, 2)
     # the ideal statevector, and the density run only when gate noise can
     # mix the state; readout flips act on the sampled records alone
     density = times if "depol_1q" in noise else 0
@@ -359,6 +361,13 @@ def test_config_errors(tmp_path, monkeypatch):
     line3.write_text("3\n0 1\n1 2\n")
     small = write_config(tmp_path, scenario="full", n=3, times=["t_max"], coupling_map=str(line3))
     assert main(["route", "--config", str(small)]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    # and so is a device past the statevector cap, which the routing report
+    # could not check
+    line17 = tmp_path / "line17.txt"
+    line17.write_text("17\n" + "".join(f"{q} {q + 1}\n" for q in range(16)))
+    wide = write_config(tmp_path, scenario="full", n=1, times=["t_max"], coupling_map=str(line17))
+    assert main(["route", "--config", str(wide)]) == EXIT_CONFIG
     assert not (tmp_path / "out").exists()
     # an integral-valued number is an integer
     whole = write_config(tmp_path, n=1.0, times=[0.3], shots=128.0)

@@ -245,6 +245,21 @@ def test_partition_scheme_layouts():
     )
     with pytest.raises(ValueError):
         partition_scheme(cond, SchemeMode.ANCILLAE_ONLY)
+    # each collision's qubits, written out, and the schemes built from them
+    for n, full_units, cond_units in (
+        (1, ((1, 2),), ((1,),)),
+        (3, ((1, 2), (3, 4), (5, 6)), ((1,), (2,), (3,))),
+    ):
+        full = ScmParams(theta=math.pi, lam=1.0, n=n, scenario=Scenario.FULL)
+        cond = ScmParams(theta=math.pi, lam=1.0, n=n)
+        assert full.units == full_units and cond.units == cond_units
+        assert partition_scheme(full, SchemeMode.PER_PAIR).units == full_units
+        assert partition_scheme(full, SchemeMode.PER_QUBIT).units == tuple(
+            (q,) for q in range(1, 2 * n + 1)
+        )
+        assert partition_scheme(full, SchemeMode.ANCILLAE_ONLY).units == tuple((a,) for _, a in full_units)
+        for mode in (SchemeMode.PER_PAIR, SchemeMode.PER_QUBIT):
+            assert partition_scheme(cond, mode).units == cond_units
 
 
 def test_partition_scheme_validation_and_fractions():

@@ -12,8 +12,6 @@ from dlab import (
     CouplingMap,
     Gate,
     GateKind,
-    Role,
-    RoleKind,
     RoutedCircuit,
     Scenario,
     ScmParams,
@@ -133,7 +131,7 @@ def loop_route(c, cmap, placement=None):
             if best is None or key < best[0]:
                 best = (key, cand, gates, l2p, swaps)
         _, placement, gates, l2p, swaps = best
-    routed = Circuit(cmap.num_physical, tuple(gates), {l2p[q]: r for q, r in c.labels.items()})
+    routed = Circuit(cmap.num_physical, tuple(gates))
     return RoutedCircuit(
         circuit=routed,
         coupling_map=cmap,
@@ -148,7 +146,6 @@ def assert_same_routing(got, want):
     assert got.placement == want.placement
     assert got.final_placement == want.final_placement
     assert got.circuit.gates == want.circuit.gates
-    assert got.circuit.labels == want.circuit.labels
     assert (got.swap_count, got.cnot_count) == (want.swap_count, want.cnot_count)
 
 
@@ -304,14 +301,10 @@ def routing_problems(draw):
         qubits = tuple(draw(st.permutations(range(n)))[: GATE_ARITY[kind]])
         angle = draw(st.floats(-math.pi, math.pi)) if kind is GateKind.RY else None
         gates.append(Gate(kind, qubits, angle))
-    labels = {}
-    if draw(st.booleans()):
-        system = draw(st.integers(0, n - 1))
-        labels = {q: Role(RoleKind.SYSTEM) if q == system else Role(RoleKind.PAIR, q) for q in range(n)}
     placement = None
     if draw(st.booleans()):
         placement = dict(enumerate(draw(st.permutations(range(cmap.num_physical)))[:n]))
-    return Circuit(n, tuple(gates), labels), cmap, placement
+    return Circuit(n, tuple(gates)), cmap, placement
 
 
 @settings(max_examples=100, deadline=None)
@@ -523,11 +516,7 @@ def test_statevector_equivalence_detects_tampering():
     rc = route(c, LINE3)
     assert routed_statevector_equivalent(rc, c)
     broken = RoutedCircuit(
-        circuit=Circuit(
-            rc.circuit.num_qubits,
-            rc.circuit.gates + (Gate(GateKind.X, (0,)),),
-            dict(rc.circuit.labels),
-        ),
+        circuit=Circuit(rc.circuit.num_qubits, rc.circuit.gates + (Gate(GateKind.X, (0,)),)),
         coupling_map=rc.coupling_map,
         placement=dict(rc.placement),
         final_placement=dict(rc.final_placement),

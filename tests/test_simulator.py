@@ -41,9 +41,17 @@ BELL_CIRCUIT = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1))))
 
 
 def test_basis_rotation_unitarity_and_paulis():
-    for phi, xi in ((0.3, 0.9), (math.pi / 2, 0.0), (math.pi, 1.1)):
+    angles = ((0.3, 0.9), (math.pi / 2, 0.0), (math.pi, 1.1))
+    for phi, xi in angles:
         u = basis_rotation(phi, xi)
         assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-14
+    # arrays of angles broadcast to one rotation per pair, equal to the scalar calls
+    phis, xis = np.array(angles).T
+    grid = basis_rotation(phis[:, None], xis[None, :])
+    assert grid.shape == (3, 3, 2, 2)
+    for i, phi in enumerate(phis):
+        for j, xi in enumerate(xis):
+            assert np.array_equal(grid[i, j], basis_rotation(float(phi), float(xi)))
     # phi=0 is the computational basis, (pi/2, 0) the X basis up to row phases
     assert np.allclose(basis_rotation(0.0, 0.0), np.array([[1, 0], [0, -1]]))
     x = basis_rotation(math.pi / 2, 0.0)
