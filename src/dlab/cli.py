@@ -51,7 +51,6 @@ from .simulator import (
     sample,
 )
 from .tomography import (
-    DEFAULT_DILUTION,
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     TomographyJob,
@@ -173,7 +172,6 @@ class ExperimentConfig:
     sizes: tuple[int, ...] | None
     include_tomography: bool
     sampled: bool
-    dilution: float
     tol: float
     max_iters: int
     jobs: int
@@ -224,7 +222,6 @@ class ExperimentConfig:
                     raw.get("include_tomography", False), "include_tomography"
                 ),
                 sampled=_boolean(raw.get("sampled", False), "sampled"),
-                dilution=_number(raw.get("dilution", DEFAULT_DILUTION), "dilution"),
                 tol=_number(raw.get("tol", DEFAULT_TOL), "tol"),
                 max_iters=_integer(raw.get("max_iters", DEFAULT_MAX_ITERS), "max_iters"),
                 jobs=_integer(raw.get("jobs", 1), "jobs"),
@@ -234,12 +231,12 @@ class ExperimentConfig:
             raise ConfigError(str(e)) from None
         if cfg.shots <= 0:
             raise ConfigError("'shots' must be positive")
+        if cfg.seed < 0:
+            raise ConfigError("'seed' must be non-negative")
         if cfg.jobs < 1:
             raise ConfigError("'jobs' must be at least 1")
         if cfg.phi_steps < 2 or cfg.xi_steps < 2:
             raise ConfigError("'phi_steps' and 'xi_steps' must be at least 2")
-        if not 0 < cfg.dilution <= 1:
-            raise ConfigError("'dilution' must lie in (0, 1]")
         if not 0 <= cfg.tol < math.inf:
             raise ConfigError("'tol' must be finite and non-negative")
         if cfg.max_iters < 1:
@@ -306,6 +303,12 @@ def _evolve(cfg: ExperimentConfig, t: float):
     circuit = _build_circuit(cfg, t)
     ideal = run_statevector(circuit)
     return ideal, run_density(circuit, cfg.noise) if cfg.noise.is_mixing else ideal
+
+
+def _noisy_state(cfg: ExperimentConfig, t: float):
+    """The state `_evolve` leaves, by one run, for commands that read no ideal state."""
+    circuit = _build_circuit(cfg, t)
+    return run_density(circuit, cfg.noise) if cfg.noise.is_mixing else run_statevector(circuit)
 
 
 def _write(path: str, text: str) -> None:
@@ -377,12 +380,12 @@ def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):
         sample(state, s, cfg.shots, base_seed + j, cfg.noise.readout_flip)
         for j, s in enumerate(settings)
     ]
-    job = TomographyJob(nq, tuple(records), cfg.dilution, cfg.tol, cfg.max_iters)
+    job = TomographyJob(nq, tuple(records), cfg.tol, cfg.max_iters)
     result = mle_reconstruct(job)
     if result.stop_reason != "tol":
         print(
             f"warning: MLE stopped by {result.stop_reason} after {result.iterations} iterations,"
-            f" not by tol {cfg.tol!r}",
+            f" with the certified gap bound ll_gap_bound {result.ll_gap_bound!r} above tol {cfg.tol!r}",
             file=sys.stderr,
         )
     return job, result
@@ -425,7 +428,7 @@ def _cmi_point(payload):
     cfg, index, t = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
     frac = _fraction_qubits(cfg, scheme)
-    _, state = _evolve(cfg, t)
+    state = _noisy_state(cfg, t)
     shots = cfg.shots if cfg.sampled else None
     grid = cmi_grid(
         state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=cfg.seed + 100_000 * index
@@ -450,7 +453,7 @@ def _compare_point(payload):
     """One row per fraction size, all from one evolution of the state at `t`."""
     cfg, t, sizes = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
-    _, state = _evolve(cfg, t)
+    state = _noisy_state(cfg, t)
     rows = []
     for size in sizes:
         qmis, chis, cmis = [], [], []
@@ -536,6 +539,7 @@ def cmd_tomo(cfg: ExperimentConfig) -> None:
         "converged": result.converged,
         "stop_reason": result.stop_reason,
         "final_log_likelihood": lls[-1],
+        "ll_gap_bound": result.ll_gap_bound,
         "log_likelihood_monotone": all(b >= a - 1e-12 for a, b in zip(lls, lls[1:])),
         "config": cfg.resolved_dict(),
         "seed": cfg.seed,

@@ -217,12 +217,7 @@ def _entropy(mat: np.ndarray, base: float) -> float:
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     if a.num_qubits != b.num_qubits:
         raise ValueError("dimension mismatch")
-    return _trace_distance(a.matrix, b.matrix)
-
-
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """trace_distance of two bare Hermitian matrices."""
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
 
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:

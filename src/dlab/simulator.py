@@ -258,11 +258,16 @@ def _bloch_rows(rotations) -> np.ndarray:
     return np.einsum("...oa,mab,...ob->...om", u, _PAULI_BASIS, u.conj()).real
 
 
+def _pair_axes(t: np.ndarray, k: int) -> np.ndarray:
+    """Axes q and k + q of a 2k-axis `t` merged into axis q, in that order:
+    a matrix reshaped to [2] * 2k gets one (row bit, column bit) axis per qubit."""
+    order = [ax for q in range(k) for ax in (q, k + q)]
+    return t.transpose(order).reshape([t.shape[q] * t.shape[k + q] for q in range(k)])
+
+
 def _pauli_expansion(mat: np.ndarray, k: int) -> np.ndarray:
     """T[mu_0, ..., mu_{k-1}] = tr(rho sigma_mu_0 x ... x sigma_mu_{k-1})."""
-    t = mat.reshape([2] * (2 * k))
-    t = t.transpose([ax for q in range(k) for ax in (q, k + q)]).reshape([4] * k)
-    return _local_apply([_PAULI_TRACE] * k, t).real
+    return _local_apply([_PAULI_TRACE] * k, _pair_axes(mat.reshape([2] * (2 * k)), k)).real
 
 
 def born_distribution(state, setting: MeasSetting) -> np.ndarray:

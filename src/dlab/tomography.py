@@ -1,30 +1,31 @@
-"""Maximum-likelihood state tomography with diluted fixed-point iteration.
-
-The update rho <- N[(I + eps R) rho (I + eps R)] with
-R = sum_j (f_j / p_j) Pi_j never decreases the log-likelihood for small
-enough eps; the dilution parameter is halved adaptively whenever numerics
-say otherwise.
+"""State tomography from complete Pauli measurement sets: linear inversion
+projected onto the density matrices (Smolin, Gambetta and Smith, PRL 108,
+070502, 2012), and maximum likelihood by accelerated projected gradient
+(Shang, Zhang and Ng, PRA 95, 062336, 2017) that stops on the concavity
+certificate LL* - LL(rho) <= lambda_max(R(rho)) - 1, R(rho) = sum_k (f_k / p_k)
+Pi_k (Glancy, Knill and Girard, NJP 14, 095017, 2012).
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .qstate import DensityMatrix, PAULIS, _trace_distance
-from .simulator import MeasRecord, MeasSetting
+from .qstate import DensityMatrix
+from .simulator import MeasRecord, MeasSetting, _local_apply, _pair_axes
 
-DEFAULT_DILUTION = 0.1
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000
-_MIN_DILUTION = 1e-8
-_MAX_DILUTION = 1e6
 _PROB_FLOOR = 1e-300
 _RATIO_CAP = 1e12
+# The step floor ends backtracking that rounding in eigh would keep going;
+# the cap keeps the step finite where every step is accepted (at an optimum).
+_MIN_STEP = 1e-12
+_MAX_STEP = 1e6
 
 
 def pauli_settings(num_qubits: int) -> list[MeasSetting]:
@@ -32,8 +33,62 @@ def pauli_settings(num_qubits: int) -> list[MeasSetting]:
     return [MeasSetting.pauli("".join(c)) for c in itertools.product("XYZ", repeat=num_qubits)]
 
 
-def setting_unitary(setting: MeasSetting) -> np.ndarray:
-    return reduce(np.kron, setting.rotations())
+# _PROJECTORS[2b + o] = Pi_{b,o} for b in X, Y, Z: the rotation's row o is the bra.
+_PROJECTORS = np.array(
+    [np.outer(u[o].conj(), u[o]) for b in "XYZ" for u in MeasSetting.pauli(b).rotations() for o in (0, 1)]
+)
+# On one qubit's (row, column) pair p = 2r + c: _FRAME[p, k] = Pi_k[r, c]; the
+# dual frame 3 Pi_k - I inverts frequencies weighted 1/3 per basis.
+_FRAME = _PROJECTORS.reshape(6, 4).T
+_DUAL_FRAME = (3 * _PROJECTORS - np.eye(2)).reshape(6, 4).T
+
+
+def _pauli_order(settings, num_qubits: int) -> list[int]:
+    """Indices that put `settings` in `pauli_settings` order; raises unless each
+    of those appears exactly once (no angle basis or other arity matches a label)."""
+    labels = [s.label() for s in settings]
+    if sorted(labels) != ["".join(c) for c in itertools.product("XYZ", repeat=num_qubits)]:
+        raise ValueError(f"settings must be each of the {3**num_qubits} Pauli settings on {num_qubits} qubits, once")
+    return sorted(range(len(labels)), key=labels.__getitem__)
+
+
+def _frequency_tensor(settings, frequencies, num_qubits: int) -> np.ndarray:
+    """f[k_0, ..., k_{n-1}] with k_q = 2 b_q + o_q, weighted 1/3^n per setting
+    so that the whole tensor sums to 1; each frequency vector, indexed by
+    bitstring value, must be a distribution."""
+    order = _pauli_order(settings, num_qubits)
+    if len(frequencies) != len(order):
+        raise ValueError("one frequency vector per setting is required")
+    f = np.array([frequencies[i] for i in order], dtype=float)
+    if f.shape[1:] != (2**num_qubits,):
+        raise ValueError(f"frequency vectors must have length {2**num_qubits}")
+    if f.min() < 0 or np.abs(f.sum(axis=1) - 1.0).max() > 1e-9:
+        raise ValueError("frequencies must be distributions over outcomes")
+    return _pair_axes((f / len(order)).reshape([3] * num_qubits + [2] * num_qubits), num_qubits)
+
+
+def _operator(frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] (Pi_{k_0} x ... x Pi_{k_{n-1}}) with each Pi_k read
+    from `frame`, as a 2^n x 2^n matrix."""
+    n = coeffs.ndim
+    t = _local_apply([frame] * n, coeffs).reshape([2] * (2 * n))
+    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(2**n, 2**n)
+
+
+def _probabilities(rho: np.ndarray, num_qubits: int) -> np.ndarray:
+    """p[k] = tr(rho (Pi_{k_0} x ... x Pi_{k_{n-1}})), as Pi_k[c, r] = conj(Pi_k[r, c])."""
+    pairs = _pair_axes(rho.reshape([2] * (2 * num_qubits)), num_qubits)
+    return _local_apply([_FRAME.conj().T] * num_qubits, pairs).real
+
+
+def _project(mat: np.ndarray) -> np.ndarray:
+    """The density matrix nearest a Hermitian `mat` in Frobenius norm: its
+    eigenvalues projected onto the probability simplex."""
+    vals, vecs = np.linalg.eigh(mat)
+    desc = vals[::-1]
+    excess = (np.cumsum(desc) - 1.0) / np.arange(1, len(desc) + 1)
+    shift = excess[desc > excess][-1]
+    return (vecs * np.maximum(vals - shift, 0.0)) @ vecs.conj().T
 
 
 @dataclass(frozen=True)
@@ -42,29 +97,13 @@ class TomographyJob:
 
     num_qubits: int
     records: tuple[MeasRecord, ...]
-    dilution: float = DEFAULT_DILUTION
     tol: float = DEFAULT_TOL
     max_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
-        if not 0 < self.dilution <= 1:
-            raise ValueError("dilution must lie in (0, 1]")
-        labels = []
-        shots = set()
-        for r in self.records:
-            if not r.setting.is_pauli:
-                raise ValueError("tomography records must use Pauli settings")
-            if r.setting.num_qubits != self.num_qubits:
-                raise ValueError("record arity does not match the job register")
-            labels.append(r.setting.label())
-            shots.add(r.shots)
-        expected = {"".join(c) for c in itertools.product("XYZ", repeat=self.num_qubits)}
-        if sorted(labels) != sorted(expected):
-            raise ValueError(
-                f"records must cover each of the {len(expected)} Pauli settings exactly once"
-            )
-        if len(shots) > 1:
+        _pauli_order([r.setting for r in self.records], self.num_qubits)
+        if len({r.shots for r in self.records}) > 1:
             raise ValueError("all records must use the same shot count")
 
     @property
@@ -74,13 +113,15 @@ class TomographyJob:
 
 @dataclass(frozen=True)
 class MleResult:
-    """`stop_reason`: "tol" (the step fell below tol), "max_iters" (budget
-    spent) or "stalled" (no ascending step at any dilution above the floor)."""
+    """`stop_reason` is "tol" (`ll_gap_bound`, the certified gap to the maximum
+    log-likelihood, fell to tol), "max_iters" (budget spent) or "stalled" (no ascent
+    above the step floor). `log_likelihoods`: the start, then one per iteration, never falling."""
 
     state: DensityMatrix
     iterations: int
     stop_reason: str
     log_likelihoods: tuple[float, ...]
+    ll_gap_bound: float
 
     @property
     def converged(self) -> bool:
@@ -92,118 +133,76 @@ def _log_likelihood(freqs: np.ndarray, probs: np.ndarray) -> float:
     return float(np.sum(freqs[mask] * np.log(np.maximum(probs[mask], _PROB_FLOOR))))
 
 
-def _mle_core(num_qubits, vectors, freqs, dilution, tol, max_iters):
-    dim = 2**num_qubits
-    rho = np.eye(dim, dtype=complex) / dim
-    eye = np.eye(dim, dtype=complex)
-    eps = dilution
-    vectors_c = vectors.conj()
-    # Born probabilities <v_j|rho|v_j> as one matmul and a row sum
-    probs = ((vectors_c @ rho) * vectors).sum(axis=1).real
+def _gradient(freqs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """R = sum_k (f_k / p_k) Pi_k, each ratio capped at _RATIO_CAP."""
+    capped = np.maximum(probs, freqs / _RATIO_CAP)
+    return _operator(_FRAME, np.divide(freqs, capped, out=np.zeros_like(freqs), where=freqs > 0))
+
+
+def _mle(freqs: np.ndarray, tol: float, max_iters: int):
+    """The state, stop reason, log-likelihoods and certified gap of an
+    accelerated projected-gradient ascent from the projected inversion."""
+    n = freqs.ndim
+    rho = _project(_operator(_DUAL_FRAME, freqs))
+    probs = _probabilities(rho, n)
     history = [_log_likelihood(freqs, probs)]
-    iterations = 0
-    mask = freqs > 0
-    while iterations < max_iters:
-        iterations += 1
-        weights = np.zeros_like(freqs)
-        weights[mask] = freqs[mask] / np.maximum(probs[mask], freqs[mask] / _RATIO_CAP)
-        r_op = (weights[:, None] * vectors).T @ vectors_c
-        # trust-region dilution: shrink eps until the step ascends, regrow after
+    # the momentum point; a restart puts it back on the last accepted iterate
+    point, point_probs, momentum, step = rho, probs, 1.0, 1.0
+    while True:
+        bound = float(np.linalg.eigvalsh(_gradient(freqs, probs))[-1]) - 1.0
+        if bound <= tol or len(history) > max_iters:
+            return rho, "tol" if bound <= tol else "max_iters", history, bound
+        point_ll = _log_likelihood(freqs, point_probs)
+        grad = _gradient(freqs, point_probs)
         while True:
-            gain = eye + eps * r_op
-            cand = gain @ rho @ gain.conj().T
-            cand = (cand + cand.conj().T) / 2
-            cand /= np.trace(cand).real
-            cand_probs = ((vectors_c @ cand) * vectors).sum(axis=1).real
-            ll = _log_likelihood(freqs, cand_probs)
-            if ll >= history[-1] - 1e-12:
+            cand = _project(point + step * grad)
+            diff = cand - point
+            cand_probs = _probabilities(cand, n)
+            cand_ll = _log_likelihood(freqs, cand_probs)
+            if cand_ll >= point_ll + np.vdot(grad, diff).real - np.vdot(diff, diff).real / (2 * step):
                 break
-            eps /= 2
-            if eps < _MIN_DILUTION:
-                # no ascending step left at any dilution: a stall, not convergence
-                return rho, iterations, "stalled", tuple(history)
-        step = _trace_distance(cand, rho)
-        rho = cand
-        probs = cand_probs
-        history.append(ll)
-        if step < tol:
-            return rho, iterations, "tol", tuple(history)
-        eps = min(eps * 2, _MAX_DILUTION)
-    return rho, iterations, "max_iters", tuple(history)
+            step /= 2
+            if step < _MIN_STEP:
+                return rho, "stalled", history, bound
+        if cand_ll < history[-1]:
+            history.append(history[-1])
+            point, point_probs, momentum = rho, probs, 1.0
+            continue
+        next_momentum = (1 + math.sqrt(1 + 4 * momentum**2)) / 2
+        beta = (momentum - 1) / next_momentum
+        point, point_probs = cand + beta * (cand - rho), cand_probs + beta * (cand_probs - probs)
+        rho, probs, momentum = cand, cand_probs, next_momentum
+        history.append(cand_ll)
+        step = min(2 * step, _MAX_STEP)
 
 
 def mle_reconstruct_from_frequencies(
     num_qubits: int,
     settings,
     frequencies,
-    dilution: float = DEFAULT_DILUTION,
     tol: float = DEFAULT_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> MleResult:
-    """MLE from exact (or empirical) outcome distributions, one per setting.
-
-    Each frequency vector is indexed by bitstring value and must sum to 1;
-    the uniform setting weight 1/S is folded in here.
-    """
-    settings = list(settings)
-    if len(settings) != len(frequencies):
-        raise ValueError("one frequency vector per setting is required")
-    dim = 2**num_qubits
-    blocks_v, blocks_f = [], []
-    for setting, freq in zip(settings, frequencies):
-        if setting.num_qubits != num_qubits:
-            raise ValueError("setting arity does not match the register")
-        freq = np.asarray(freq, dtype=float)
-        if freq.shape != (dim,):
-            raise ValueError(f"frequency vector must have length {dim}")
-        if abs(freq.sum() - 1.0) > 1e-9 or np.any(freq < 0):
-            raise ValueError("frequencies must be a distribution over outcomes")
-        blocks_v.append(setting_unitary(setting).conj())
-        blocks_f.append(freq / len(settings))
-    vectors = np.concatenate(blocks_v, axis=0)
-    freqs = np.concatenate(blocks_f)
-    rho, iters, stop_reason, history = _mle_core(
-        num_qubits, vectors, freqs, dilution, tol, max_iters
-    )
-    return MleResult(DensityMatrix(num_qubits, rho), iters, stop_reason, history)
+    """MLE from exact (or empirical) outcome distributions, one per setting of
+    a complete Pauli set in any order (see `_frequency_tensor`)."""
+    freqs = _frequency_tensor(settings, frequencies, num_qubits)
+    rho, stop_reason, history, bound = _mle(freqs, tol, max_iters)
+    return MleResult(DensityMatrix(num_qubits, rho), len(history) - 1, stop_reason, tuple(history), bound)
 
 
 def mle_reconstruct(job: TomographyJob) -> MleResult:
     """MLE from a complete Pauli measurement job."""
     settings = [r.setting for r in job.records]
     frequencies = [r.frequencies() for r in job.records]
-    return mle_reconstruct_from_frequencies(
-        job.num_qubits, settings, frequencies, job.dilution, job.tol, job.max_iters
-    )
-
-
-def _psd_project(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    out = (vecs * vals) @ vecs.conj().T
-    return out / np.trace(out).real
-
-
-def qubit_tomography_from_means(mx: float, my: float, mz: float) -> DensityMatrix:
-    """Single-qubit state from the three Pauli expectation values, projected
-    back onto the physical set when sampling noise pushes it outside."""
-    rho = 0.5 * (PAULIS["I"] + mx * PAULIS["X"] + my * PAULIS["Y"] + mz * PAULIS["Z"])
-    if np.linalg.eigvalsh(rho).min() < 0:
-        rho = _psd_project(rho)
-    return DensityMatrix(1, rho)
+    return mle_reconstruct_from_frequencies(job.num_qubits, settings, frequencies, job.tol, job.max_iters)
 
 
 def qubit_tomography(records) -> DensityMatrix:
-    """Single-qubit tomography from one X, one Y and one Z record."""
-    means = {}
-    for r in records:
-        if r.setting.num_qubits != 1 or not r.setting.is_pauli:
-            raise ValueError("expected single-qubit Pauli records")
-        freq = r.frequencies()
-        means[r.setting.label()] = float(freq[0] - freq[1])
-    if sorted(means) != ["X", "Y", "Z"]:
-        raise ValueError("expected exactly one record per X, Y, Z basis")
-    return qubit_tomography_from_means(means["X"], means["Y"], means["Z"])
+    """Single-qubit state from one X, one Y and one Z record: the projected
+    linear inversion."""
+    records = list(records)
+    freqs = _frequency_tensor([r.setting for r in records], [r.frequencies() for r in records], 1)
+    return DensityMatrix(1, _project(_operator(_DUAL_FRAME, freqs)))
 
 
 def save_state_text(matrix, path) -> None:
@@ -246,7 +245,6 @@ def save_tomography_job(job: TomographyJob, dirpath) -> None:
     manifest = {
         "num_qubits": job.num_qubits,
         "shots": job.shots,
-        "dilution": job.dilution,
         "tol": job.tol,
         "max_iters": job.max_iters,
         "records": sorted(rel_paths),
@@ -266,7 +264,6 @@ def load_tomography_job(dirpath) -> TomographyJob:
     return TomographyJob(
         num_qubits=int(manifest["num_qubits"]),
         records=tuple(records),
-        dilution=float(manifest["dilution"]),
         tol=float(manifest["tol"]),
         max_iters=int(manifest["max_iters"]),
     )

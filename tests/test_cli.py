@@ -150,20 +150,23 @@ def test_tomo_command(tmp_path, capsys):
     assert report["num_qubits"] == 2
     assert report["fidelity_vs_ideal"] > 0.95
     assert report["log_likelihood_monotone"] is True
+    assert -1e-12 <= report["ll_gap_bound"] <= 1e-7
     state = load_state_text(out / "state.txt")
     assert state.shape == (4, 4) and abs(np.trace(state) - 1.0) < 1e-9
     assert (out / "job" / "manifest.json").exists()
 
 
 def test_tomo_reports_an_early_stop(tmp_path, capsys):
-    # a spent iteration budget is reported and warned about, not an error
-    cfg = write_config(tmp_path, n=1, times=["t_max"], shots=2048, max_iters=5)
+    # a spent iteration budget is reported and warned about, not an error;
+    # tol 0 asks for more than any budget of 5 iterations certifies
+    cfg = write_config(tmp_path, n=1, times=["t_max"], shots=2048, tol=0, max_iters=5)
     assert main(["tomo", "--config", str(cfg)]) == EXIT_OK
     report = json.loads((tmp_path / "out" / "tomo_report.json").read_text())
     assert report["stop_reason"] == "max_iters" and report["converged"] is False
-    assert report["iterations"] == 5
+    assert report["iterations"] == 5 and report["ll_gap_bound"] > 0
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "max_iters" in err
+    assert f"ll_gap_bound {report['ll_gap_bound']!r}" in err
 
 
 def test_byte_identical_rerun(tmp_path):
@@ -208,10 +211,12 @@ def test_each_time_is_evolved_once(tmp_path, monkeypatch, command, noise):
     # tomo reads the first time, compare the three canonical times for
     # every fraction size, the others each configured time
     times = {"tomo": 1, "compare": 3}.get(command, 2)
-    # the ideal statevector, and the density run only when gate noise can
-    # mix the state; readout flips act on the sampled records alone
+    # the density run only when gate noise can mix the state, and the ideal
+    # statevector unless that noise is on and the command reads only the
+    # noisy state; readout flips act on the sampled records alone
     density = times if "depol_1q" in noise else 0
-    assert calls == Counter(run_statevector=times, run_density=density)
+    statevector = 0 if density and command in ("compare", "cmi") else times
+    assert calls == Counter(run_statevector=statevector, run_density=density)
 
 
 def test_readout_only_noise_runs_as_a_statevector(tmp_path):
@@ -247,7 +252,6 @@ def test_resolved_config_reads_back_equal():
         "sizes": [1, 2],
         "include_tomography": True,
         "sampled": True,
-        "dilution": 0.5,
         "tol": 1e-5,
         "max_iters": 10,
         "jobs": 2,
@@ -320,7 +324,6 @@ def test_config_errors(tmp_path, monkeypatch):
         ("coherence", {"lam": True}),
         ("coherence", {"lam": "2"}),
         ("coherence", {"theta": "3.141592653589793"}),
-        ("darwinism", {"dilution": True}),
         ("tomo", {"n": 1, "times": ["t_max"], "tol": "1e-7"}),
         ("coherence", {"times": [True]}),
         ("coherence", {"times": {"start": "0", "stop": 1.0, "count": 3}}),
@@ -339,9 +342,12 @@ def test_config_errors(tmp_path, monkeypatch):
         ("tomo", {"n": 1, "times": ["t_max"], "max_iters": 0}),
         ("tomo", {"n": 1, "times": ["t_max"], "tol": -1}),
         ("tomo", {"n": 1, "times": ["t_max"], "tol": float("nan")}),
-        ("tomo", {"n": 1, "times": ["t_max"], "dilution": 0}),
-        ("tomo", {"n": 1, "times": ["t_max"], "dilution": 1.5}),
-        ("darwinism", {"dilution": -0.1}),
+        ("tomo", {"n": 1, "times": ["t_max"], "dilution": 0.1}),  # no longer a key
+        # a negative seed, before the state is evolved
+        ("coherence", {"seed": -1}),
+        ("tomo", {"n": 1, "times": ["t_max"], "seed": -1}),
+        ("cmi", {"times": ["t_max"], "seed": -1}),
+        ("cmi", {"times": ["t_max"], "sampled": True, "seed": -1}),
         ("coherence", {"n": 40}),
         ("route", {"scenario": "full", "n": 8, "times": ["t_max"]}),
         ("darwinism", {"n": 10, "noise": {"depol_1q": 0.01}}),

@@ -1,5 +1,6 @@
 """Statevector and density-matrix execution, measurement settings, sampling."""
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -34,7 +35,6 @@ from dlab import (
 from dlab.circuit import GATE_ARITY
 from dlab.kernels import apply_matrix
 from dlab.simulator import _fold_readout_flip
-from dlab.tomography import setting_unitary
 
 PLUS = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2))
 BELL_CIRCUIT = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.CNOT, (0, 1))))
@@ -166,7 +166,7 @@ def test_born_distribution_matches_the_loop_and_the_dense_rotation(problem):
     n = state.num_qubits
     got = born_distribution(state, setting)
     assert np.max(np.abs(got - loop_born_distribution(state, setting))) < 1e-12
-    u = setting_unitary(setting)
+    u = reduce(np.kron, setting.rotations())
     rho = state.density_matrix().matrix if isinstance(state, PureState) else state.matrix
     assert np.max(np.abs(got - np.diag(u @ rho @ u.conj().T).real)) < 1e-12
     folded = _fold_readout_flip(got, n, r)
