@@ -241,6 +241,8 @@ class ExperimentConfig:
             raise ConfigError("'tol' must be finite and non-negative")
         if cfg.max_iters < 1:
             raise ConfigError("'max_iters' must be at least 1")
+        if cfg.sizes == ():
+            raise ConfigError("'sizes' must list at least one size, or be null for all sizes")
         return cfg
 
     @property
@@ -263,8 +265,9 @@ class ExperimentConfig:
 
 
 def _preflight(cfg: ExperimentConfig, command: str) -> None:
-    """Reject an angle no circuit builder takes, or a register no simulation
-    of `command` (or, for `route`, no device) can hold, before any compute.
+    """Reject an angle no circuit builder takes, a register no simulation
+    of `command` (or, for `route`, no device) can hold, or a partition,
+    fraction or size the register does not have, before any compute.
     `route` checks its result by a statevector run over every device slot,
     so the device must fit the statevector cap too."""
     if abs(cfg.theta - math.pi) > THETA_PI_ATOL:
@@ -288,6 +291,16 @@ def _preflight(cfg: ExperimentConfig, command: str) -> None:
         raise ConfigError(
             f"tomographic reconstruction is capped at {TOMO_MAX_QUBITS} qubits ({nq} requested)"
         )
+    if command not in ("darwinism", "cmi", "compare"):
+        return
+    try:
+        units = partition_scheme(cfg.params, cfg.partition).num_units
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    if command == "cmi" and not 1 <= cfg.fraction_units <= units:
+        raise ConfigError(f"'fraction_units' must lie in 1..{units}, got {cfg.fraction_units}")
+    if command == "compare" and any(not 1 <= s <= units for s in cfg.sizes or ()):
+        raise ConfigError(f"'sizes' must lie in 1..{units}")
 
 
 def _build_circuit(cfg: ExperimentConfig, t: float):
@@ -416,22 +429,14 @@ def cmd_darwinism(cfg: ExperimentConfig) -> None:
     _finish(cfg, "darwinism", artifacts)
 
 
-def _fraction_qubits(cfg: ExperimentConfig, scheme) -> tuple[int, ...]:
-    if not 1 <= cfg.fraction_units <= scheme.num_units:
-        raise ConfigError(
-            f"'fraction_units' must lie in 1..{scheme.num_units}, got {cfg.fraction_units}"
-        )
-    return tuple(sorted(q for u in scheme.units[: cfg.fraction_units] for q in u))
-
-
 def _cmi_point(payload):
     cfg, index, t = payload
-    scheme = partition_scheme(cfg.params, cfg.partition)
-    frac = _fraction_qubits(cfg, scheme)
+    units = partition_scheme(cfg.params, cfg.partition).units[: cfg.fraction_units]
+    frac = tuple(sorted(q for u in units for q in u))
     state = _noisy_state(cfg, t)
-    shots = cfg.shots if cfg.sampled else None
+    shots, seed = (cfg.shots if cfg.sampled else None), cfg.seed + 100_000 * index
     grid = cmi_grid(
-        state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=cfg.seed + 100_000 * index
+        state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
     )
     return index, t, frac, grid
 
@@ -467,10 +472,8 @@ def _compare_point(payload):
 
 def cmd_compare(cfg: ExperimentConfig) -> None:
     """QMI / Holevo / max-basis CMI per fraction size at the canonical times."""
-    scheme = partition_scheme(cfg.params, cfg.partition)
-    sizes = cfg.sizes or tuple(range(1, scheme.num_units + 1))
-    if any(not 1 <= s <= scheme.num_units for s in sizes):
-        raise ConfigError(f"'sizes' must lie in 1..{scheme.num_units}")
+    units = partition_scheme(cfg.params, cfg.partition).num_units
+    sizes = tuple(range(1, units + 1)) if cfg.sizes is None else cfg.sizes
     ct = canonical_times()
     payloads = [(cfg, t, sizes) for t in (ct.t_max, ct.t_close, ct.t_rec)]
     rows = [row for point in _pmap(_compare_point, payloads, cfg.jobs) for row in point]

@@ -23,6 +23,7 @@ from .simulator import (
     MeasSetting,
     _bloch_rows,
     _draw,
+    _fold_readout_flip,
     _local_apply,
     _pauli_expansion,
     basis_rotation,
@@ -150,8 +151,8 @@ def system_coherence(state, system_qubit: int = 0) -> float:
     return float(2 * _reduce(data, (system_qubit,))[0, 1].real)
 
 
-def _entropy_table(state, base: float):
-    """H(X) of `state` for sorted qubit tuples X, each side computed once.
+def _entropy_table(state):
+    """H(X) of `state` in bits for sorted qubit tuples X, each side computed once.
 
     Reductions are bare arrays: `state` was validated when it was built, so
     no reduced `DensityMatrix` is constructed or checked. A pure state has
@@ -171,7 +172,7 @@ def _entropy_table(state, base: float):
             if not qubits:
                 return 0.0
         if qubits not in cache:
-            cache[qubits] = _entropy(_reduce(data, qubits), base)
+            cache[qubits] = _entropy(_reduce(data, qubits))
         return cache[qubits]
 
     return entropy
@@ -181,16 +182,16 @@ def _qmi(entropy, sys_q, frac_q) -> float:
     return entropy(sys_q) + entropy(frac_q) - entropy(tuple(sorted(sys_q + frac_q)))
 
 
-def qmi(state, sys_qubits, frac_qubits, base: float = 2) -> float:
-    """I(S:F) = H(S) + H(F) - H(SF)."""
-    return _qmi(_entropy_table(state, base), *_check_parts(state, sys_qubits, frac_qubits))
+def qmi(state, sys_qubits, frac_qubits) -> float:
+    """I(S:F) = H(S) + H(F) - H(SF), in bits."""
+    return _qmi(_entropy_table(state), *_check_parts(state, sys_qubits, frac_qubits))
 
 
-def averaged_qmi(state, sys_qubits, scheme: PartitionScheme, base: float = 2) -> MiCurve:
-    """QMI averaged over all same-size fractions, with the standard error of
-    the mean as the spread measure. H(S), and any side two fractions share,
-    is computed once per call."""
-    entropy = _entropy_table(state, base)
+def averaged_qmi(state, sys_qubits, scheme: PartitionScheme) -> MiCurve:
+    """QMI in bits averaged over all same-size fractions, with the standard
+    error of the mean as the spread measure. H(S), and any side two fractions
+    share, is computed once per call."""
+    entropy = _entropy_table(state)
     points = []
     for f in range(1, scheme.num_units + 1):
         vals = [_qmi(entropy, *_check_parts(state, sys_qubits, frac)) for frac in scheme.fractions(f)]
@@ -208,8 +209,10 @@ def _reduced_parts(state, sys_q, frac_q):
     return mat, sys_pos, frac_pos, len(kept)
 
 
-def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=None, seeds=None) -> np.ndarray:
-    """Shannon MI between system and fraction outcomes, one value per cell.
+def _basis_cmi(
+    mat, sys_pos, frac_pos, sys_rotations, frac_rows, shots=None, seeds=None, readout_flip=0.0
+) -> np.ndarray:
+    """Shannon MI in bits between system and fraction outcomes, one value per cell.
 
     `mat` is the reduced state; system qubit i sits at position sys_pos[i] and
     is measured in sys_rotations[i] in every cell, fraction qubit j at
@@ -218,7 +221,7 @@ def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=Non
     the Pauli expansion of the state: the system axes are contracted once, the
     fraction axes one at a time over chunks of cells. With `shots`, cell c is
     the plug-in MI of `sample`'s draw seeded with seeds[c], over outcomes in
-    register order.
+    register order, after `sample`'s per-bit `readout_flip` is folded in.
     """
     s, f = len(sys_pos), len(frac_pos)
     k = s + f
@@ -238,7 +241,10 @@ def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=Non
             p = rows[:, None, j] @ p  # (C, 1, 2, 4) @ (C or 1, X, 4, R) -> (C, X, 2, R)
         p = np.clip(p.reshape((len(rows),) + (2,) * k), 0.0, None)
         if shots is not None:
-            draws = _draw(p.transpose(to_register).reshape(len(rows), -1), shots, seeds[lo : lo + step])
+            probs = p.transpose(to_register).reshape(len(rows), -1)
+            if readout_flip > 0.0:
+                probs = _fold_readout_flip(probs.T, k, readout_flip).T
+            draws = _draw(probs, shots, seeds[lo : lo + step])
             p = (draws / shots).reshape((len(rows),) + (2,) * k).transpose(from_register)
         joint = p.reshape(len(rows), 2**s, 2**f)
         joint = joint / joint.sum(axis=(1, 2), keepdims=True)
@@ -246,7 +252,7 @@ def _basis_cmi(mat, sys_pos, frac_pos, sys_rotations, frac_rows, base, shots=Non
             _entropies(joint.sum(axis=2))
             + _entropies(joint.sum(axis=1))
             - _entropies(joint.reshape(len(rows), -1))
-        ) / math.log(base)
+        ) / math.log(2)
     return out
 
 
@@ -264,14 +270,15 @@ def cmi_joint(
     frac_qubits,
     env_basis: MeasSetting,
     sys_basis: MeasSetting | None = None,
-    base: float = 2,
     shots: int | None = None,
     seed: int = 0,
+    readout_flip: float = 0.0,
 ) -> float:
-    """Shannon MI between system and fraction outcomes under fixed local
-    measurement bases, from the exact Born distribution. With `shots`, the
-    plug-in MI of `shots` seeded multinomial counts instead: a finite-shot
-    estimate of the same quantity."""
+    """Shannon MI in bits between system and fraction outcomes under fixed
+    local measurement bases, from the exact Born distribution. With `shots`,
+    the plug-in MI of `shots` seeded multinomial counts instead, with
+    `sample`'s per-bit `readout_flip` folded in before the draw: a
+    finite-shot estimate of the same quantity. The exact value has no flips."""
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     if env_basis.num_qubits != len(frac_q):
         raise ValueError(
@@ -280,7 +287,8 @@ def cmi_joint(
     sys_basis = _system_basis(sys_basis, len(sys_q))
     mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
     env_rows = _bloch_rows([env_basis.rotations()])
-    return float(_basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), env_rows, base, shots, [seed])[0])
+    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), env_rows, shots, [seed], readout_flip)
+    return float(values[0])
 
 
 def cmi_grid(
@@ -290,9 +298,9 @@ def cmi_grid(
     phi_steps: int = DEFAULT_PHI_STEPS,
     xi_steps: int = DEFAULT_XI_STEPS,
     sys_basis: MeasSetting | None = None,
-    base: float = 2,
     shots: int | None = None,
     seed: int = 0,
+    readout_flip: float = 0.0,
 ) -> BasisGrid:
     """cmi_joint over the uniform basis grid phi in [0, pi], xi in [0, 2*pi),
     with the same (phi, xi) basis on every fraction qubit. With `shots`, each
@@ -308,13 +316,13 @@ def cmi_grid(
     rows = _bloch_rows(basis_rotation(phis[:, None], xis[None, :]).reshape(-1, 2, 2))
     frac_rows = np.broadcast_to(rows[:, None], (len(rows), len(frac_q), 2, 4))
     seeds = range(seed, seed + len(rows))
-    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), frac_rows, base, shots, seeds)
+    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), frac_rows, shots, seeds, readout_flip)
     return BasisGrid(tuple(phis.tolist()), tuple(xis.tolist()), values.reshape(phi_steps, xi_steps))
 
 
-def holevo_bound(state, sys_qubits, frac_qubits, base: float = 2) -> float:
-    """chi = H(rho_F) - sum_i p_i H(rho_F|i) over the system's computational
-    (pointer) outcomes; zero-probability branches are dropped."""
+def holevo_bound(state, sys_qubits, frac_qubits) -> float:
+    """chi = H(rho_F) - sum_i p_i H(rho_F|i) in bits, over the system's
+    computational (pointer) outcomes; zero-probability branches are dropped."""
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
     # blocks[i] = <i|_S rho |i>_S: the system-diagonal blocks, one per pointer outcome
@@ -322,10 +330,10 @@ def holevo_bound(state, sys_qubits, frac_qubits, base: float = 2) -> float:
     out = list(sys_pos) + list(frac_pos) + [k + a for a in frac_pos]
     d = 2 ** len(frac_pos)
     blocks = np.einsum(mat.reshape([2] * (2 * k)), list(range(k)) + cols, out).reshape(-1, d, d)
-    chi = _entropy(blocks.sum(axis=0), base)
+    chi = _entropy(blocks.sum(axis=0))
     for p_i, cond in zip(np.trace(blocks, axis1=1, axis2=2).real, blocks):
         if p_i >= _PROB_CUTOFF:
-            chi -= p_i * _entropy(cond / p_i, base)
+            chi -= p_i * _entropy(cond / p_i)
     return chi
 
 
@@ -336,8 +344,8 @@ class ScanEntry:
     value: float
 
 
-def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme, base: float = 2) -> tuple[ScanEntry, ...]:
-    """CMI for every Pauli basis combination on system and fraction, averaged
+def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme) -> tuple[ScanEntry, ...]:
+    """CMI in bits for every Pauli basis combination on system and fraction, averaged
     over all unordered fractions of `frac_size` qubits built from whole
     scheme units."""
     if frac_size < 1:
@@ -359,7 +367,7 @@ def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme, b
         mat, sys_pos, frac_pos, _ = _reduced_parts(state, *_check_parts(state, sys_q, frac))
         for b, label in enumerate(sys_labels):
             sys_rot = MeasSetting.pauli(label).rotations()
-            values[b] += _basis_cmi(mat, sys_pos, frac_pos, sys_rot, env_rows, base)
+            values[b] += _basis_cmi(mat, sys_pos, frac_pos, sys_rot, env_rows)
     values /= len(fractions)
     return tuple(
         ScanEntry(sys_label, env_label, float(values[b, e]))

@@ -1,10 +1,10 @@
 """States, channels and information primitives over an ordered qubit register.
 
-Register convention (fixed, big-endian): qubit 0 is the most-significant bit.
+Register order (fixed, big-endian): qubit 0 is the most-significant bit.
 The basis index of |b0 b1 ... b_{n-1}> is sum_q b_q * 2**(n-1-q), i.e.
 ``amplitudes.reshape([2]*n)[b0, b1, ...]``.  Bitstrings are written left to
 right as qubit 0 to qubit n-1.  All embedding, partial-trace and measurement
-code in the package derives from this single convention.
+code in the package derives from this single order.
 
 A density matrix reshaped to ``[2]*(2n)`` has row bits on axes ``0..n-1`` and
 column bits on axes ``n..2n-1``; axis ``q`` / ``n+q`` belongs to qubit q.
@@ -64,9 +64,6 @@ class PureState:
 
     def density_matrix(self) -> DensityMatrix:
         return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 @dataclass(frozen=True)
@@ -202,16 +199,16 @@ def _reduce(data: np.ndarray, keep) -> np.ndarray:
     return np.einsum(data.reshape([2] * (2 * n)), subs, out_subs).reshape(dk, dk)
 
 
-def von_neumann_entropy(rho: DensityMatrix, base: float = 2) -> float:
-    """-sum eig*log(eig) over eigenvalues above the cutoff; base-2 by default."""
-    return _entropy(rho.matrix, base)
+def von_neumann_entropy(rho: DensityMatrix) -> float:
+    """-sum eig*log2(eig) over eigenvalues above the cutoff, in bits."""
+    return _entropy(rho.matrix)
 
 
-def _entropy(mat: np.ndarray, base: float) -> float:
+def _entropy(mat: np.ndarray) -> float:
     """von_neumann_entropy of a bare Hermitian matrix."""
     eigs = np.linalg.eigvalsh(mat)
     eigs = eigs[eigs > EIG_CUTOFF]
-    return float(-np.sum(eigs * np.log(eigs)) / math.log(base))
+    return float(-np.sum(eigs * np.log(eigs)) / math.log(2))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -99,21 +99,13 @@ def coherence_markovian(t: float, p: ScmParams) -> float:
     return math.exp(-p.lam * (1.0 - math.cos(p.theta)) * t)
 
 
-def coherence_finite(t: float, p: ScmParams, convention: str = "per-ancilla") -> float:
-    """Finite-n coherence factor [1 + (cos theta - 1) p(t)]^n.
-
-    The default "per-ancilla" convention uses p(t) = 1 - exp(-lam*t), which
-    places the zero of the theta=pi, n-pair factor at t = ln 2.  The alternate
-    "shared-rate" convention replaces lam by lam/n and converges to the
-    Markovian factor pointwise as n grows.
+def coherence_finite(t: float, p: ScmParams) -> float:
+    """Finite-n coherence factor [1 + (cos theta - 1) p(t)]^n, with p(t) the
+    per-ancilla `collision_probability` (so a negative time is refused); the
+    theta=pi, n-pair factor is zero at t = ln 2. With lam replaced by lam/n
+    it converges to the Markovian factor pointwise as n grows.
     """
-    if convention == "per-ancilla":
-        prob = 1.0 - math.exp(-p.lam * t)
-    elif convention == "shared-rate":
-        prob = 1.0 - math.exp(-p.lam * t / p.n)
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
-    return (1.0 + (math.cos(p.theta) - 1.0) * prob) ** p.n
+    return (1.0 + (math.cos(p.theta) - 1.0) * collision_probability(t, p)) ** p.n
 
 
 def collision_channel(theta: float) -> KrausChannel:

@@ -180,11 +180,6 @@ class NoiseModel:
         density matrix; readout flips act only on sampled records."""
         return self.depol_1q > 0.0 or self.depol_2q > 0.0 or self.amp_damp_gamma > 0.0
 
-    @classmethod
-    def placeholder(cls) -> "NoiseModel":
-        """Mild default strengths for qualitative noise studies."""
-        return cls(depol_1q=0.001, depol_2q=0.01, readout_flip=0.02)
-
 
 def run_statevector(c: Circuit) -> PureState:
     if c.num_qubits > STATEVECTOR_MAX_QUBITS:
@@ -290,9 +285,10 @@ def born_distribution(state, setting: MeasSetting) -> np.ndarray:
 
 
 def _fold_readout_flip(probs: np.ndarray, n: int, r: float) -> np.ndarray:
-    """Push independent per-bit classical flips into the distribution."""
+    """Push independent per-bit classical flips into the distribution over
+    the 2^n outcomes on the first axis of `probs`; further axes are kept."""
     flip = np.array([[1 - r, r], [r, 1 - r]])
-    return _local_apply([flip] * n, probs.reshape([2] * n)).reshape(-1)
+    return _local_apply([flip] * n, probs.reshape([2] * n + list(probs.shape[1:]))).reshape(probs.shape)
 
 
 def _draw(probs: np.ndarray, shots: int, seeds) -> np.ndarray:

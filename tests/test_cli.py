@@ -353,6 +353,14 @@ def test_config_errors(tmp_path, monkeypatch):
         ("darwinism", {"n": 10, "noise": {"depol_1q": 0.01}}),
         ("tomo", {"n": 5, "times": ["t_max"]}),
         ("darwinism", {"n": 5, "include_tomography": True}),
+        # a partition the register does not have, and sizes out of range or
+        # none at all, before the state is evolved
+        ("darwinism", {"partition": "ancillae_only"}),
+        ("cmi", {"times": ["t_max"], "partition": "ancillae_only"}),
+        ("compare", {"partition": "ancillae_only"}),
+        ("compare", {"sizes": []}),
+        ("compare", {"sizes": [3]}),
+        ("compare", {"sizes": [0]}),
     ):
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG, overrides
@@ -378,6 +386,31 @@ def test_config_errors(tmp_path, monkeypatch):
     # an integral-valued number is an integer
     whole = write_config(tmp_path, n=1.0, times=[0.3], shots=128.0)
     assert main(["coherence", "--config", str(whole)]) == EXIT_OK
+
+
+def test_null_sizes_and_unread_partition_pass(tmp_path):
+    # absent or null sizes mean every size; commands that read no partition
+    # accept one the register does not have
+    for sizes in ({}, {"sizes": None}):
+        cfg = write_config(tmp_path, times=["t_max"], phi_steps=3, xi_steps=3, **sizes)
+        assert main(["compare", "--config", str(cfg)]) == EXIT_OK
+        rows = data_lines(tmp_path / "out" / "compare.csv")[1:]
+        assert sorted({int(r.split(",")[1]) for r in rows}) == [1, 2]
+    for command in ("coherence", "tomo", "route"):
+        cfg = write_config(tmp_path, n=1, times=["t_max"], shots=128, partition="ancillae_only")
+        assert main([command, "--config", str(cfg)]) == EXIT_OK, command
+
+
+def test_sampled_cmi_applies_readout_flips(tmp_path):
+    def grid(noise):
+        cfg = write_config(tmp_path, times=["t_max"], sampled=True, phi_steps=4, xi_steps=4, noise=noise)
+        assert main(["cmi", "--config", str(cfg)]) == EXIT_OK
+        return (tmp_path / "out" / "cmi_t00.csv").read_bytes()
+
+    clean = grid({})
+    assert grid({"readout_flip": 0.0}) == clean
+    flipped = grid({"readout_flip": 0.4})
+    assert flipped.splitlines()[2:] != clean.splitlines()[2:]
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch, capsys):

@@ -55,19 +55,19 @@ def loop_joint_probs(mat, k, rotations):
     return np.clip(probs, 0.0, None)
 
 
-def loop_shannon_mi(probs, k, sys_pos, frac_pos, base=2):
+def loop_shannon_mi(probs, k, sys_pos, frac_pos):
     joint = probs.reshape([2] * k).transpose(sys_pos + frac_pos)
     joint = joint.reshape(2 ** len(sys_pos), 2 ** len(frac_pos))
     joint = joint / joint.sum()
 
     def h(p):
         p = p[p > 1e-15]
-        return float(-np.sum(p * np.log(p)) / math.log(base))
+        return float(-np.sum(p * np.log(p)) / math.log(2))
 
     return h(joint.sum(axis=1)) + h(joint.sum(axis=0)) - h(joint.reshape(-1))
 
 
-def loop_cell(state, sys_q, frac_q, sys_rotations, frac_rotations, base=2):
+def loop_cell(state, sys_q, frac_q, sys_rotations, frac_rotations):
     """cmi_joint of one cell, by the loop."""
     sys_q, frac_q = tuple(sorted(sys_q)), tuple(sorted(frac_q))
     kept = tuple(sorted(sys_q + frac_q))
@@ -78,7 +78,7 @@ def loop_cell(state, sys_q, frac_q, sys_rotations, frac_rotations, base=2):
     for pos, u in zip(sys_pos + frac_pos, list(sys_rotations) + list(frac_rotations)):
         rotations[pos] = u
     probs = loop_joint_probs(mat, len(kept), rotations)
-    return loop_shannon_mi(probs, len(kept), sys_pos, frac_pos, base)
+    return loop_shannon_mi(probs, len(kept), sys_pos, frac_pos)
 
 
 def loop_grid(state, sys_q, frac_q, phi_steps, xi_steps, sys_basis):
@@ -126,8 +126,8 @@ def test_basis_cmi_matches_the_loop(problem):
     state, sys_q, frac_q, sys_basis, env_basis = problem
     sys_rot = sys_basis.rotations()
     env_rot = env_basis.rotations()
-    want = loop_cell(state, sys_q, frac_q, sys_rot, env_rot, base=math.e)
-    got = cmi_joint(state, sys_q, frac_q, env_basis, sys_basis, base=math.e)
+    want = loop_cell(state, sys_q, frac_q, sys_rot, env_rot)
+    got = cmi_joint(state, sys_q, frac_q, env_basis, sys_basis)
     assert abs(got - want) < 1e-12
     grid = cmi_grid(state, sys_q, frac_q, 3, 4, sys_basis)
     assert np.max(np.abs(grid.values - loop_grid(state, sys_q, frac_q, 3, 4, sys_basis))) < 1e-12
@@ -137,17 +137,17 @@ def test_basis_cmi_matches_the_loop(problem):
 # through the checked `partial_trace` and diagonalised at its own size.
 
 
-def loop_qmi(state, sys_q, frac_q, base=2):
+def loop_qmi(state, sys_q, frac_q):
     def h(qubits):
-        return von_neumann_entropy(partial_trace(state, qubits), base)
+        return von_neumann_entropy(partial_trace(state, qubits))
 
     return h(sys_q) + h(frac_q) - h(tuple(sorted(sys_q + frac_q)))
 
 
-def loop_averaged_qmi(state, sys_q, scheme, base=2):
+def loop_averaged_qmi(state, sys_q, scheme):
     points = []
     for f in range(1, scheme.num_units + 1):
-        arr = np.array([loop_qmi(state, sys_q, frac, base) for frac in scheme.fractions(f)])
+        arr = np.array([loop_qmi(state, sys_q, frac) for frac in scheme.fractions(f)])
         stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         points.append((f, float(arr.mean()), stderr))
     return points
@@ -173,24 +173,23 @@ def qmi_problems(draw):
     env = qubits[s : s + draw(st.integers(1, k - s))]
     cuts = sorted(draw(st.sets(st.integers(1, len(env) - 1)))) if len(env) > 1 else []
     units = tuple(env[a:b] for a, b in zip([0] + cuts, cuts + [len(env)]))
-    base = draw(st.sampled_from((2, math.e)))
-    return state, tuple(qubits[:s]), PartitionScheme(units), base
+    return state, tuple(qubits[:s]), PartitionScheme(units)
 
 
 @settings(max_examples=60, deadline=None)
 @given(qmi_problems())
 def test_qmi_matches_the_loop(problem):
-    state, sys_q, scheme, base = problem
+    state, sys_q, scheme = problem
     for f in range(1, scheme.num_units + 1):
         for frac in scheme.fractions(f):
-            assert abs(qmi(state, sys_q, frac, base) - loop_qmi(state, sys_q, frac, base)) < 1e-12
-    got = averaged_qmi(state, sys_q, scheme, base).points
-    want = loop_averaged_qmi(state, sys_q, scheme, base)
+            assert abs(qmi(state, sys_q, frac) - loop_qmi(state, sys_q, frac)) < 1e-12
+    got = averaged_qmi(state, sys_q, scheme).points
+    want = loop_averaged_qmi(state, sys_q, scheme)
     assert [f for f, _, _ in got] == [f for f, _, _ in want]
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
 
 
-def loop_holevo(state, sys_q, frac_q, base=2):
+def loop_holevo(state, sys_q, frac_q):
     """chi = H(F) - sum_i p_i H(F | system outcome i), each conditional state
     projected explicitly and reduced through `partial_trace`."""
     both = sorted(sys_q + frac_q)
@@ -199,7 +198,7 @@ def loop_holevo(state, sys_q, frac_q, base=2):
     bits = (np.arange(2**k)[:, None] >> (k - 1 - np.arange(k))) & 1
     sys_pos = [both.index(q) for q in sorted(sys_q)]
     frac_pos = [both.index(q) for q in sorted(frac_q)]
-    chi = von_neumann_entropy(partial_trace(state, frac_q), base)
+    chi = von_neumann_entropy(partial_trace(state, frac_q))
     for outcome in np.unique(bits[:, sys_pos], axis=0):
         proj = np.diag(np.all(bits[:, sys_pos] == outcome, axis=1).astype(float))
         cond = proj @ rho @ proj
@@ -207,18 +206,18 @@ def loop_holevo(state, sys_q, frac_q, base=2):
         if p_i < 1e-15:
             continue
         reduced = partial_trace(DensityMatrix(k, cond / p_i), frac_pos)
-        chi -= p_i * von_neumann_entropy(reduced, base)
+        chi -= p_i * von_neumann_entropy(reduced)
     return chi
 
 
 @settings(max_examples=60, deadline=None)
 @given(qmi_problems())
 def test_holevo_matches_the_loop(problem):
-    state, sys_q, scheme, base = problem
+    state, sys_q, scheme = problem
     for f in range(1, scheme.num_units + 1):
         for frac in scheme.fractions(f):
-            want = loop_holevo(state, sys_q, frac, base)
-            assert abs(holevo_bound(state, sys_q, frac, base) - want) < 1e-12
+            want = loop_holevo(state, sys_q, frac)
+            assert abs(holevo_bound(state, sys_q, frac) - want) < 1e-12
 
 
 def test_construction_still_checks_what_reductions_skip():
@@ -363,9 +362,6 @@ def test_cmi_joint_matched_bases():
     assert abs(cmi_joint(psi, (0,), (1, 2), MeasSetting.pauli("XX")) - 1.0) < 1e-10
     # mismatched basis reads nothing
     assert cmi_joint(psi, (0,), (1,), MeasSetting.pauli("Z")) < 1e-10
-    # nats scale by ln 2
-    nats = cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"), base=math.e)
-    assert abs(nats - math.log(2)) < 1e-10
 
 
 def test_cmi_joint_errors():
@@ -410,14 +406,21 @@ def test_sampled_grid_matches_per_cell_draws():
 
 def test_sampled_cmi_draws_like_sample():
     # the draw runs over outcomes in register order, as `sample` does, so a
-    # system at the end of the register sees the same counts for a seed
+    # system at the end of the register sees the same counts for a seed, and
+    # readout flips are folded in as `sample` folds them
     g = np.random.default_rng(5).normal(size=(8, 8, 2)) @ np.array([1, 1j])
     state = DensityMatrix(3, g @ g.conj().T / np.trace(g @ g.conj().T).real)
-    freqs = sample(state, MeasSetting(("X", "Y", (0.4, 1.1))), 1000, seed=9).frequencies()
-    want = loop_shannon_mi(freqs, 3, (2,), (0, 1))
+    setting = MeasSetting(("X", "Y", (0.4, 1.1)))
     sys_basis = MeasSetting(((0.4, 1.1),))
-    got = cmi_joint(state, (2,), (0, 1), MeasSetting.pauli("XY"), sys_basis, shots=1000, seed=9)
-    assert abs(got - want) < 1e-12
+    env_basis = MeasSetting.pauli("XY")
+    exact = cmi_joint(state, (2,), (0, 1), env_basis, sys_basis)
+    for flip in (0.0, 0.3):
+        freqs = sample(state, setting, 1000, seed=9, readout_flip=flip).frequencies()
+        want = loop_shannon_mi(freqs, 3, (2,), (0, 1))
+        got = cmi_joint(state, (2,), (0, 1), env_basis, sys_basis, shots=1000, seed=9, readout_flip=flip)
+        assert abs(got - want) < 1e-12
+        # the exact value has no flips
+        assert cmi_joint(state, (2,), (0, 1), env_basis, sys_basis, readout_flip=flip) == exact
 
 
 def test_cmi_grid_peak_location():

@@ -1,4 +1,5 @@
 """Closed-form collision-model analytics used as oracles everywhere else."""
+import dataclasses
 import math
 
 import numpy as np
@@ -76,15 +77,20 @@ def test_coherence_finite_theta_pi_form():
             expect = (2 * math.exp(-t) - 1) ** n
             assert coherence_finite(t, p) == pytest.approx(expect, abs=1e-13)
         assert abs(coherence_finite(math.log(2), p)) < 1e-14
-    with pytest.raises(ValueError):
-        coherence_finite(1.0, ScmParams(theta=math.pi, lam=1.0, n=1), convention="bogus")
+
+
+def test_coherence_finite_rejects_negative_time():
+    # p(t) is collision_probability's, which has no negative times
+    with pytest.raises(ValueError, match="negative time"):
+        coherence_finite(-1.0, ScmParams(theta=math.pi, lam=1.0, n=2))
 
 
 def test_shared_rate_reconciliation():
     # dividing the rate across n ancillae recovers the Markovian curve as n grows
     p = ScmParams(theta=math.pi, lam=1.0, n=1000)
+    shared = dataclasses.replace(p, lam=p.lam / p.n)
     dev = max(
-        abs(coherence_finite(t, p, convention="shared-rate") - coherence_markovian(t, p))
+        abs(coherence_finite(t, shared) - coherence_markovian(t, p))
         for t in np.linspace(0.0, 3.0, 50)
     )
     assert dev < 1e-3

@@ -290,7 +290,7 @@ def test_noise_model_validation():
         NoiseModel(depol_1q=-0.1)
     with pytest.raises(ValueError):
         NoiseModel(readout_flip=1.5)
-    assert not NoiseModel().is_mixing and NoiseModel.placeholder().is_mixing
+    assert not NoiseModel().is_mixing and NoiseModel(depol_1q=0.001, depol_2q=0.01, readout_flip=0.02).is_mixing
     assert not NoiseModel(readout_flip=0.1, idle_noise=True).is_mixing
 
 
