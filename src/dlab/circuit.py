@@ -96,29 +96,28 @@ def build_full_circuit(t: float, p: ScmParams) -> Circuit:
         raise ValueError("params are not for the full scenario")
     if abs(p.theta - math.pi) > THETA_PI_ATOL:
         raise ValueError("circuit construction requires theta = pi (non-entangling collisions)")
-    alpha = prep_angle(t, p)
-    gates = []
-    for em, anc in p.units:
-        gates.append(Gate(GateKind.RY, (em,), 2 * alpha))
-        gates.append(Gate(GateKind.CNOT, (em, anc)))
-        gates.append(Gate(GateKind.X, (em,)))
-    gates.append(Gate(GateKind.H, (0,)))
-    for _, anc in p.units:
-        gates.append(Gate(GateKind.CZ, (0, anc)))
-    return Circuit(p.num_qubits, tuple(gates))
+    return _collision_circuit(t, p)
 
 
 def build_condensed_circuit(t: float, p: ScmParams) -> Circuit:
     """Condensed circuit: Ry(2a) on each pair qubit, H on the system, then CZs."""
     if p.scenario is not Scenario.CONDENSED:
         raise ValueError("params are not for the condensed scenario")
+    return _collision_circuit(t, p)
+
+
+def _collision_circuit(t: float, p: ScmParams) -> Circuit:
+    """Per unit Ry(2a) on its first qubit, and for an (emitter, ancilla) pair
+    CNOT(E->A) then X on the emitter; then H on the system and one
+    CZ(system, last qubit) per unit."""
     alpha = prep_angle(t, p)
     gates = []
-    for (q,) in p.units:
-        gates.append(Gate(GateKind.RY, (q,), 2 * alpha))
+    for unit in p.units:
+        gates.append(Gate(GateKind.RY, unit[:1], 2 * alpha))
+        if len(unit) == 2:
+            gates += [Gate(GateKind.CNOT, unit), Gate(GateKind.X, unit[:1])]
     gates.append(Gate(GateKind.H, (0,)))
-    for (q,) in p.units:
-        gates.append(Gate(GateKind.CZ, (0, q)))
+    gates += [Gate(GateKind.CZ, (0, unit[-1])) for unit in p.units]
     return Circuit(p.num_qubits, tuple(gates))
 
 

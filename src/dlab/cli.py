@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .scm import THETA_PI_ATOL, CanonicalTimes, Scenario, ScmParams, canonical_t
 from .simulator import (
     DENSITY_MAX_QUBITS,
     STATEVECTOR_MAX_QUBITS,
-    MeasSetting,
     NoiseModel,
     run_density,
     run_statevector,
@@ -66,8 +64,11 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 TOMO_MAX_QUBITS = 5
+# Sampled `cmi` grids seed cell c of time index i with seed + i * stride + c,
+# so a grid of more cells than the stride would reuse seeds across times.
+_CMI_SEED_STRIDE = 100_000
 
-_SCENARIOS = {"full": Scenario.FULL, "condensed": Scenario.CONDENSED}
+_SCENARIOS = {s.value: s for s in Scenario}
 _PARTITIONS = {m.value: m for m in SchemeMode}
 
 
@@ -110,7 +111,7 @@ def _string(value, key: str) -> str:
 
 
 def _named_time(name: str, ct: CanonicalTimes) -> float:
-    table = {"t_max": ct.t_max, "t_close": ct.t_close, "t_rec": ct.t_rec}
+    table = ct._asdict()
     if name not in table:
         raise ConfigError(f"unknown named time {name!r}, expected one of {sorted(table)}")
     return table[name]
@@ -122,7 +123,7 @@ def _resolve_times(raw) -> tuple[float, ...]:
         raise ConfigError("'times' is required")
     if isinstance(raw, str):
         if raw == "canonical":
-            values = [ct.t_max, ct.t_close, ct.t_rec]
+            values = list(ct)
         else:
             values = [_named_time(raw, ct)]
     elif isinstance(raw, dict):
@@ -151,6 +152,19 @@ def _resolve_times(raw) -> tuple[float, ...]:
     if any(b - a <= 1e-15 for a, b in zip(values, values[1:])):
         raise ConfigError("times must be distinct")
     return tuple(values)
+
+
+def _sizes(raw) -> tuple[int, ...] | None:
+    if raw is None:
+        return None
+    if not isinstance(raw, list):
+        raise ConfigError(f"'sizes' must be a list of integers or null, got {raw!r}")
+    sizes = tuple(_integer(s, "sizes") for s in raw)
+    if not sizes:
+        raise ConfigError("'sizes' must list at least one size, or be null for all sizes")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"'sizes' must not repeat a size, got {list(sizes)}")
+    return sizes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,7 +231,7 @@ class ExperimentConfig:
                 phi_steps=_integer(raw.get("phi_steps", DEFAULT_PHI_STEPS), "phi_steps"),
                 xi_steps=_integer(raw.get("xi_steps", DEFAULT_XI_STEPS), "xi_steps"),
                 fraction_units=_integer(raw.get("fraction_units", 1), "fraction_units"),
-                sizes=None if raw.get("sizes") is None else tuple(_integer(s, "sizes") for s in raw["sizes"]),
+                sizes=_sizes(raw.get("sizes")),
                 include_tomography=_boolean(
                     raw.get("include_tomography", False), "include_tomography"
                 ),
@@ -241,8 +255,6 @@ class ExperimentConfig:
             raise ConfigError("'tol' must be finite and non-negative")
         if cfg.max_iters < 1:
             raise ConfigError("'max_iters' must be at least 1")
-        if cfg.sizes == ():
-            raise ConfigError("'sizes' must list at least one size, or be null for all sizes")
         return cfg
 
     @property
@@ -299,6 +311,11 @@ def _preflight(cfg: ExperimentConfig, command: str) -> None:
         raise ConfigError(str(e)) from None
     if command == "cmi" and not 1 <= cfg.fraction_units <= units:
         raise ConfigError(f"'fraction_units' must lie in 1..{units}, got {cfg.fraction_units}")
+    if command == "cmi" and cfg.sampled and len(cfg.times) > 1 and cfg.phi_steps * cfg.xi_steps > _CMI_SEED_STRIDE:
+        raise ConfigError(
+            f"a sampled grid over several times holds at most {_CMI_SEED_STRIDE} cells"
+            " (phi_steps * xi_steps), or its times would share seeds"
+        )
     if command == "compare" and any(not 1 <= s <= units for s in cfg.sizes or ()):
         raise ConfigError(f"'sizes' must lie in 1..{units}")
 
@@ -349,6 +366,8 @@ def _finish(cfg: ExperimentConfig, command: str, artifacts: list[str]) -> None:
 def _pmap(fn, payloads, jobs: int):
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as ex:
         return list(ex.map(fn, payloads))
 
@@ -358,17 +377,7 @@ def _coherence_point(payload):
     analytic = coherence_finite(t, cfg.params)
     ideal, state = _evolve(cfg, t)
     simulated = system_coherence(ideal)
-    reduced = partial_trace(state, (0,))
-    records = [
-        sample(
-            reduced,
-            MeasSetting.pauli(basis),
-            cfg.shots,
-            cfg.seed + 3 * index + k,
-            cfg.noise.readout_flip,
-        )
-        for k, basis in enumerate("XYZ")
-    ]
+    records = _pauli_records(cfg, partial_trace(state, (0,)), cfg.seed + 3 * index)
     sampled = system_coherence(qubit_tomography(records))
     freq_x = records[0].frequencies()
     mean_x = float(freq_x[0] - freq_x[1])
@@ -386,14 +395,15 @@ def cmd_coherence(cfg: ExperimentConfig) -> None:
     _finish(cfg, "coherence", ["coherence.csv"])
 
 
+def _pauli_records(cfg: ExperimentConfig, state, base_seed: int):
+    """`cfg.shots` of every setting of `pauli_settings`, setting j drawn with seed base_seed + j."""
+    settings = pauli_settings(state.num_qubits)
+    return [sample(state, s, cfg.shots, base_seed + j, cfg.noise.readout_flip) for j, s in enumerate(settings)]
+
+
 def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):
-    nq = state.num_qubits
-    settings = pauli_settings(nq)
-    records = [
-        sample(state, s, cfg.shots, base_seed + j, cfg.noise.readout_flip)
-        for j, s in enumerate(settings)
-    ]
-    job = TomographyJob(nq, tuple(records), cfg.tol, cfg.max_iters)
+    records = _pauli_records(cfg, state, base_seed)
+    job = TomographyJob(state.num_qubits, tuple(records), cfg.tol, cfg.max_iters)
     result = mle_reconstruct(job)
     if result.stop_reason != "tol":
         print(
@@ -434,7 +444,7 @@ def _cmi_point(payload):
     units = partition_scheme(cfg.params, cfg.partition).units[: cfg.fraction_units]
     frac = tuple(sorted(q for u in units for q in u))
     state = _noisy_state(cfg, t)
-    shots, seed = (cfg.shots if cfg.sampled else None), cfg.seed + 100_000 * index
+    shots, seed = (cfg.shots if cfg.sampled else None), cfg.seed + _CMI_SEED_STRIDE * index
     grid = cmi_grid(
         state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
     )
@@ -474,8 +484,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     """QMI / Holevo / max-basis CMI per fraction size at the canonical times."""
     units = partition_scheme(cfg.params, cfg.partition).num_units
     sizes = tuple(range(1, units + 1)) if cfg.sizes is None else cfg.sizes
-    ct = canonical_times()
-    payloads = [(cfg, t, sizes) for t in (ct.t_max, ct.t_close, ct.t_rec)]
+    payloads = [(cfg, t, sizes) for t in canonical_times()]
     rows = [row for point in _pmap(_compare_point, payloads, cfg.jobs) for row in point]
     lines = [cfg.provenance_lines() + "time,size,qmi,holevo,cmi_max"]
     for t, size, q, chi, cmi in rows:

@@ -1,6 +1,6 @@
 """Information-theoretic analyses over system/environment splits: mutual
 information curves, measurement-basis grids, Holevo bounds, Pauli correlation
-scans and the trace-distance backflow witness.
+scans and a backflow witness that sums increases of |coherence| over time.
 
 Environment fractions are unions of partition-scheme units; averages run over
 every same-size fraction (unordered, exhaustive). `partition_scheme` builds
@@ -191,10 +191,11 @@ def averaged_qmi(state, sys_qubits, scheme: PartitionScheme) -> MiCurve:
     """QMI in bits averaged over all same-size fractions, with the standard
     error of the mean as the spread measure. H(S), and any side two fractions
     share, is computed once per call."""
+    sys_q, _ = _check_parts(state, sys_qubits, tuple(q for u in scheme.units for q in u))
     entropy = _entropy_table(state)
     points = []
     for f in range(1, scheme.num_units + 1):
-        vals = [_qmi(entropy, *_check_parts(state, sys_qubits, frac)) for frac in scheme.fractions(f)]
+        vals = [_qmi(entropy, sys_q, frac) for frac in scheme.fractions(f)]
         arr = np.array(vals)
         stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
         points.append((f, float(arr.mean()), stderr))

@@ -11,8 +11,10 @@ column bits on axes ``n..2n-1``; axis ``q`` / ``n+q`` belongs to qubit q.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .kernels import apply_matrix
 NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
-PSD_ATOL = 1e-9  # MLE output carries statistical noise
+PSD_ATOL = 1e-9  # floating-point eigenvalues of a valid state can dip just below 0
 EIG_CUTOFF = 1e-12  # 0*log(0) guard
 CHANNEL_ATOL = 1e-10
 
@@ -121,26 +123,16 @@ class KrausChannel:
     def dim(self) -> int:
         return self.operators[0].shape[0]
 
-    @property
-    def num_qubits(self) -> int:
-        return int(round(math.log2(self.dim)))
-
 
 def depolarizing_channel(p: float, num_qubits: int = 1) -> KrausChannel:
-    """rho -> (1-p) rho + p I/2^k on k qubits, as a Pauli Kraus set."""
+    """rho -> (1-p) rho + p I/2^k on k qubits, as a Pauli Kraus set; qubit 0's
+    Pauli varies fastest along the operator list."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing probability {p} outside [0, 1]")
-    labels = ["I", "X", "Y", "Z"]
-    ops = []
     d2 = 4**num_qubits
-    for idx in range(d2):
-        op = np.eye(1, dtype=complex)
-        rem = idx
-        for _ in range(num_qubits):
-            op = np.kron(op, PAULIS[labels[rem % 4]])
-            rem //= 4
-        ops.append(math.sqrt(1.0 - p + p / d2 if idx == 0 else p / d2) * op)
-    return KrausChannel(tuple(ops))
+    ops = [reduce(np.kron, ps[::-1]) for ps in itertools.product(PAULIS.values(), repeat=num_qubits)]
+    weights = [1.0 - p + p / d2] + [p / d2] * (d2 - 1)
+    return KrausChannel(tuple(math.sqrt(w) * op for w, op in zip(weights, ops)))
 
 
 def amplitude_damping_channel(gamma: float) -> KrausChannel:

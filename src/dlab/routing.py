@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind
+from .qstate import PureState
 
 EXHAUSTIVE_PLACEMENT_MAX = 8
 
@@ -438,14 +439,16 @@ def permutation_unitary(mapping: dict[int, int], num_qubits: int) -> np.ndarray:
     ):
         raise ValueError("mapping must be a bijection on the register")
     dim = 2**num_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        y = 0
-        for l in range(num_qubits):
-            bit = (x >> (num_qubits - 1 - l)) & 1
-            y |= bit << (num_qubits - 1 - mapping[l])
-        mat[y, x] = 1.0
-    return mat
+    eye = np.eye(dim, dtype=complex).reshape([2] * num_qubits + [dim])
+    return _to_slots(eye, mapping).reshape(dim, dim)
+
+
+def _to_slots(a: np.ndarray, mapping: dict[int, int]) -> np.ndarray:
+    """`a` with its leading register axes permuted so that logical qubit l's
+    axis becomes axis mapping[l]; any further axes stay behind them."""
+    inv = {p: l for l, p in mapping.items()}
+    n = len(mapping)
+    return np.transpose(a, [inv[p] for p in range(n)] + list(range(n, a.ndim)))
 
 
 def routed_statevector_equivalent(rc: RoutedCircuit, original: Circuit, atol: float = 1e-12) -> bool:
@@ -457,11 +460,9 @@ def routed_statevector_equivalent(rc: RoutedCircuit, original: Circuit, atol: fl
     phi = run_statevector(rc.circuit).amplitudes
     num_physical = rc.coupling_map.num_physical
     mapping = _padded(rc.final_placement, num_physical)
-    full = psi.reshape([2] * original.num_qubits)
-    for _ in range(num_physical - original.num_qubits):
-        full = np.stack([full, np.zeros_like(full)], axis=-1)
-    inv = {p: l for l, p in mapping.items()}
-    expected = np.transpose(full, axes=[inv[p] for p in range(num_physical)]).reshape(-1)
+    idle = PureState.zero(num_physical - original.num_qubits).amplitudes
+    full = np.kron(psi, idle).reshape([2] * num_physical)
+    expected = _to_slots(full, mapping).reshape(-1)
     return bool(np.max(np.abs(phi - expected)) <= atol)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -128,22 +129,13 @@ def ideal_global_state(t: float, p: ScmParams) -> PureState:
     prob = collision_probability(t, p)
     sq, sp = math.sqrt(1.0 - prob), math.sqrt(prob)
     if p.scenario is Scenario.CONDENSED:
-        branch = {
-            0: np.array([sq, sp], dtype=complex),
-            1: np.array([sq, -sp], dtype=complex),
-        }
+        branches = (np.array([sq, sp], dtype=complex), np.array([sq, -sp], dtype=complex))
     else:
         c, s = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
         # Pair basis |E A>: amplitudes on |00>, |01>, |10>, |11>.
-        branch = {
-            0: np.array([1j * sp * c, sp * s, sq, 0.0], dtype=complex),
-            1: np.array([1j * sp * c, -sp * s, sq, 0.0], dtype=complex),
-        }
-    parts = []
-    for sigma in (0, 1):
-        env = np.ones(1, dtype=complex)
-        for _ in range(p.n):
-            env = np.kron(env, branch[sigma])
-        parts.append(env)
-    amps = np.concatenate(parts) / math.sqrt(2.0)
+        branches = (
+            np.array([1j * sp * c, sp * s, sq, 0.0], dtype=complex),
+            np.array([1j * sp * c, -sp * s, sq, 0.0], dtype=complex),
+        )
+    amps = np.concatenate([reduce(np.kron, [b] * p.n) for b in branches]) / math.sqrt(2.0)
     return PureState(p.num_qubits, amps)

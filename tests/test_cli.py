@@ -278,7 +278,7 @@ def test_seed_override_changes_samples(tmp_path):
     assert base.split(",")[1] == reseeded.split(",")[1]  # analytic column unchanged
 
 
-def test_config_errors(tmp_path, monkeypatch):
+def test_config_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     bad_key = write_config(tmp_path, bogus=1)
     assert main(["coherence", "--config", str(bad_key)]) == EXIT_CONFIG
@@ -361,6 +361,9 @@ def test_config_errors(tmp_path, monkeypatch):
         ("compare", {"sizes": []}),
         ("compare", {"sizes": [3]}),
         ("compare", {"sizes": [0]}),
+        # a sampled grid over several times with more cells than the seed
+        # stride between times
+        ("cmi", {"sampled": True, "phi_steps": 2, "xi_steps": cli._CMI_SEED_STRIDE // 2 + 1}),
     ):
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG, overrides
@@ -369,6 +372,12 @@ def test_config_errors(tmp_path, monkeypatch):
     huge.write_text(huge.read_text().replace(f"{T_MAX!r}]", "1e400]"))
     assert "1e400" in huge.read_text()
     assert main(["coherence", "--config", str(huge)]) == EXIT_CONFIG
+    # sizes are a list of distinct sizes, and the error says which rule broke
+    capsys.readouterr()
+    for sizes, reason in ((2, "must be a list"), ("12", "must be a list"), ([1, 1], "must not repeat")):
+        cfg = write_config(tmp_path, sizes=sizes)
+        assert main(["compare", "--config", str(cfg)]) == EXIT_CONFIG
+        assert reason in capsys.readouterr().err, sizes
     assert not (tmp_path / "out").exists() and not (tmp_path / "5").exists()
     # a register larger than the device is rejected before any compute
     line3 = tmp_path / "line3.txt"
@@ -399,6 +408,22 @@ def test_null_sizes_and_unread_partition_pass(tmp_path):
     for command in ("coherence", "tomo", "route"):
         cfg = write_config(tmp_path, n=1, times=["t_max"], shots=128, partition="ancillae_only")
         assert main([command, "--config", str(cfg)]) == EXIT_OK, command
+
+
+def test_sampled_cmi_grid_fits_the_seed_stride():
+    # time i seeds cell c with seed + i * stride + c, so a sampled grid over
+    # several times holds at most `stride` cells; one time, or an exact grid,
+    # may hold more
+    def preflight(times, xi_steps, sampled=True):
+        raw = dict(scenario="condensed", n=2, times=times, sampled=sampled, phi_steps=2, xi_steps=xi_steps)
+        cli._preflight(ExperimentConfig.from_dict(raw), "cmi")
+
+    fits = cli._CMI_SEED_STRIDE // 2
+    preflight(["t_max", "t_rec"], fits)
+    preflight(["t_max"], fits + 1)
+    preflight(["t_max", "t_rec"], fits + 1, sampled=False)
+    with pytest.raises(cli.ConfigError, match="share seeds"):
+        preflight(["t_max", "t_rec"], fits + 1)
 
 
 def test_sampled_cmi_applies_readout_flips(tmp_path):
@@ -432,6 +457,14 @@ def test_package_exports_every_public_name():
     }
     assert set(dlab.__all__) == public | {"__version__"}
     assert len(dlab.__all__) == len(set(dlab.__all__))
+
+
+def test_import_leaves_the_process_pool_out():
+    # only a run with jobs > 1 imports the process pool
+    code = "import sys, dlab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):
