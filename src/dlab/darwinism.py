@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState, _entropy, _reduce
+from .qstate import PureState, _entropy, _reduce, _spectrum_entropy
 from .scm import Scenario, ScmParams
 from .simulator import (
     _PROB_CUTOFF,
@@ -158,11 +158,14 @@ def _entropy_table(state):
     no reduced `DensityMatrix` is constructed or checked. A pure state has
     H(X) = H(complement of X) and is reduced onto the smaller side, so no
     matrix above 2^(n/2) x 2^(n/2) is diagonalised; a mixed state is reduced
-    onto X itself.
+    onto X itself, except for the whole register, whose entropy comes from
+    the spectrum the state was validated with.
     """
     pure = isinstance(state, PureState)
     data = state.amplitudes if pure else state.matrix
     cache: dict[tuple[int, ...], float] = {}
+    if not pure:
+        cache[tuple(range(state.num_qubits))] = _spectrum_entropy(state.spectrum)
 
     def entropy(qubits: tuple[int, ...]) -> float:
         if pure:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -46,6 +46,7 @@ class PureState:
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(f"expected 2**{self.num_qubits} amplitudes, got shape {amps.shape}")
+        _check_finite(amps, "amplitudes")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_ATOL}")
@@ -70,27 +71,35 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD (within tolerance) matrix over the register."""
+    """Hermitian, unit-trace, PSD (within tolerance) matrix over the register.
+
+    `spectrum` holds the ascending eigenvalues that the PSD check computed,
+    read-only, so that entropies of the whole state need no second
+    eigendecomposition."""
 
     num_qubits: int
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = 2**self.num_qubits
         mat = np.ascontiguousarray(self.matrix, dtype=complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
+        _check_finite(mat, "matrix")
         dev = np.max(np.abs(mat - mat.conj().T))
         if dev > HERMITIAN_ATOL:
             raise ValueError(f"matrix deviates from Hermitian by {dev}")
         tr = np.trace(mat).real
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        low = np.linalg.eigvalsh(mat)[0]
-        if low < -PSD_ATOL:
-            raise ValueError(f"matrix has eigenvalue {low} below -{PSD_ATOL}")
+        spectrum = np.linalg.eigvalsh(mat)
+        if spectrum[0] < -PSD_ATOL:
+            raise ValueError(f"matrix has eigenvalue {spectrum[0]} below -{PSD_ATOL}")
         mat.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> DensityMatrix:
@@ -111,6 +120,8 @@ class KrausChannel:
         dim = ops[0].shape[0]
         if any(k.shape != (dim, dim) for k in ops):
             raise ValueError("Kraus operators must be square and of equal dimension")
+        for k in ops:
+            _check_finite(k, "Kraus operator")
         complete = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(complete - np.eye(dim)))
         if dev > CHANNEL_ATOL:
@@ -122,6 +133,13 @@ class KrausChannel:
     @property
     def dim(self) -> int:
         return self.operators[0].shape[0]
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    """Refuse NaN or infinite entries: the constructors' tolerance checks
+    would let NaN through, since every comparison with NaN is False."""
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has non-finite entries")
 
 
 def depolarizing_channel(p: float, num_qubits: int = 1) -> KrausChannel:
@@ -192,13 +210,17 @@ def _reduce(data: np.ndarray, keep) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum eig*log2(eig) over eigenvalues above the cutoff, in bits."""
-    return _entropy(rho.matrix)
+    """-sum eig*log2(eig) over eigenvalues above the cutoff, in bits, read
+    from the spectrum `rho` was validated with."""
+    return _spectrum_entropy(rho.spectrum)
 
 
 def _entropy(mat: np.ndarray) -> float:
     """von_neumann_entropy of a bare Hermitian matrix."""
-    eigs = np.linalg.eigvalsh(mat)
+    return _spectrum_entropy(np.linalg.eigvalsh(mat))
+
+
+def _spectrum_entropy(eigs: np.ndarray) -> float:
     eigs = eigs[eigs > EIG_CUTOFF]
     return float(-np.sum(eigs * np.log(eigs)) / math.log(2))
 

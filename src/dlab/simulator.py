@@ -196,9 +196,14 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
     after each gate: depolarizing on the gate qubits, then amplitude damping,
     then (optionally) single-qubit noise on every idle qubit.
 
-    Each gate and its noise are one superoperator on the gate qubits' row
-    and column axes, so a gate costs one kernel sweep, and idle noise one
-    sweep per idle qubit."""
+    The gates are swept in blocks: maximal runs of adjacent gates on at most
+    two qubits together. Each block is one superoperator on its qubits' row
+    and column axes, composed from its gates, their noise and the idle noise
+    of block qubits that a gate leaves alone, and costs one kernel sweep.
+    Channels on disjoint qubits commute, so a qubit outside the block only
+    owes one idle step per gate. A qubit owing k steps gets S_idle^k folded
+    in at the start of its next block, and what is still owed at the end is
+    applied one qubit per sweep."""
     if c.num_qubits > DENSITY_MAX_QUBITS:
         raise ValueError(f"density runs support at most {DENSITY_MAX_QUBITS} qubits")
     n = c.num_qubits
@@ -210,17 +215,50 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
         2: _noise_superop(noise.depol_2q, noise.amp_damp_gamma, 2),
     }
     idle = gate_noise[1] if noise.idle_noise else None
-    for g in c.gates:
-        sup = _superop((g.matrix(),))
-        after = gate_noise[len(g.qubits)]
-        if after is not None:
-            sup = after @ sup
-        apply_matrix(rho, sup, g.qubits + tuple(n + q for q in g.qubits), 2 * n)
-        if idle is not None:
-            for q in range(n):
-                if q not in g.qubits:
-                    apply_matrix(rho, idle, (q, n + q), 2 * n)
+    wait = np.eye(4, dtype=complex) if idle is None else idle  # one qubit's idle step
+    owed = [0] * n
+    for qubits, gates in _blocks(c.gates):
+        sup = reduce(np.kron, [np.linalg.matrix_power(wait, owed[q]) for q in qubits])
+        for g in gates:
+            sup = _block_step(g, qubits, gate_noise, wait) @ sup
+        apply_matrix(rho, sup, tuple(ax for q in qubits for ax in (q, n + q)), 2 * n)
+        owed = [0 if q in qubits else k + len(gates) for q, k in enumerate(owed)]
+    if idle is not None:
+        for q, k in enumerate(owed):
+            if k:
+                apply_matrix(rho, np.linalg.matrix_power(idle, k), (q, n + q), 2 * n)
     return DensityMatrix(n, rho.reshape(2**n, 2**n))
+
+
+def _blocks(gates) -> list[tuple[tuple[int, ...], list]]:
+    """Maximal runs of adjacent gates whose qubits together span at most two
+    qubits (the largest gate arity), each with its qubits in order of first use."""
+    blocks = []
+    for g in gates:
+        if blocks:
+            qubits, run = blocks[-1]
+            joined = qubits + tuple(q for q in g.qubits if q not in qubits)
+            if len(joined) <= 2:
+                run.append(g)
+                blocks[-1] = (joined, run)
+                continue
+        blocks.append((g.qubits, [g]))
+    return blocks
+
+
+def _block_step(g, qubits, gate_noise, wait) -> np.ndarray:
+    """Gate `g` and its noise as a superoperator on the block `qubits`, each
+    qubit's (row, column) axis pair adjacent, in block order; block qubits
+    the gate leaves alone take `wait`."""
+    sup = _superop((g.matrix(),))
+    after = gate_noise[len(g.qubits)]
+    if after is not None:
+        sup = after @ sup
+    if len(g.qubits) == 1:
+        return reduce(np.kron, [sup if q == g.qubits[0] else wait for q in qubits])
+    # sup acts on (row g0, row g1, column g0, column g1); regroup by block qubit
+    pairs = [ax for i in map(g.qubits.index, qubits) for ax in (i, 2 + i)]
+    return sup.reshape([2] * 8).transpose(pairs + [4 + ax for ax in pairs]).reshape(16, 16)
 
 
 def _noise_superop(p: float, gamma: float, k: int) -> np.ndarray | None:

@@ -189,6 +189,24 @@ def test_qmi_matches_the_loop(problem):
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
 
 
+def test_mixed_whole_register_entropy_reads_the_spectrum(monkeypatch):
+    # units cover the rest of the register, so the last fraction's H(SF) is
+    # the state's own entropy: it comes from the validation spectrum, and
+    # only the 14 proper sides are diagonalised, none of them 32x32
+    rng = np.random.default_rng(6)
+    g = rng.normal(size=(32, 5)) + 1j * rng.normal(size=(32, 5))
+    rho = g @ g.conj().T
+    state = DensityMatrix(5, rho / np.trace(rho).real)
+    scheme = PartitionScheme(((1, 2), (3,), (4,)))
+    want = loop_averaged_qmi(state, (0,), scheme)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(len(a)) or eigvalsh(a))
+    got = averaged_qmi(state, (0,), scheme).points
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+    assert len(sizes) == 14 and max(sizes) < 32
+
+
 def loop_holevo(state, sys_q, frac_q):
     """chi = H(F) - sum_i p_i H(F | system outcome i), each conditional state
     projected explicitly and reduced through `partial_trace`."""

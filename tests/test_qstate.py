@@ -58,6 +58,48 @@ def test_density_matrix_validation():
     assert np.allclose(m.matrix, np.eye(4) / 4)
 
 
+def test_pure_state_refuses_non_finite_amplitudes():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            PureState(1, np.array([bad, 1.0]))
+
+
+def test_density_matrix_refuses_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(1, np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_kraus_channel_refuses_non_finite_operators():
+    with pytest.raises(ValueError, match="non-finite"):
+        KrausChannel((np.array([[1.0, 0.0], [0.0, np.nan]]),))
+
+
+def test_density_matrix_keeps_its_validation_spectrum():
+    rho = random_density(3, np.random.default_rng(3))
+    assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+    assert not rho.spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        rho.spectrum[0] = 0.5
+    # a field of the state, but not a constructor argument, not shown and not compared
+    with pytest.raises(TypeError):
+        DensityMatrix(1, np.eye(2) / 2, np.array([0.5, 0.5]))
+    assert "spectrum" not in repr(DensityMatrix.maximally_mixed(1))
+
+
+def test_entropy_reads_the_spectrum(monkeypatch):
+    rho = random_density(3, np.random.default_rng(4))
+    want = von_neumann_entropy(rho)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+    assert von_neumann_entropy(rho) == want
+    assert not calls
+    eigs = eigvalsh(rho.matrix)
+    eigs = eigs[eigs > 1e-12]
+    assert abs(want + np.sum(eigs * np.log2(eigs))) < 1e-12
+
+
 def test_kraus_channel_completeness_enforced():
     with pytest.raises(ValueError):
         KrausChannel((np.array([[1.0, 0.0], [0.0, 0.5]]),))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import dlab.simulator
 from dlab import (
     Circuit,
     DensityMatrix,
@@ -243,13 +244,22 @@ _STRENGTHS = st.one_of(st.just(0.0), st.floats(0.01, 0.5))
 @st.composite
 def noisy_circuits(draw):
     """A random circuit over every GateKind on 1-5 qubits, with each noise
-    strength zero or not and idle noise on or off."""
+    strength zero or not and idle noise on or off.
+
+    Gates act within a working set of qubits that moves now and then: one
+    qubit, a pair or the whole register. So runs of gates share qubits,
+    and `run_density`'s blocks grow from one qubit to two and hold three
+    gates or more, while a last working set that is not the whole register
+    leaves idle noise owed at the end."""
     n = draw(st.integers(1, 5))
-    kinds = [k for k in GateKind if n >= GATE_ARITY[k]]
     gates = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 10))):
+        if not gates or draw(st.integers(0, 3)) == 0:
+            width = min(n, draw(st.sampled_from((1, 2, 2, n))))
+            active = draw(st.permutations(range(n)))[:width]
+        kinds = [k for k in GateKind if len(active) >= GATE_ARITY[k]]
         kind = draw(st.sampled_from(kinds))
-        qubits = tuple(draw(st.permutations(range(n)))[: GATE_ARITY[kind]])
+        qubits = tuple(draw(st.permutations(active))[: GATE_ARITY[kind]])
         angle = draw(st.floats(-math.pi, math.pi)) if kind is GateKind.RY else None
         gates.append(Gate(kind, qubits, angle))
     noise = NoiseModel(
@@ -266,6 +276,29 @@ def noisy_circuits(draw):
 def test_run_density_matches_the_kraus_loop(problem):
     c, noise = problem
     got = run_density(c, noise).matrix
+    assert np.max(np.abs(got - loop_run_density(c, noise).matrix)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n, idle_noise, sweeps",
+    [
+        (4, False, 8),  # 17 gates in 8 blocks: 4 x (Ry, CNOT, X), (H, CZ) and 3 CZ
+        (3, True, 11),  # 13 gates in 6 blocks, then the idle steps owed by 5 qubits
+    ],
+)
+def test_run_density_sweeps_once_per_block(monkeypatch, n, idle_noise, sweeps):
+    p = ScmParams(theta=math.pi, lam=1.0, n=n, scenario=Scenario.FULL)
+    c = build_full_circuit(canonical_times().t_max, p)
+    noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.002, idle_noise=idle_noise)
+    sizes = []
+
+    def counted(flat, mat, axes, n_axes):
+        sizes.append(n_axes)
+        apply_matrix(flat, mat, axes, n_axes)
+
+    monkeypatch.setattr(dlab.simulator, "apply_matrix", counted)
+    got = run_density(c, noise).matrix
+    assert sizes.count(2 * c.num_qubits) == sweeps
     assert np.max(np.abs(got - loop_run_density(c, noise).matrix)) < 1e-12
 
 
