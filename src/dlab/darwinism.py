@@ -23,7 +23,6 @@ from .simulator import (
     MeasSetting,
     _bloch_rows,
     _draw,
-    _fold_readout_flip,
     _local_apply,
     _pauli_expansion,
     basis_rotation,
@@ -147,8 +146,7 @@ def system_coherence(state, system_qubit: int = 0) -> float:
     """
     if not 0 <= system_qubit < state.num_qubits:
         raise ValueError(f"system qubit {system_qubit} outside 0..{state.num_qubits - 1}")
-    data = state.amplitudes if isinstance(state, PureState) else state.matrix
-    return float(2 * _reduce(data, (system_qubit,))[0, 1].real)
+    return float(2 * _reduce(state, (system_qubit,))[0, 1].real)
 
 
 def _entropy_table(state):
@@ -162,7 +160,6 @@ def _entropy_table(state):
     the spectrum the state was validated with.
     """
     pure = isinstance(state, PureState)
-    data = state.amplitudes if pure else state.matrix
     cache: dict[tuple[int, ...], float] = {}
     if not pure:
         cache[tuple(range(state.num_qubits))] = _spectrum_entropy(state.spectrum)
@@ -175,7 +172,7 @@ def _entropy_table(state):
             if not qubits:
                 return 0.0
         if qubits not in cache:
-            cache[qubits] = _entropy(_reduce(data, qubits))
+            cache[qubits] = _entropy(_reduce(state, qubits))
         return cache[qubits]
 
     return entropy
@@ -207,7 +204,7 @@ def averaged_qmi(state, sys_qubits, scheme: PartitionScheme) -> MiCurve:
 
 def _reduced_parts(state, sys_q, frac_q):
     kept = tuple(sorted(sys_q + frac_q))
-    mat = _reduce(state.amplitudes if isinstance(state, PureState) else state.matrix, kept)
+    mat = _reduce(state, kept)
     sys_pos = tuple(kept.index(q) for q in sys_q)
     frac_pos = tuple(kept.index(q) for q in frac_q)
     return mat, sys_pos, frac_pos, len(kept)
@@ -246,9 +243,7 @@ def _basis_cmi(
         p = np.clip(p.reshape((len(rows),) + (2,) * k), 0.0, None)
         if shots is not None:
             probs = p.transpose(to_register).reshape(len(rows), -1)
-            if readout_flip > 0.0:
-                probs = _fold_readout_flip(probs.T, k, readout_flip).T
-            draws = _draw(probs, shots, seeds[lo : lo + step])
+            draws = _draw(probs, shots, seeds[lo : lo + step], readout_flip)
             p = (draws / shots).reshape((len(rows),) + (2,) * k).transpose(from_register)
         joint = p.reshape(len(rows), 2**s, 2**f)
         joint = joint / joint.sum(axis=(1, 2), keepdims=True)
@@ -409,9 +404,3 @@ def basis_grid_to_csv(grid: BasisGrid) -> str:
             lines.append(f"{float(phi)!r},{float(xi)!r},{float(grid.values[i, j])!r}")
     return "\n".join(lines) + "\n"
 
-
-def scan_to_csv(entries) -> str:
-    lines = ["sys_basis,env_basis,value"]
-    for e in entries:
-        lines.append(f"{e.sys_basis},{e.env_basis},{float(e.value)!r}")
-    return "\n".join(lines) + "\n"

@@ -142,11 +142,16 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has non-finite entries")
 
 
+def _check_probability(value: float, name: str) -> None:
+    """Refuse a rate outside [0, 1]; written so that NaN fails the test too."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
 def depolarizing_channel(p: float, num_qubits: int = 1) -> KrausChannel:
     """rho -> (1-p) rho + p I/2^k on k qubits, as a Pauli Kraus set; qubit 0's
     Pauli varies fastest along the operator list."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"depolarizing probability {p} outside [0, 1]")
+    _check_probability(p, "depolarizing probability")
     d2 = 4**num_qubits
     ops = [reduce(np.kron, ps[::-1]) for ps in itertools.product(PAULIS.values(), repeat=num_qubits)]
     weights = [1.0 - p + p / d2] + [p / d2] * (d2 - 1)
@@ -154,8 +159,7 @@ def depolarizing_channel(p: float, num_qubits: int = 1) -> KrausChannel:
 
 
 def amplitude_damping_channel(gamma: float) -> KrausChannel:
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"damping probability {gamma} outside [0, 1]")
+    _check_probability(gamma, "damping probability")
     k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
     return KrausChannel((k0, k1))
@@ -189,24 +193,22 @@ def partial_trace(state: PureState | DensityMatrix, keep: list[int]) -> DensityM
         raise ValueError("keep list must be non-empty")
     if len(set(keep)) != len(keep) or any(not 0 <= q < n for q in keep):
         raise ValueError(f"keep {keep} must be distinct and in range 0..{n - 1}")
-    data = state.amplitudes if isinstance(state, PureState) else state.matrix
-    return DensityMatrix(len(keep), _reduce(data, keep))
+    return DensityMatrix(len(keep), _reduce(state, keep))
 
 
-def _reduce(data: np.ndarray, keep) -> np.ndarray:
-    """Reduced matrix on `keep` of a register's amplitude vector (1-D) or
-    density matrix (2-D), as a bare array. `keep` must be sorted, distinct and
-    in range: nothing here checks it or the result."""
-    n = data.shape[0].bit_length() - 1
+def _reduce(state: PureState | DensityMatrix, keep) -> np.ndarray:
+    """Reduced matrix on `keep` of a validated state, as a bare array. `keep`
+    must be sorted, distinct and in range: nothing here checks it or the result."""
+    n = state.num_qubits
     keep = list(keep)
     dk = 2 ** len(keep)
-    if data.ndim == 1:
+    if isinstance(state, PureState):
         rest = [q for q in range(n) if q not in keep]
-        psi = np.transpose(data.reshape([2] * n), keep + rest).reshape(dk, -1)
+        psi = np.transpose(state.amplitudes.reshape([2] * n), keep + rest).reshape(dk, -1)
         return psi @ psi.conj().T
     subs = list(range(n)) + [n + q if q in keep else q for q in range(n)]
     out_subs = keep + [n + q for q in keep]
-    return np.einsum(data.reshape([2] * (2 * n)), subs, out_subs).reshape(dk, dk)
+    return np.einsum(state.matrix.reshape([2] * (2 * n)), subs, out_subs).reshape(dk, dk)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

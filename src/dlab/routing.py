@@ -30,6 +30,9 @@ from .circuit import Circuit, Gate, GateKind
 from .qstate import PureState
 
 EXHAUSTIVE_PLACEMENT_MAX = 8
+# largest entry deviation each routed-equivalence check accepts
+_STATEVECTOR_ATOL = 1e-12
+_UNITARY_ATOL = 1e-10
 
 _CNOT_COST = {GateKind.CNOT: 1, GateKind.CZ: 1, GateKind.SWAP: 3}
 
@@ -153,7 +156,6 @@ class RoutedCircuit:
     placement: dict[int, int]
     final_placement: dict[int, int]
     swap_count: int
-    cnot_count: int
 
     def __post_init__(self):
         for g in self.circuit.gates:
@@ -166,6 +168,10 @@ class RoutedCircuit:
                 raise ValueError(f"{name} targets a slot outside the device")
         if set(self.placement) != set(self.final_placement):
             raise ValueError("placement and final_placement cover different logical qubits")
+
+    @property
+    def cnot_count(self) -> int:
+        return circuit_cnot_count(self.circuit)
 
 
 def _swap_exec_cost(u: int, v: int, zero: int) -> tuple[int, int]:
@@ -370,7 +376,6 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
         placement=dict(enumerate(winner)),
         final_placement={q: l2p[q] for q in range(c.num_qubits)},
         swap_count=swaps,
-        cnot_count=circuit_cnot_count(routed),
     )
 
 
@@ -405,7 +410,6 @@ def peephole_zero_swap(rc: RoutedCircuit) -> RoutedCircuit:
         placement=dict(rc.placement),
         final_placement=dict(rc.final_placement),
         swap_count=sum(1 for g in gates if g.kind is GateKind.SWAP),
-        cnot_count=circuit_cnot_count(circuit),
     )
 
 
@@ -451,7 +455,7 @@ def _to_slots(a: np.ndarray, mapping: dict[int, int]) -> np.ndarray:
     return np.transpose(a, [inv[p] for p in range(n)] + list(range(n, a.ndim)))
 
 
-def routed_statevector_equivalent(rc: RoutedCircuit, original: Circuit, atol: float = 1e-12) -> bool:
+def routed_statevector_equivalent(rc: RoutedCircuit, original: Circuit) -> bool:
     """Check |psi_routed> equals the permuted original state with idle slots
     in |0>. Valid before and after the zero-SWAP peephole."""
     from .simulator import run_statevector
@@ -463,10 +467,10 @@ def routed_statevector_equivalent(rc: RoutedCircuit, original: Circuit, atol: fl
     idle = PureState.zero(num_physical - original.num_qubits).amplitudes
     full = np.kron(psi, idle).reshape([2] * num_physical)
     expected = _to_slots(full, mapping).reshape(-1)
-    return bool(np.max(np.abs(phi - expected)) <= atol)
+    return bool(np.max(np.abs(phi - expected)) <= _STATEVECTOR_ATOL)
 
 
-def routed_unitary_equivalent(rc: RoutedCircuit, original: Circuit, atol: float = 1e-10) -> bool:
+def routed_unitary_equivalent(rc: RoutedCircuit, original: Circuit) -> bool:
     """Exact operator check U_routed = P_final (U_orig x I_idle) P_init^-1.
 
     Needs SWAPs intact (pre-peephole) and a device small enough for dense
@@ -482,4 +486,4 @@ def routed_unitary_equivalent(rc: RoutedCircuit, original: Circuit, atol: float 
     p_final = permutation_unitary(final, num_physical)
     u_routed = unitary_of(rc.circuit)
     expected = p_final @ u_ext @ p_init.conj().T
-    return bool(np.max(np.abs(u_routed - expected)) <= atol)
+    return bool(np.max(np.abs(u_routed - expected)) <= _UNITARY_ATOL)

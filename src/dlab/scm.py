@@ -124,8 +124,6 @@ def ideal_global_state(t: float, p: ScmParams) -> PureState:
     theta = pi the branch phases cancel and the state is real.  Condensed:
     (|0>_S prod(sqrt(1-p)|0> + sqrt(p)|1>) + |1>_S prod(sqrt(1-p)|0> - sqrt(p)|1>))/sqrt(2).
     """
-    if t < 0:
-        raise ValueError(f"negative time {t}")
     prob = collision_probability(t, p)
     sq, sp = math.sqrt(1.0 - prob), math.sqrt(prob)
     if p.scenario is Scenario.CONDENSED:

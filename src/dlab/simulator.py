@@ -19,6 +19,7 @@ from .qstate import (
     PAULIS,
     DensityMatrix,
     PureState,
+    _check_probability,
     _superop,
     amplitude_damping_channel,
     depolarizing_channel,
@@ -170,9 +171,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("depol_1q", "depol_2q", "amp_damp_gamma", "readout_flip"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _check_probability(getattr(self, name), name)
 
     @property
     def is_mixing(self) -> bool:
@@ -329,26 +328,26 @@ def _fold_readout_flip(probs: np.ndarray, n: int, r: float) -> np.ndarray:
     return _local_apply([flip] * n, probs.reshape([2] * n + list(probs.shape[1:]))).reshape(probs.shape)
 
 
-def _draw(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
-    """Seeded multinomial counts over each row of `probs`, row r drawn with
-    seeds[r]. Outcomes at or below _PROB_CUTOFF, negative rounding included,
-    are dropped first: noise on an outcome that cannot occur would still
-    consume random numbers."""
+def _draw(probs: np.ndarray, shots: int, seeds, readout_flip: float = 0.0) -> np.ndarray:
+    """Seeded multinomial counts over each row of `probs` (outcomes of n
+    qubits in register order), row r drawn with seeds[r], after per-bit flips
+    at rate `readout_flip` are folded in. Outcomes at or below _PROB_CUTOFF,
+    negative rounding included, are then dropped: noise on an outcome that
+    cannot occur would still consume random numbers."""
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    _check_probability(readout_flip, "readout_flip")
+    if readout_flip > 0.0:
+        n = probs.shape[-1].bit_length() - 1
+        probs = _fold_readout_flip(probs.T, n, readout_flip).T
     p = np.where(probs > _PROB_CUTOFF, probs, 0.0)
     p = p / p.sum(axis=-1, keepdims=True)
     return np.array([np.random.default_rng(seed).multinomial(shots, q) for q, seed in zip(p, seeds)])
 
 
 def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: float = 0.0) -> MeasRecord:
-    """Multinomial shot sampling with a seeded generator; `readout_flip` is
-    folded into the outcome distribution, and outcomes of probability at
-    most 1e-15 are dropped, before drawing."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    probs = born_distribution(state, setting)
-    n = state.num_qubits
-    if readout_flip > 0.0:
-        probs = _fold_readout_flip(probs, n, readout_flip)
-    draws = _draw(probs[None], shots, [seed])[0]
-    counts = {format(i, f"0{n}b"): int(c) for i, c in enumerate(draws) if c > 0}
+    """Multinomial shot sampling with a seeded generator: `_draw` of the Born
+    distribution, with `readout_flip` folded in before drawing."""
+    draws = _draw(born_distribution(state, setting)[None], shots, [seed], readout_flip)[0]
+    counts = {format(i, f"0{state.num_qubits}b"): int(c) for i, c in enumerate(draws) if c > 0}
     return MeasRecord(setting=setting, counts=counts, shots=shots, seed=seed)

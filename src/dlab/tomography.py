@@ -118,10 +118,13 @@ class MleResult:
     above the step floor). `log_likelihoods`: the start, then one per iteration, never falling."""
 
     state: DensityMatrix
-    iterations: int
     stop_reason: str
     log_likelihoods: tuple[float, ...]
     ll_gap_bound: float
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log_likelihoods) - 1
 
     @property
     def converged(self) -> bool:
@@ -187,7 +190,7 @@ def mle_reconstruct_from_frequencies(
     a complete Pauli set in any order (see `_frequency_tensor`)."""
     freqs = _frequency_tensor(settings, frequencies, num_qubits)
     rho, stop_reason, history, bound = _mle(freqs, tol, max_iters)
-    return MleResult(DensityMatrix(num_qubits, rho), len(history) - 1, stop_reason, tuple(history), bound)
+    return MleResult(DensityMatrix(num_qubits, rho), stop_reason, tuple(history), bound)
 
 
 def mle_reconstruct(job: TomographyJob) -> MleResult:

@@ -233,18 +233,16 @@ def test_criterion_09_routing_soundness():
     full_c = build_full_circuit(T_MAX, FULL3)
     rc_full = route(full_c, t7)
     pp = peephole_zero_swap(rc_full)
-    full_sv = routed_statevector_equivalent(rc_full, full_c, atol=1e-12)
-    full_sv_pp = routed_statevector_equivalent(pp, full_c, atol=1e-12)
+    full_sv = routed_statevector_equivalent(rc_full, full_c)
+    full_sv_pp = routed_statevector_equivalent(pp, full_c)
     strict = pp.cnot_count < rc_full.cnot_count
     cond_c = build_condensed_circuit(T_MAX, COND6)
     rc_cond = route(cond_c, t7)
-    cond_sv = routed_statevector_equivalent(rc_cond, cond_c, atol=1e-12)
+    cond_sv = routed_statevector_equivalent(rc_cond, cond_c)
     sub_map = CouplingMap(5, frozenset({(0, 1), (1, 2), (1, 3), (3, 4)}))
     sub_full = build_full_circuit(T_MAX, ScmParams(theta=math.pi, lam=1.0, n=2, scenario=Scenario.FULL))
     sub_cond = build_condensed_circuit(T_MAX, ScmParams(theta=math.pi, lam=1.0, n=4))
-    unitary_ok = routed_unitary_equivalent(
-        route(sub_full, sub_map), sub_full, atol=1e-10
-    ) and routed_unitary_equivalent(route(sub_cond, sub_map), sub_cond, atol=1e-10)
+    unitary_ok = all(routed_unitary_equivalent(route(c, sub_map), c) for c in (sub_full, sub_cond))
     verdict(
         "09 routing-soundness",
         f"7q statevector equivalence full/condensed/peephole: {full_sv}/{cond_sv}/{full_sv_pp}, "

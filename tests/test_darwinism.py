@@ -32,7 +32,7 @@ from dlab import (
     system_coherence,
     von_neumann_entropy,
 )
-from dlab.darwinism import basis_grid_to_csv, mi_curve_to_csv, scan_to_csv
+from dlab.darwinism import basis_grid_to_csv, mi_curve_to_csv
 from dlab.kernels import apply_matrix
 from dlab.simulator import basis_rotation, sample
 
@@ -546,7 +546,3 @@ def test_csv_writers_round_trip():
     grid = cmi_grid(psi, (0,), (1,), phi_steps=3, xi_steps=4)
     glines = basis_grid_to_csv(grid).strip().split("\n")
     assert glines[0] == "phi,xi,value" and len(glines) == 1 + 12
-    entries = pauli_cmi_scan(psi, (0,), 1, scheme)
-    slines = scan_to_csv(entries).strip().split("\n")
-    assert slines[0] == "sys_basis,env_basis,value" and len(slines) == 10
-    assert all(len(ln.split(",")) == 3 for ln in slines[1:])

@@ -1,5 +1,6 @@
-"""The README's Python quick start and example config run as written, and
-its list of accepted config keys names every key the config reads."""
+"""The README's Python quick start and example config run as written, its
+list of accepted config keys names every key the config reads, and every
+cap it states is the constant the code enforces."""
 import ast
 import contextlib
 import dataclasses
@@ -7,8 +8,11 @@ import io
 import pathlib
 import re
 
-from dlab.cli import EXIT_OK, ExperimentConfig, main
-from dlab.simulator import NoiseModel
+import pytest
+
+from dlab.cli import _CMI_SEED_STRIDE, EXIT_OK, TOMO_MAX_QUBITS, ExperimentConfig, main
+from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX
+from dlab.simulator import DENSITY_MAX_QUBITS, STATEVECTOR_MAX_QUBITS, NoiseModel
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -43,3 +47,25 @@ def test_readme_example_config_runs(tmp_path):
     out = tmp_path / "out"
     assert main(["coherence", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert (out / "coherence.csv").exists()
+
+
+# Each phrase of the README that states a cap, with the number as its one
+# group, and the constant that number must equal.
+CAPS = {
+    "statevector": (r"at most (\d+) qubits, at most \d+ when depolarizing", STATEVECTOR_MAX_QUBITS),
+    "density": (r"at most \d+ qubits, at most (\d+) when depolarizing", DENSITY_MAX_QUBITS),
+    "density_readout_only": (r"not held to the (\d+)-qubit density cap", DENSITY_MAX_QUBITS),
+    "tomography": (r"at most (\d+) for `tomo`", TOMO_MAX_QUBITS),
+    "route_device": (r"coupling map may have at most (\d+) nodes", STATEVECTOR_MAX_QUBITS),
+    "exhaustive_placement": (r"identity on devices of more than (\d+) qubits", EXHAUSTIVE_PLACEMENT_MAX),
+    "cmi_seed_stride": (r"seed \+ (\d+) \* NN", _CMI_SEED_STRIDE),
+    "sampled_grid_cells": (r"may hold at most (\d+) cells", _CMI_SEED_STRIDE),
+}
+
+
+@pytest.mark.parametrize("name", CAPS)
+def test_readme_caps_match_the_code(name):
+    phrase, cap = CAPS[name]
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    stated = [int(m) for m in re.findall(phrase, text)]
+    assert stated and all(v == cap for v in stated), (stated, cap)

@@ -138,7 +138,6 @@ def loop_route(c, cmap, placement=None):
         placement=dict(placement),
         final_placement={l: l2p[l] for l in placement},
         swap_count=swaps,
-        cnot_count=circuit_cnot_count(routed),
     )
 
 
@@ -236,10 +235,10 @@ def test_route_full_circuit_on_t7():
     t7 = builtin_coupling_map("t7")
     rc = route(c, t7)
     assert rc.swap_count > 0
-    assert routed_statevector_equivalent(rc, c, atol=1e-12)
+    assert routed_statevector_equivalent(rc, c)
     ph = peephole_zero_swap(rc)
     assert ph.cnot_count < rc.cnot_count  # the rewrite must actually pay off
-    assert routed_statevector_equivalent(ph, c, atol=1e-12)
+    assert routed_statevector_equivalent(ph, c)
     # routing is deterministic
     again = route(c, t7)
     assert again.placement == rc.placement
@@ -363,7 +362,7 @@ def test_route_condensed_star_centers_system():
     rc = route(c, builtin_coupling_map("t7"))
     # the system talks to all six pairs, so it should claim a degree-3 hub
     assert rc.placement[0] in (1, 5)
-    assert routed_statevector_equivalent(rc, c, atol=1e-12)
+    assert routed_statevector_equivalent(rc, c)
 
 
 def test_route_explicit_placement():
@@ -371,7 +370,7 @@ def test_route_explicit_placement():
     c = build_condensed_circuit(0.5, p)
     rc = route(c, LINE3, placement={0: 1, 1: 0, 2: 2})
     assert rc.swap_count == 0 and rc.placement == {0: 1, 1: 0, 2: 2}
-    assert routed_statevector_equivalent(rc, c, atol=1e-12)
+    assert routed_statevector_equivalent(rc, c)
 
 
 def test_routed_circuit_validation():
@@ -382,7 +381,6 @@ def test_routed_circuit_validation():
             placement={0: 0, 1: 1, 2: 2},
             final_placement={0: 0, 1: 1, 2: 2},
             swap_count=0,
-            cnot_count=1,
         )
     with pytest.raises(ValueError):
         RoutedCircuit(
@@ -391,7 +389,6 @@ def test_routed_circuit_validation():
             placement={0: 0, 1: 0},
             final_placement={0: 0, 1: 0},
             swap_count=0,
-            cnot_count=0,
         )
 
 
@@ -404,7 +401,6 @@ def _manual_routed(gates, cmap=LINE3):
         placement=ident,
         final_placement=ident,
         swap_count=sum(1 for g in gates if g.kind is GateKind.SWAP),
-        cnot_count=circuit_cnot_count(Circuit(n, tuple(gates))),
     )
 
 
@@ -483,10 +479,10 @@ def test_unitary_equivalence_small_device():
     c = build_full_circuit(0.4, p)
     cmap = CouplingMap(5, frozenset({(0, 1), (1, 2), (1, 3), (3, 4)}))
     rc = route(c, cmap)
-    assert routed_unitary_equivalent(rc, c, atol=1e-10)
-    assert routed_statevector_equivalent(rc, c, atol=1e-12)
+    assert routed_unitary_equivalent(rc, c)
+    assert routed_statevector_equivalent(rc, c)
     ph = peephole_zero_swap(rc)
-    assert routed_statevector_equivalent(ph, c, atol=1e-12)
+    assert routed_statevector_equivalent(ph, c)
 
 
 def test_replay_permutation():
@@ -521,6 +517,5 @@ def test_statevector_equivalence_detects_tampering():
         placement=dict(rc.placement),
         final_placement=dict(rc.final_placement),
         swap_count=rc.swap_count,
-        cnot_count=rc.cnot_count,
     )
     assert not routed_statevector_equivalent(broken, c)

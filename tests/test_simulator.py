@@ -26,6 +26,8 @@ from dlab import (
     build_condensed_circuit,
     build_full_circuit,
     canonical_times,
+    cmi_grid,
+    cmi_joint,
     depolarizing_channel,
     partial_trace,
     run_density,
@@ -325,6 +327,41 @@ def test_noise_model_validation():
         NoiseModel(readout_flip=1.5)
     assert not NoiseModel().is_mixing and NoiseModel(depol_1q=0.001, depol_2q=0.01, readout_flip=0.02).is_mixing
     assert not NoiseModel(readout_flip=0.1, idle_noise=True).is_mixing
+
+
+def _bad_inputs():
+    """(call, message) for every rate and shot count the package must refuse:
+    each noise rate, both channel constructors, and each sampler's flip
+    rate and shots."""
+    bell = run_statevector(BELL_CIRCUIT)
+    z = MeasSetting.pauli("Z")
+    samplers = {
+        "sample": lambda shots, r: sample(bell, MeasSetting.computational(2), shots, 0, readout_flip=r),
+        "cmi_joint": lambda shots, r: cmi_joint(bell, (0,), (1,), z, shots=shots, readout_flip=r),
+        "cmi_grid": lambda shots, r: cmi_grid(bell, (0,), (1,), 2, 2, shots=shots, readout_flip=r),
+    }
+    rates = {
+        name: (lambda v, name=name: NoiseModel(**{name: v}), name)
+        for name in ("depol_1q", "depol_2q", "amp_damp_gamma", "readout_flip")
+    }
+    rates["depolarizing_channel"] = (depolarizing_channel, "depolarizing probability")
+    rates["amplitude_damping_channel"] = (amplitude_damping_channel, "damping probability")
+    for name, draw in samplers.items():
+        rates[f"{name}.readout_flip"] = (lambda v, draw=draw: draw(16, v), "readout_flip")
+    for name, (make, label) in rates.items():
+        for v in (-0.2, 1.5, math.nan):
+            yield pytest.param(lambda make=make, v=v: make(v), f"{label} must lie in", id=f"{name}={v}")
+    for name, draw in samplers.items():
+        for shots in (0, -1):
+            yield pytest.param(
+                lambda draw=draw, shots=shots: draw(shots, 0.0), "shots must be positive", id=f"{name}.shots={shots}"
+            )
+
+
+@pytest.mark.parametrize("call, message", _bad_inputs())
+def test_rates_and_shot_counts_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_noise_monotonicity():
