@@ -26,6 +26,7 @@ from .darwinism import (
     cmi_grid,
     holevo_bound,
     mi_curve_to_csv,
+    orbit_fractions,
     partition_scheme,
     qmi,
     system_coherence,
@@ -465,18 +466,26 @@ def cmd_cmi(cfg: ExperimentConfig) -> None:
 
 
 def _compare_point(payload):
-    """One row per fraction size, all from one evolution of the state at `t`."""
+    """One row per fraction size, all from one evolution of the state at `t`:
+    each mean is over the weighted fractions of `orbit_fractions`."""
     cfg, t, sizes = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
     state = _noisy_state(cfg, t)
     rows = []
-    for size in sizes:
-        qmis, chis, cmis = [], [], []
-        for frac in scheme.fractions(size):
-            qmis.append(qmi(state, (0,), frac))
-            chis.append(holevo_bound(state, (0,), frac))
-            cmis.append(cmi_grid(state, (0,), frac, cfg.phi_steps, cfg.xi_steps).max_value)
-        rows.append((t, size, float(np.mean(qmis)), float(np.mean(chis)), float(np.mean(cmis))))
+    for size, pairs in orbit_fractions(state, (0,), scheme, sizes).items():
+        weights = np.array([w for _, w in pairs], dtype=float)
+        values = np.array(
+            [
+                (
+                    qmi(state, (0,), frac),
+                    holevo_bound(state, (0,), frac),
+                    cmi_grid(state, (0,), frac, cfg.phi_steps, cfg.xi_steps).max_value,
+                )
+                for frac, _ in pairs
+            ]
+        )
+        q, chi, cmi = (float(np.sum(weights * col) / weights.sum()) for col in values.T)
+        rows.append((t, size, q, chi, cmi))
     return rows
 
 

@@ -2,10 +2,16 @@
 information curves, measurement-basis grids, Holevo bounds, Pauli correlation
 scans and a backflow witness that sums increases of |coherence| over time.
 
-Environment fractions are unions of partition-scheme units; averages run over
-every same-size fraction (unordered, exhaustive). `partition_scheme` builds
-its units from each collision's qubits, `ScmParams.units` (the register
-layout is stated in :mod:`dlab.scm`).
+Environment fractions are unions of partition-scheme units; averages are
+over every same-size fraction (unordered, exhaustive). `partition_scheme`
+builds its units from each collision's qubits, `ScmParams.units` (the
+register layout is stated in :mod:`dlab.scm`), and records those collisions
+on the scheme. Every collision is identical, so an ideal state is unchanged
+when whole collisions are permuted, and same-size fractions that such a
+permutation maps onto each other share every value computed here.
+`orbit_fractions` checks that symmetry on each state and then averages over
+one fraction per orbit, weighted by the orbit's size; a state that fails
+the check, or a scheme without collisions, is averaged over every fraction.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState, _entropy, _reduce, _spectrum_entropy
+from .qstate import PureState, _check_probability, _entropy, _reduce, _spectrum_entropy
 from .scm import Scenario, ScmParams
 from .simulator import (
     _PROB_CUTOFF,
@@ -34,6 +40,9 @@ DEFAULT_XI_STEPS = 61
 # stays within this many bytes. The whole grid at once would hold 32 KiB per
 # cell for a 6-qubit fraction, 14 MB on a 21x21 grid, for no gain in speed.
 _CHUNK_BYTES = 1 << 18
+# A state counts as unchanged by a swap of two collisions when no entry of
+# its amplitude vector or density matrix moves by more than this.
+SYMMETRY_ATOL = 1e-12
 
 
 class SchemeMode(enum.Enum):
@@ -44,9 +53,16 @@ class SchemeMode(enum.Enum):
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """Disjoint environment units; fractions are unions of whole units."""
+    """Disjoint environment units; fractions are unions of whole units.
+
+    `collisions`, when given, are the equal-size qubit tuples the units are
+    cut from, one per collision (`ScmParams.units`): each unit lies in one
+    collision, at the same positions in every collision, so a permutation
+    of whole collisions maps units onto units. A scheme without collisions
+    is averaged over every fraction."""
 
     units: tuple[tuple[int, ...], ...]
+    collisions: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         units = tuple(tuple(sorted(u)) for u in self.units)
@@ -56,6 +72,26 @@ class PartitionScheme:
         flat = [q for u in units for q in u]
         if len(set(flat)) != len(flat):
             raise ValueError("units must be disjoint")
+        collisions = tuple(tuple(c) for c in self.collisions)
+        object.__setattr__(self, "collisions", collisions)
+        if collisions and not self._units_sit_alike():
+            raise ValueError(
+                "collisions must be disjoint, of one size, and hold the units at the same positions in each"
+            )
+
+    def _units_sit_alike(self) -> bool:
+        """Whether the collisions are disjoint and of one size, each unit lies
+        in one collision, and every collision holds units at the same positions."""
+        position = {q: (c, i) for c, coll in enumerate(self.collisions) for i, q in enumerate(coll)}
+        if len(position) != sum(map(len, self.collisions)) or len({len(c) for c in self.collisions}) != 1:
+            return False
+        patterns = [set() for _ in self.collisions]
+        for unit in self.units:
+            places = [position.get(q) for q in unit]
+            if None in places or len({c for c, _ in places}) != 1:
+                return False
+            patterns[places[0][0]].add(tuple(sorted(i for _, i in places)))
+        return all(p == patterns[0] for p in patterns)
 
     @property
     def num_units(self) -> int:
@@ -70,7 +106,8 @@ class PartitionScheme:
 def partition_scheme(params: ScmParams, mode: SchemeMode) -> PartitionScheme:
     """Environment partition over the collisions' units: per pair, the
     units themselves; per qubit, each of their qubits alone; ancillae only,
-    each unit's last qubit (its ancilla)."""
+    each unit's last qubit (its ancilla). The collisions are recorded on the
+    scheme."""
     if mode is SchemeMode.PER_PAIR:
         units = params.units
     elif mode is SchemeMode.PER_QUBIT:
@@ -79,7 +116,7 @@ def partition_scheme(params: ScmParams, mode: SchemeMode) -> PartitionScheme:
         units = tuple(unit[-1:] for unit in params.units)
     else:
         raise ValueError("the condensed register has no emitters to trace out")
-    return PartitionScheme(units)
+    return PartitionScheme(units, params.units)
 
 
 @dataclass(frozen=True)
@@ -187,18 +224,88 @@ def qmi(state, sys_qubits, frac_qubits) -> float:
     return _qmi(_entropy_table(state), *_check_parts(state, sys_qubits, frac_qubits))
 
 
+def _unchanged_by_collision_swaps(state, collisions) -> bool:
+    """Whether swapping each two adjacent collisions, qubit for qubit, moves
+    no entry of `state` by more than SYMMETRY_ATOL. The 2^n diagonal is
+    checked first, so most asymmetric states are refused without touching
+    the amplitude vector or density matrix."""
+    n = state.num_qubits
+    pure = isinstance(state, PureState)
+    data = state.amplitudes if pure else state.matrix
+    diagonal = np.abs(data) ** 2 if pure else data.diagonal().real
+    for arr, copies in ((diagonal, 1), (data, 1 if pure else 2)):
+        t = arr.reshape([2] * (copies * n))
+        for a, b in zip(collisions, collisions[1:]):
+            axes = list(range(copies * n))
+            for offset in range(0, copies * n, n):
+                for qa, qb in zip(a, b):
+                    axes[offset + qa], axes[offset + qb] = offset + qb, offset + qa
+            if np.max(np.abs(t - t.transpose(axes))) > SYMMETRY_ATOL:
+                return False
+    return True
+
+
+def orbit_fractions(state, sys_qubits, scheme: PartitionScheme, sizes) -> dict[int, tuple]:
+    """For each fraction size in `sizes`, (fraction, weight) pairs: the
+    weights sum to the number of fractions of that size, and a weighted
+    mean of QMI, Holevo bound or basis-grid CMI over the pairs equals its
+    mean over every fraction.
+
+    When `scheme` records its collisions, the system lies outside them and
+    `state` is unchanged by each swap of two adjacent collisions (checked
+    once, for all sizes), every permutation of collisions fixes the state
+    and the system. Fractions it maps onto each other share their QMI,
+    Holevo bound and basis grid, so each orbit is represented by its first
+    fraction, weighted by the orbit's size. An orbit is labelled by the
+    sorted tuple of its fractions' per-collision position patterns. In
+    every other case each fraction comes with weight 1.
+    """
+    collisions = scheme.collisions
+    collision_qubits = {q for c in collisions for q in c}
+    symmetric = (
+        len(collisions) > 1
+        and not collision_qubits & set(sys_qubits)
+        and collision_qubits <= set(range(state.num_qubits))
+        and _unchanged_by_collision_swaps(state, collisions)
+    )
+    position = {q: (c, i) for c, coll in enumerate(collisions) for i, q in enumerate(coll)}
+
+    def orbit(frac):
+        if not symmetric:
+            return frac
+        patterns = [[] for _ in collisions]
+        for q in frac:
+            c, i = position[q]
+            patterns[c].append(i)
+        return tuple(sorted(tuple(sorted(p)) for p in patterns))
+
+    out = {}
+    for size in sizes:
+        orbits: dict[tuple, list] = {}
+        for frac in scheme.fractions(size):
+            orbits.setdefault(orbit(frac), [frac, 0])[1] += 1
+        out[size] = tuple(map(tuple, orbits.values()))
+    return out
+
+
 def averaged_qmi(state, sys_qubits, scheme: PartitionScheme) -> MiCurve:
     """QMI in bits averaged over all same-size fractions, with the standard
-    error of the mean as the spread measure. H(S), and any side two fractions
-    share, is computed once per call."""
+    error of the mean as the spread measure. The fractions are those of
+    `orbit_fractions`, each counted by its weight. H(S), and any side two
+    fractions share, is computed once per call."""
     sys_q, _ = _check_parts(state, sys_qubits, tuple(q for u in scheme.units for q in u))
     entropy = _entropy_table(state)
     points = []
-    for f in range(1, scheme.num_units + 1):
-        vals = [_qmi(entropy, sys_q, frac) for frac in scheme.fractions(f)]
-        arr = np.array(vals)
-        stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        points.append((f, float(arr.mean()), stderr))
+    for f, pairs in orbit_fractions(state, sys_q, scheme, range(1, scheme.num_units + 1)).items():
+        vals = np.array([_qmi(entropy, sys_q, frac) for frac, _ in pairs])
+        weights = np.array([w for _, w in pairs], dtype=float)
+        count = weights.sum()
+        mean = np.sum(weights * vals) / count
+        # the ddof=1 standard error of the mean over every fraction; with unit
+        # weights these are numpy's mean and std(ddof=1) / sqrt(count), step
+        # for step, so a curve that takes every fraction keeps its bytes
+        var = np.sum(weights * (vals - mean) ** 2) / (count - 1) if count > 1 else 0.0
+        points.append((f, float(mean), float(math.sqrt(var) / math.sqrt(count))))
     return MiCurve(tuple(points))
 
 
@@ -277,7 +384,9 @@ def cmi_joint(
     local measurement bases, from the exact Born distribution. With `shots`,
     the plug-in MI of `shots` seeded multinomial counts instead, with
     `sample`'s per-bit `readout_flip` folded in before the draw: a
-    finite-shot estimate of the same quantity. The exact value has no flips."""
+    finite-shot estimate of the same quantity. The exact value has no flips,
+    but the rate is checked either way."""
+    _check_probability(readout_flip, "readout_flip")
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     if env_basis.num_qubits != len(frac_q):
         raise ValueError(
@@ -307,6 +416,7 @@ def cmi_grid(
     seed + i * xi_steps + j. The state is reduced and expanded once."""
     if phi_steps < 2 or xi_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
+    _check_probability(readout_flip, "readout_flip")
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     sys_basis = _system_basis(sys_basis, len(sys_q))
     mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)

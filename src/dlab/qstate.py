@@ -243,13 +243,3 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     f = float(np.sum(np.sqrt(np.clip(inner, 0, None))) ** 2)
     return min(max(f, 0.0), 1.0)
 
-
-def concurrence(rho2q: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit state."""
-    if rho2q.num_qubits != 2:
-        raise ValueError("concurrence requires exactly 2 qubits")
-    yy = np.kron(PAULIS["Y"], PAULIS["Y"])
-    r = rho2q.matrix @ yy @ rho2q.matrix.conj() @ yy
-    lams = np.sqrt(np.abs(np.real(np.linalg.eigvals(r))))
-    lams = np.sort(lams)[::-1]
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import KrausChannel, PureState
+from .qstate import PureState
 
 
 class Scenario(enum.Enum):
@@ -107,13 +107,6 @@ def coherence_finite(t: float, p: ScmParams) -> float:
     it converges to the Markovian factor pointwise as n grows.
     """
     return (1.0 + (math.cos(p.theta) - 1.0) * collision_probability(t, p)) ** p.n
-
-
-def collision_channel(theta: float) -> KrausChannel:
-    """Single-collision map: equal-weight Kraus pair K = diag(e^{-i theta/2}, e^{i theta/2}), K^dag."""
-    k = np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]])
-    half = math.sqrt(0.5)
-    return KrausChannel((half * k, half * k.conj().T))
 
 
 def ideal_global_state(t: float, p: ScmParams) -> PureState:

@@ -333,7 +333,10 @@ def _draw(probs: np.ndarray, shots: int, seeds, readout_flip: float = 0.0) -> np
     qubits in register order), row r drawn with seeds[r], after per-bit flips
     at rate `readout_flip` are folded in. Outcomes at or below _PROB_CUTOFF,
     negative rounding included, are then dropped: noise on an outcome that
-    cannot occur would still consume random numbers."""
+    cannot occur would still consume random numbers. `shots` must be a
+    positive integer, a numpy one included; a bool is refused."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots <= 0:
         raise ValueError(f"shots must be positive, got {shots}")
     _check_probability(readout_flip, "readout_flip")
@@ -350,4 +353,4 @@ def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: flo
     distribution, with `readout_flip` folded in before drawing."""
     draws = _draw(born_distribution(state, setting)[None], shots, [seed], readout_flip)[0]
     counts = {format(i, f"0{state.num_qubits}b"): int(c) for i, c in enumerate(draws) if c > 0}
-    return MeasRecord(setting=setting, counts=counts, shots=shots, seed=seed)
+    return MeasRecord(setting=setting, counts=counts, shots=int(shots), seed=seed)

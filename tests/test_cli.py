@@ -117,6 +117,53 @@ def test_compare_ordering(tmp_path):
     assert abs(q - chi) < 1e-6 and abs(chi - cm) < 1e-6
 
 
+def _all_fraction_compare(cfg, t, sizes):
+    """The compare loop before orbits: plain means over every fraction."""
+    from dlab import cmi_grid, holevo_bound, partition_scheme, qmi
+
+    scheme = partition_scheme(cfg.params, cfg.partition)
+    state = cli._noisy_state(cfg, t)
+    rows = []
+    for size in sizes:
+        fractions = list(scheme.fractions(size))
+        q = np.mean([qmi(state, (0,), f) for f in fractions])
+        chi = np.mean([holevo_bound(state, (0,), f) for f in fractions])
+        cmi = np.mean([cmi_grid(state, (0,), f, cfg.phi_steps, cfg.xi_steps).max_value for f in fractions])
+        rows.append((t, size, float(q), float(chi), float(cmi)))
+    return rows
+
+
+@pytest.mark.parametrize("partition", ["per_pair", "per_qubit", "ancillae_only"])
+def test_compare_rows_from_orbits_match_every_fraction(partition):
+    base = dict(scenario="full", n=3, partition=partition, times="canonical", phi_steps=5, xi_steps=6)
+    ideal = ExperimentConfig.from_dict(base)
+    noisy = ExperimentConfig.from_dict(dict(base, noise={"depol_1q": 0.001, "depol_2q": 0.01}))
+    sizes = (3, 1, 2)
+    for t in canonical_times():
+        got = cli._compare_point((ideal, t, sizes))
+        want = _all_fraction_compare(ideal, t, sizes)
+        assert [r[:2] for r in got] == [r[:2] for r in want]
+        assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+        # a noisy state falls back to every fraction: the very same rows
+        assert cli._compare_point((noisy, t, sizes)) == _all_fraction_compare(noisy, t, sizes)
+
+
+def test_darwinism_eigen_budget(tmp_path, monkeypatch):
+    # condensed n=9 at t_max: 511 fractions, one orbit per size. Averaged
+    # over every fraction the curve took 637 eigen calls; one orbit per
+    # size needs H(S) and at most two sides per size
+    calls = Counter()
+    for solver in ("eigvalsh", "eigh"):
+        def counted(*args, _solver=getattr(np.linalg, solver), **kwargs):
+            calls["eig"] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, solver, counted)
+    cfg = write_config(tmp_path, n=9, times=["t_max"])
+    assert main(["darwinism", "--config", str(cfg)]) == EXIT_OK
+    assert calls["eig"] <= 1 + 2 * 9
+
+
 def test_route_builtin_map(tmp_path):
     cfg = write_config(tmp_path, scenario="full", n=3, times=["t_max"])
     assert main(["route", "--config", str(cfg)]) == EXIT_OK

@@ -4,13 +4,14 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlab import (
     BasisGrid,
     DensityMatrix,
     MeasSetting,
+    NoiseModel,
     PartitionScheme,
     PureState,
     Scenario,
@@ -18,6 +19,8 @@ from dlab import (
     ScmParams,
     averaged_qmi,
     blp_witness,
+    build_condensed_circuit,
+    build_full_circuit,
     canonical_times,
     cmi_grid,
     cmi_joint,
@@ -25,10 +28,13 @@ from dlab import (
     coherence_markovian,
     holevo_bound,
     ideal_global_state,
+    orbit_fractions,
     partial_trace,
     partition_scheme,
     pauli_cmi_scan,
     qmi,
+    run_density,
+    run_statevector,
     system_coherence,
     von_neumann_entropy,
 )
@@ -205,6 +211,112 @@ def test_mixed_whole_register_entropy_reads_the_spectrum(monkeypatch):
     got = averaged_qmi(state, (0,), scheme).points
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
     assert len(sizes) == 14 and max(sizes) < 32
+
+
+def _circuit_state(params, t, noise=None):
+    build = build_full_circuit if params.scenario is Scenario.FULL else build_condensed_circuit
+    circuit = build(t, params)
+    return run_statevector(circuit) if noise is None else run_density(circuit, noise)
+
+
+def _eig_calls(fn):
+    """fn(), and how many times it called np.linalg.eigvalsh."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    np.linalg.eigvalsh = lambda a: calls.append(len(a)) or eigvalsh(a)
+    try:
+        result = fn()
+    finally:
+        np.linalg.eigvalsh = eigvalsh
+    return result, len(calls)
+
+
+@st.composite
+def ideal_runs(draw):
+    """An ideal circuit run at any time, full n <= 5 or condensed n <= 9,
+    with every partition mode the scenario takes."""
+    scenario = draw(st.sampled_from(Scenario))
+    n = draw(st.integers(1, 5 if scenario is Scenario.FULL else 9))
+    modes = [m for m in SchemeMode if scenario is Scenario.FULL or m is not SchemeMode.ANCILLAE_ONLY]
+    params = ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario)
+    t = draw(st.floats(0.0, 3.0))
+    return params, t, draw(st.sampled_from(modes))
+
+
+@settings(max_examples=10, deadline=None)
+@given(ideal_runs())
+# full per_qubit is the mode whose orbits differ in size, so the weights matter
+@example((ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL), T_REC, SchemeMode.PER_QUBIT))
+def test_orbit_average_matches_the_loop(run):
+    params, t, mode = run
+    state = _circuit_state(params, t)
+    scheme = partition_scheme(params, mode)
+    got, orbit_eigs = _eig_calls(lambda: averaged_qmi(state, (0,), scheme).points)
+    # the same units without their collisions take every fraction
+    every = PartitionScheme(scheme.units)
+    all_fractions, all_eigs = _eig_calls(lambda: averaged_qmi(state, (0,), every).points)
+    # the loop diagonalises every side at full size: 2-13 s on 10 and 11
+    # qubits, where the all-fractions path (itself checked against the loop
+    # by test_qmi_matches_the_loop) referees instead
+    want = loop_averaged_qmi(state, (0,), scheme) if state.num_qubits <= 9 else all_fractions
+    assert [f for f, _, _ in got] == [f for f, _, _ in want]
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+    # from three collisions on, the orbit path diagonalises fewer sides (with
+    # two, the entropy table already shares the sides the orbits would save)
+    assert orbit_eigs < all_eigs if params.n > 2 else orbit_eigs <= all_eigs
+    pairs = orbit_fractions(state, (0,), scheme, range(1, scheme.num_units + 1))
+    for f, weighted in pairs.items():
+        assert sum(w for _, w in weighted) == math.comb(scheme.num_units, f)
+
+
+def test_orbit_labels_count_pairs_and_lone_qubits():
+    params = ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL)
+    state = _circuit_state(params, T_REC)
+    per_pair = orbit_fractions(state, (0,), partition_scheme(params, SchemeMode.PER_PAIR), (1, 2, 3))
+    assert per_pair == {1: (((1, 2), 3),), 2: (((1, 2, 3, 4), 3),), 3: (((1, 2, 3, 4, 5, 6), 1),)}
+    # two qubits of three pairs: one whole pair (3 ways), two emitters, two
+    # ancillae, or an emitter and another pair's ancilla (6 ways)
+    per_qubit = orbit_fractions(state, (0,), partition_scheme(params, SchemeMode.PER_QUBIT), (2,))
+    assert per_qubit == {2: (((1, 2), 3), ((1, 3), 3), ((1, 4), 6), ((2, 4), 3))}
+
+
+def test_asymmetric_states_take_every_fraction():
+    params = ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL)
+    scheme = partition_scheme(params, SchemeMode.PER_PAIR)
+    every = PartitionScheme(scheme.units)
+    sizes = range(1, scheme.num_units + 1)
+    unit_weights = {f: tuple((frac, 1) for frac in scheme.fractions(f)) for f in sizes}
+    # hardware-like noise acts on the system between its CZs, so the noisy
+    # state tells the collisions apart: every fraction, and the very curve
+    # of a scheme that records no collisions
+    noisy = _circuit_state(params, T_REC, NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.001))
+    assert orbit_fractions(noisy, (0,), scheme, sizes) == unit_weights
+    assert averaged_qmi(noisy, (0,), scheme) == averaged_qmi(noisy, (0,), every)
+    # a phase on one pair leaves the diagonal symmetric, not the amplitudes
+    ideal = _circuit_state(params, T_REC)
+    phase = np.where(np.arange(2**7) & 1, 1j, 1.0)  # i on qubit 6 = |1>
+    shifted = PureState(7, ideal.amplitudes * phase)
+    assert orbit_fractions(shifted, (0,), scheme, sizes) == unit_weights
+    # a system inside the collisions, or a scheme without them
+    assert orbit_fractions(ideal, (1,), partition_scheme(params, SchemeMode.ANCILLAE_ONLY), (1,)) == {
+        1: (((2,), 1), ((4,), 1), ((6,), 1))
+    }
+    assert orbit_fractions(ideal, (0,), every, sizes) == unit_weights
+    assert orbit_fractions(ideal, (0,), scheme, sizes) != unit_weights
+
+
+def test_collisions_must_hold_the_units_alike():
+    assert partition_scheme(FULL2, SchemeMode.ANCILLAE_ONLY).collisions == ((1, 2), (3, 4))
+    assert PartitionScheme(((1,), (2,))).collisions == ()
+    for units, collisions in (
+        (((1,), (3,)), ((1, 2), (3, 4, 5))),  # collisions of two sizes
+        (((1,), (4,)), ((1, 2), (3, 4))),  # an emitter in one, an ancilla in the other
+        (((1, 3),), ((1, 2), (3, 4))),  # a unit across two collisions
+        (((1,), (3,), (5,)), ((1, 2), (3, 4))),  # a unit outside every collision
+        (((1,), (2,)), ((1, 2), (2, 3))),  # collisions that overlap
+    ):
+        with pytest.raises(ValueError, match="collisions must"):
+            PartitionScheme(units, collisions)
 
 
 def loop_holevo(state, sys_q, frac_q):

@@ -12,7 +12,6 @@ from dlab import (
     ScmParams,
     amplitude_damping_channel,
     apply_channel,
-    concurrence,
     depolarizing_channel,
     fidelity,
     ideal_global_state,
@@ -240,16 +239,3 @@ def test_fuchs_van_de_graaf():
         assert 1 - math.sqrt(f) <= d + 1e-9
         assert d <= math.sqrt(1 - f) + 1e-9
 
-
-def test_concurrence_bell_product_and_pointer():
-    assert abs(concurrence(BELL.density_matrix()) - 1.0) < 1e-10
-    prod = PureState.from_amplitudes(np.kron([1, 0], [1, 1]) / math.sqrt(2))
-    assert concurrence(prod.density_matrix()) < 1e-10
-    # the fully decohered global state carries no system/env-qubit entanglement
-    p = ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL)
-    global_state = ideal_global_state(math.log(2), p)
-    for env_qubit in range(1, 7):
-        red = partial_trace(global_state, [0, env_qubit])
-        assert concurrence(red) < 1e-10
-    with pytest.raises(ValueError):
-        concurrence(DensityMatrix.maximally_mixed(1))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dlab import (
+    KrausChannel,
     PureState,
     Scenario,
     ScmParams,
@@ -13,7 +14,6 @@ from dlab import (
     canonical_times,
     coherence_finite,
     coherence_markovian,
-    collision_channel,
     collision_probability,
     ideal_global_state,
     partial_trace,
@@ -97,11 +97,21 @@ def test_shared_rate_reconciliation():
 
 
 def test_collision_channel_shrinks_coherence():
+    # one collision is the equal-weight Kraus pair K = diag(e^{-i theta/2},
+    # e^{i theta/2}), K^dag: it shrinks the coherence of |+> by cos theta, so
+    # a collision that has happened with probability p(t) leaves the n = 1
+    # factor 1 + (cos theta - 1) p(t) of `coherence_finite`
     plus = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2)).density_matrix()
     for theta in (math.pi, 2 * math.pi / 3, 0.4):
-        out = apply_channel(plus, collision_channel(theta), [0])
-        assert out.matrix[0, 1] == pytest.approx(0.5 * math.cos(theta), abs=1e-14)
-        assert out.matrix[0, 0] == pytest.approx(0.5, abs=1e-14)
+        k = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+        collided = apply_channel(plus, KrausChannel((k / math.sqrt(2), k.conj().T / math.sqrt(2))), [0])
+        assert collided.matrix[0, 1] == pytest.approx(0.5 * math.cos(theta), abs=1e-14)
+        assert collided.matrix[0, 0] == pytest.approx(0.5, abs=1e-14)
+        p = ScmParams(theta=theta, lam=1.0, n=1, scenario=Scenario.FULL)
+        for t in (*canonical_times(), 0.3):
+            prob = collision_probability(t, p)
+            coherence = 2 * ((1 - prob) * plus.matrix[0, 1] + prob * collided.matrix[0, 1])
+            assert coherence.real == pytest.approx(coherence_finite(t, p), abs=1e-14)
 
 
 def test_global_state_at_time_zero():

@@ -1,4 +1,5 @@
 """Statevector and density-matrix execution, measurement settings, sampling."""
+import json
 import math
 from functools import reduce
 
@@ -348,6 +349,9 @@ def _bad_inputs():
     rates["amplitude_damping_channel"] = (amplitude_damping_channel, "damping probability")
     for name, draw in samplers.items():
         rates[f"{name}.readout_flip"] = (lambda v, draw=draw: draw(16, v), "readout_flip")
+    # the exact CMI reads no flips, but refuses a rate no sampled run would take
+    for name in ("cmi_joint", "cmi_grid"):
+        rates[f"{name}.exact.readout_flip"] = (lambda v, draw=samplers[name]: draw(None, v), "readout_flip")
     for name, (make, label) in rates.items():
         for v in (-0.2, 1.5, math.nan):
             yield pytest.param(lambda make=make, v=v: make(v), f"{label} must lie in", id=f"{name}={v}")
@@ -356,12 +360,29 @@ def _bad_inputs():
             yield pytest.param(
                 lambda draw=draw, shots=shots: draw(shots, 0.0), "shots must be positive", id=f"{name}.shots={shots}"
             )
+        for shots in (2.5, True, 4.0):
+            yield pytest.param(
+                lambda draw=draw, shots=shots: draw(shots, 0.0), "shots must be an integer", id=f"{name}.shots={shots}"
+            )
 
 
 @pytest.mark.parametrize("call, message", _bad_inputs())
 def test_rates_and_shot_counts_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_numpy_integer_shots_draw_like_int():
+    bell = run_statevector(BELL_CIRCUIT)
+    setting = MeasSetting.computational(2)
+    want = sample(bell, setting, 64, 3)
+    got = sample(bell, setting, np.int64(64), 3)
+    # the record holds a Python int, so it serialises like any other
+    assert got == want and type(got.shots) is int
+    assert MeasRecord.from_json_obj(json.loads(json.dumps(got.to_json_obj()))) == want
+    assert cmi_joint(bell, (0,), (1,), MeasSetting.pauli("Z"), shots=np.int32(64), seed=3) == cmi_joint(
+        bell, (0,), (1,), MeasSetting.pauli("Z"), shots=64, seed=3
+    )
 
 
 def test_noise_monotonicity():
