@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import apply_matrix
-from .qstate import PAULIS
 from .scm import THETA_PI_ATOL, Scenario, ScmParams, prep_angle
 
 UNITARY_MAX_QUBITS = 6
@@ -37,16 +36,14 @@ GATE_ARITY = {
 }
 
 _SQRT2_INV = 1 / math.sqrt(2)
+# Every gate kind is real, so its matrix is float64: noisy density runs stay
+# real from end to end (see `run_density`).
 _FIXED_MATRICES = {
-    GateKind.X: PAULIS["X"],
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV,
-    GateKind.CNOT: np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    GateKind.CZ: np.diag([1, 1, 1, -1]).astype(complex),
-    GateKind.SWAP: np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    ),
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=float),
+    GateKind.H: np.array([[1, 1], [1, -1]], dtype=float) * _SQRT2_INV,
+    GateKind.CNOT: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float),
+    GateKind.CZ: np.diag([1.0, 1.0, 1.0, -1.0]),
+    GateKind.SWAP: np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float),
 }
 
 
@@ -69,9 +66,7 @@ class Gate:
     def matrix(self) -> np.ndarray:
         if self.kind is GateKind.RY:
             h = self.angle / 2.0
-            return np.array(
-                [[math.cos(h), -math.sin(h)], [math.sin(h), math.cos(h)]], dtype=complex
-            )
+            return np.array([[math.cos(h), -math.sin(h)], [math.sin(h), math.cos(h)]])
         return _FIXED_MATRICES[self.kind]
 
 

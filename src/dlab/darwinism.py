@@ -456,28 +456,25 @@ class ScanEntry:
 def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme) -> tuple[ScanEntry, ...]:
     """CMI in bits for every Pauli basis combination on system and fraction, averaged
     over all unordered fractions of `frac_size` qubits built from whole
-    scheme units."""
+    scheme units. The fractions are those of `orbit_fractions`, each counted
+    by its weight."""
     if frac_size < 1:
         raise ValueError("fraction size must be positive")
-    fractions = [
-        frac
-        for r in range(1, scheme.num_units + 1)
-        for frac in scheme.fractions(r)
-        if len(frac) == frac_size
-    ]
+    sys_q = tuple(sorted(sys_qubits))
+    orbits = orbit_fractions(state, sys_q, scheme, range(1, scheme.num_units + 1))
+    fractions = [(frac, w) for pairs in orbits.values() for frac, w in pairs if len(frac) == frac_size]
     if not fractions:
         raise ValueError(f"no fraction of {frac_size} qubits fits whole units")
-    sys_q = tuple(sorted(sys_qubits))
     sys_labels = ["".join(p) for p in itertools.product("XYZ", repeat=len(sys_q))]
     env_labels = ["".join(p) for p in itertools.product("XYZ", repeat=frac_size)]
     env_rows = _bloch_rows([MeasSetting.pauli(e).rotations() for e in env_labels])
     values = np.zeros((len(sys_labels), len(env_labels)))
-    for frac in fractions:
+    for frac, weight in fractions:
         mat, sys_pos, frac_pos, _ = _reduced_parts(state, *_check_parts(state, sys_q, frac))
         for b, label in enumerate(sys_labels):
             sys_rot = MeasSetting.pauli(label).rotations()
-            values[b] += _basis_cmi(mat, sys_pos, frac_pos, sys_rot, env_rows)
-    values /= len(fractions)
+            values[b] += weight * _basis_cmi(mat, sys_pos, frac_pos, sys_rot, env_rows)
+    values /= sum(w for _, w in fractions)
     return tuple(
         ScanEntry(sys_label, env_label, float(values[b, e]))
         for b, sys_label in enumerate(sys_labels)

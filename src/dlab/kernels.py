@@ -8,8 +8,11 @@ def apply_matrix(flat: np.ndarray, mat: np.ndarray, axes: tuple[int, ...], n_axe
     """Apply a 2^k x 2^k matrix to the given axes of a flattened [2]*n_axes tensor, in place.
 
     ``axes[0]`` is the most-significant bit of the matrix index.  ``flat`` must
-    be C-contiguous complex128 of length 2**n_axes.
+    be C-contiguous, of length 2**n_axes, and float64 or complex128; a real
+    ``mat`` applies to either, a complex one only to a complex ``flat``.
     """
+    if mat.dtype.kind == "c" and flat.dtype.kind != "c":
+        raise ValueError("a complex matrix cannot act on a real tensor in place")
     k = len(axes)
     tensor = flat.reshape([2] * n_axes)
     # moveaxis gives a writable view; the reshape below copies, so scatter back.

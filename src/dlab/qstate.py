@@ -73,6 +73,11 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, PSD (within tolerance) matrix over the register.
 
+    A real input is kept as a float64 matrix, anything else as complex128.
+    Noisy density runs are real symmetric, so their checks, partial traces
+    and entropies run on real arrays, where LAPACK's real symmetric
+    eigensolver does about a quarter of the complex one's arithmetic.
+
     `spectrum` holds the ascending eigenvalues that the PSD check computed,
     read-only, so that entropies of the whole state need no second
     eigendecomposition."""
@@ -83,7 +88,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         dim = 2**self.num_qubits
-        mat = np.ascontiguousarray(self.matrix, dtype=complex)
+        mat = np.ascontiguousarray(self.matrix, dtype=float if np.isrealobj(self.matrix) else complex)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
         _check_finite(mat, "matrix")
@@ -166,14 +171,15 @@ def amplitude_damping_channel(gamma: float) -> KrausChannel:
 
 
 def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets: list[int]) -> DensityMatrix:
-    """Apply the channel embedded on `targets`: rho' = sum_i (K_i x I) rho (K_i^dag x I)."""
+    """Apply the channel embedded on `targets`: rho' = sum_i (K_i x I) rho (K_i^dag x I).
+    The result is complex, as Kraus operators are."""
     n = rho.num_qubits
     targets = list(targets)
     if len(set(targets)) != len(targets) or any(not 0 <= q < n for q in targets):
         raise ValueError(f"targets {targets} must be distinct and in range 0..{n - 1}")
     if ch.dim != 2 ** len(targets):
         raise ValueError(f"operator dim {ch.dim} does not match 2^{len(targets)} targets")
-    flat = rho.matrix.reshape(-1).copy()
+    flat = rho.matrix.reshape(-1).astype(complex)
     axes = tuple(targets) + tuple(n + q for q in targets)
     apply_matrix(flat, _superop(ch.operators), axes, 2 * n)
     return DensityMatrix(n, flat.reshape(2**n, 2**n))

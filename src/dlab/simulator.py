@@ -123,13 +123,12 @@ class MeasRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.shots <= 0:
-            raise ValueError("shots must be positive")
+        object.__setattr__(self, "shots", _check_shots(self.shots))
         total = 0
         for bits, c in self.counts.items():
             if len(bits) != self.setting.num_qubits or set(bits) - {"0", "1"}:
                 raise ValueError(f"bad bitstring {bits!r}")
-            if not isinstance(c, int) or c < 0:
+            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                 raise ValueError(f"bad count for {bits!r}")
             total += c
         if total != self.shots:
@@ -155,8 +154,9 @@ class MeasRecord:
     def from_json_obj(cls, obj) -> "MeasRecord":
         return cls(
             setting=MeasSetting.from_json_obj(obj["setting"]),
-            counts={str(k): int(v) for k, v in obj["counts"].items()},
-            shots=int(obj["shots"]),
+            # as read, so that the constructor sees a bool or a float and refuses it
+            counts={str(k): v for k, v in obj["counts"].items()},
+            shots=obj["shots"],
             seed=None if obj.get("seed") is None else int(obj["seed"]),
         )
 
@@ -202,11 +202,15 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
     Channels on disjoint qubits commute, so a qubit outside the block only
     owes one idle step per gate. A qubit owing k steps gets S_idle^k folded
     in at the start of its next block, and what is still owed at the end is
-    applied one qubit per sweep."""
+    applied one qubit per sweep.
+
+    Every gate kind and both noise channels have real superoperators, so
+    the state is a float64 vector and every sweep is real. A superoperator
+    with a nonzero imaginary part is refused with a ValueError."""
     if c.num_qubits > DENSITY_MAX_QUBITS:
         raise ValueError(f"density runs support at most {DENSITY_MAX_QUBITS} qubits")
     n = c.num_qubits
-    rho = np.zeros(4**n, dtype=complex)
+    rho = np.zeros(4**n)
     rho[0] = 1.0
     noise = noise or NoiseModel()
     gate_noise = {
@@ -214,7 +218,7 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
         2: _noise_superop(noise.depol_2q, noise.amp_damp_gamma, 2),
     }
     idle = gate_noise[1] if noise.idle_noise else None
-    wait = np.eye(4, dtype=complex) if idle is None else idle  # one qubit's idle step
+    wait = np.eye(4) if idle is None else idle  # one qubit's idle step
     owed = [0] * n
     for qubits, gates in _blocks(c.gates):
         sup = reduce(np.kron, [np.linalg.matrix_power(wait, owed[q]) for q in qubits])
@@ -249,7 +253,7 @@ def _block_step(g, qubits, gate_noise, wait) -> np.ndarray:
     """Gate `g` and its noise as a superoperator on the block `qubits`, each
     qubit's (row, column) axis pair adjacent, in block order; block qubits
     the gate leaves alone take `wait`."""
-    sup = _superop((g.matrix(),))
+    sup = _real(_superop((g.matrix(),)), f"{g.kind.value} gate")
     after = gate_noise[len(g.qubits)]
     if after is not None:
         sup = after @ sup
@@ -262,7 +266,7 @@ def _block_step(g, qubits, gate_noise, wait) -> np.ndarray:
 
 def _noise_superop(p: float, gamma: float, k: int) -> np.ndarray | None:
     """Superoperator of k-qubit depolarizing at `p`, then amplitude damping at
-    `gamma` on each of the k qubits; None when both are zero."""
+    `gamma` on each of the k qubits, as a real matrix; None when both are zero."""
     sup = None
     if p > 0:
         sup = _superop(depolarizing_channel(p, k).operators)
@@ -271,7 +275,16 @@ def _noise_superop(p: float, gamma: float, k: int) -> np.ndarray | None:
         damp = amplitude_damping_channel(gamma).operators
         damp_k = _superop([reduce(np.kron, ks) for ks in itertools.product(damp, repeat=k)])
         sup = damp_k if sup is None else damp_k @ sup
-    return sup
+    return None if sup is None else _real(sup, "noise channel")
+
+
+def _real(sup: np.ndarray, what: str) -> np.ndarray:
+    """The real part of a superoperator whose imaginary part is exactly zero.
+    Kraus operators such as Pauli Y are complex even where the map they make
+    is real; a map that is not real is refused."""
+    if np.any(sup.imag != 0.0):
+        raise ValueError(f"{what} superoperator is not real: density runs are float64")
+    return np.ascontiguousarray(sup.real)
 
 
 def _local_apply(mats, t: np.ndarray) -> np.ndarray:
@@ -328,17 +341,24 @@ def _fold_readout_flip(probs: np.ndarray, n: int, r: float) -> np.ndarray:
     return _local_apply([flip] * n, probs.reshape([2] * n + list(probs.shape[1:]))).reshape(probs.shape)
 
 
+def _check_shots(shots) -> int:
+    """`shots` as an int: a positive integer, a numpy one included; a bool,
+    a float and anything else are refused."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
+    if shots <= 0:
+        raise ValueError(f"shots must be positive, got {shots}")
+    return int(shots)
+
+
 def _draw(probs: np.ndarray, shots: int, seeds, readout_flip: float = 0.0) -> np.ndarray:
     """Seeded multinomial counts over each row of `probs` (outcomes of n
     qubits in register order), row r drawn with seeds[r], after per-bit flips
     at rate `readout_flip` are folded in. Outcomes at or below _PROB_CUTOFF,
     negative rounding included, are then dropped: noise on an outcome that
-    cannot occur would still consume random numbers. `shots` must be a
-    positive integer, a numpy one included; a bool is refused."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
+    cannot occur would still consume random numbers. `shots` is checked
+    as `MeasRecord` checks it."""
+    shots = _check_shots(shots)
     _check_probability(readout_flip, "readout_flip")
     if readout_flip > 0.0:
         n = probs.shape[-1].bit_length() - 1
@@ -353,4 +373,4 @@ def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: flo
     distribution, with `readout_flip` folded in before drawing."""
     draws = _draw(born_distribution(state, setting)[None], shots, [seed], readout_flip)[0]
     counts = {format(i, f"0{state.num_qubits}b"): int(c) for i, c in enumerate(draws) if c > 0}
-    return MeasRecord(setting=setting, counts=counts, shots=int(shots), seed=seed)
+    return MeasRecord(setting=setting, counts=counts, shots=shots, seed=seed)

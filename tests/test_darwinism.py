@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dlab.darwinism
 from dlab import (
     BasisGrid,
     DensityMatrix,
@@ -621,6 +622,30 @@ def test_pauli_scan_pairs_recover_the_bit():
         env_rot = MeasSetting.pauli(e.env_basis).rotations()
         loop = [loop_cell(psi, (0,), frac, sys_rot, env_rot) for frac in scheme.fractions(1)]
         assert abs(e.value - np.mean(loop)) < 1e-12
+
+
+def test_pauli_scan_averages_over_orbits(monkeypatch):
+    params = ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL)
+    reduced = []
+    reduced_parts = dlab.darwinism._reduced_parts
+    monkeypatch.setattr(dlab.darwinism, "_reduced_parts", lambda *a: reduced.append(1) or reduced_parts(*a))
+
+    def scan(state, size, scheme):
+        reduced.clear()
+        entries = pauli_cmi_scan(state, (0,), size, scheme)
+        return np.array([e.value for e in entries]), len(reduced)
+
+    ideal = _circuit_state(params, T_REC)
+    noisy = _circuit_state(params, T_REC, NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.001))
+    # per_qubit orbits of two qubits differ in size, so the weights matter
+    for mode, size in ((SchemeMode.PER_QUBIT, 2), (SchemeMode.PER_PAIR, 4)):
+        scheme = partition_scheme(params, mode)
+        every = PartitionScheme(scheme.units)  # no collisions: every fraction
+        got, orbit_count = scan(ideal, size, scheme)
+        want, every_count = scan(ideal, size, every)
+        assert np.max(np.abs(got - want)) < 1e-12 and orbit_count < every_count
+        # the noisy state tells the collisions apart: every fraction, same bytes
+        assert pauli_cmi_scan(noisy, (0,), size, scheme) == pauli_cmi_scan(noisy, (0,), size, every)
 
 
 def test_pauli_scan_errors():

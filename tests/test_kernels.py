@@ -1,5 +1,6 @@
 """The gate kernel against an explicit 2^n x 2^n operator."""
 import numpy as np
+import pytest
 
 import dlab
 from dlab.kernels import apply_matrix
@@ -83,3 +84,17 @@ def test_axis_order_is_significant():
     apply_matrix(a, cnot, (0, 2), 3)
     apply_matrix(b, cnot, (2, 0), 3)
     assert np.max(np.abs(a - b)) > 1e-3
+
+
+def test_real_tensors_take_real_matrices_only():
+    rng = np.random.default_rng(16)
+    rho = rng.standard_normal(2**6)
+    m = rng.standard_normal((4, 4))
+    expected = dense_operator(m, (4, 1), 6) @ rho
+    apply_matrix(rho, m, (4, 1), 6)
+    assert rho.dtype == np.float64 and np.max(np.abs(rho - expected)) < 1e-12
+    # numpy would drop the imaginary part on the write back; the kernel refuses
+    before = rho.copy()
+    with pytest.raises(ValueError, match="complex matrix cannot act on a real tensor"):
+        apply_matrix(rho, random_unitary(2, rng), (3,), 6)
+    assert np.array_equal(rho, before)

@@ -99,6 +99,40 @@ def test_entropy_reads_the_spectrum(monkeypatch):
     assert abs(want + np.sum(eigs * np.log2(eigs))) < 1e-12
 
 
+def random_real_density(num_qubits, rank, rng):
+    a = rng.standard_normal((2**num_qubits, rank))
+    m = a @ a.T
+    return m / np.trace(m)
+
+
+def test_real_states_stay_real():
+    # the real symmetric solver reads the same spectrum as the complex one
+    rng = np.random.default_rng(8)
+    for num_qubits, rank in ((1, 2), (3, 2), (4, 16), (5, 7)):
+        m = random_real_density(num_qubits, rank, rng)
+        real, cplx = DensityMatrix(num_qubits, m), DensityMatrix(num_qubits, m.astype(complex))
+        assert real.matrix.dtype == np.float64 and cplx.matrix.dtype == np.complex128
+        assert np.max(np.abs(real.spectrum - cplx.spectrum)) < 1e-12
+        assert abs(von_neumann_entropy(real) - von_neumann_entropy(cplx)) < 1e-12
+        keep = list(range(0, num_qubits, 2))
+        part_real, part_cplx = partial_trace(real, keep), partial_trace(cplx, keep)
+        assert part_real.matrix.dtype == np.float64
+        assert np.max(np.abs(part_real.matrix - part_cplx.matrix)) < 1e-12
+        assert abs(von_neumann_entropy(part_real) - von_neumann_entropy(part_cplx)) < 1e-12
+    # integer input counts as real
+    assert DensityMatrix(1, [[1, 0], [0, 0]]).matrix.dtype == np.float64
+
+
+def test_apply_channel_promotes_a_real_state():
+    rng = np.random.default_rng(9)
+    m = random_real_density(3, 4, rng)
+    for ch, targets in ((random_channel(2, 3, rng), [2, 0]), (depolarizing_channel(0.3), [1])):
+        got = apply_channel(DensityMatrix(3, m), ch, targets)
+        want = apply_channel(DensityMatrix(3, m.astype(complex)), ch, targets)
+        assert got.matrix.dtype == np.complex128
+        assert np.max(np.abs(got.matrix - want.matrix)) < 1e-12
+
+
 def test_kraus_channel_completeness_enforced():
     with pytest.raises(ValueError):
         KrausChannel((np.array([[1.0, 0.0], [0.0, 0.5]]),))

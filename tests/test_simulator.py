@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import dlab.circuit
 import dlab.simulator
 from dlab import (
     Circuit,
@@ -38,6 +39,7 @@ from dlab import (
 )
 from dlab.circuit import GATE_ARITY
 from dlab.kernels import apply_matrix
+from dlab.qstate import PAULIS, PSD_ATOL
 from dlab.simulator import _fold_readout_flip
 
 PLUS = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2))
@@ -277,9 +279,12 @@ def noisy_circuits(draw):
 @settings(max_examples=80, deadline=None)
 @given(noisy_circuits())
 def test_run_density_matches_the_kraus_loop(problem):
+    # the run is real from end to end; the loop evolves a complex matrix
     c, noise = problem
-    got = run_density(c, noise).matrix
-    assert np.max(np.abs(got - loop_run_density(c, noise).matrix)) < 1e-12
+    rho = run_density(c, noise)
+    assert rho.matrix.dtype == np.float64 and rho.spectrum.dtype == np.float64
+    assert rho.spectrum[0] >= -PSD_ATOL
+    assert np.max(np.abs(rho.matrix - loop_run_density(c, noise).matrix)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -303,6 +308,20 @@ def test_run_density_sweeps_once_per_block(monkeypatch, n, idle_noise, sweeps):
     got = run_density(c, noise).matrix
     assert sizes.count(2 * c.num_qubits) == sweeps
     assert np.max(np.abs(got - loop_run_density(c, noise).matrix)) < 1e-12
+
+
+def test_run_density_refuses_a_superoperator_that_is_not_real(monkeypatch):
+    c = Circuit(2, (Gate(GateKind.H, (0,)), Gate(GateKind.X, (1,))))
+    noise = NoiseModel(depol_1q=0.1)
+    want = run_density(c, noise).matrix
+    # a complex gate matrix whose superoperator is real runs as before: the
+    # global phase i drops out of X rho X^dag
+    monkeypatch.setitem(dlab.circuit._FIXED_MATRICES, GateKind.X, 1j * PAULIS["X"])
+    assert np.array_equal(run_density(c, noise).matrix, want)
+    # an S gate's superoperator is not real
+    monkeypatch.setitem(dlab.circuit._FIXED_MATRICES, GateKind.X, np.diag([1, 1j]))
+    with pytest.raises(ValueError, match="X gate superoperator is not real"):
+        run_density(c, noise)
 
 
 def test_run_density_matches_the_kraus_loop_on_circuits():
@@ -485,6 +504,18 @@ def test_meas_record_validation_and_json():
         MeasRecord(setting, {"00": 5}, 10)  # counts do not sum to shots
     with pytest.raises(ValueError):
         MeasRecord(setting, {"02": 10}, 10)
+    # a record refuses what the draw refuses: a bool or a float for shots,
+    # and a bool count, though each of them sums like an integer
+    for shots, message in ((True, "an integer"), (1.0, "an integer"), (0, "positive")):
+        with pytest.raises(ValueError, match=f"shots must be {message}"):
+            MeasRecord(MeasSetting.computational(1), {"0": 1}, shots)
+    with pytest.raises(ValueError, match="bad count"):
+        MeasRecord(MeasSetting.computational(1), {"0": True}, 1)
+    for shots, counts in ((True, {"0": 1}), (3.0, {"0": 3}), (2, {"0": 1.5, "1": 0.5})):
+        with pytest.raises(ValueError):
+            MeasRecord.from_json_obj({"setting": ["Z"], "shots": shots, "counts": counts})
+    numpy_shots = MeasRecord(setting, {"00": 4, "11": 6}, np.int64(10))
+    assert type(numpy_shots.shots) is int and json.dumps(numpy_shots.to_json_obj())
     rec = MeasRecord(setting, {"00": 4, "11": 6}, 10, seed=3)
     assert np.allclose(rec.frequencies(), [0.4, 0, 0, 0.6])
     back = MeasRecord.from_json_obj(rec.to_json_obj())
