@@ -47,14 +47,13 @@ from .simulator import (
     NoiseModel,
     run_density,
     run_statevector,
-    sample,
+    sample_pauli_set,
 )
 from .tomography import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     TomographyJob,
     mle_reconstruct,
-    pauli_settings,
     qubit_tomography,
     save_state_text,
     save_tomography_job,
@@ -398,8 +397,7 @@ def cmd_coherence(cfg: ExperimentConfig) -> None:
 
 def _pauli_records(cfg: ExperimentConfig, state, base_seed: int):
     """`cfg.shots` of every setting of `pauli_settings`, setting j drawn with seed base_seed + j."""
-    settings = pauli_settings(state.num_qubits)
-    return [sample(state, s, cfg.shots, base_seed + j, cfg.noise.readout_flip) for j, s in enumerate(settings)]
+    return sample_pauli_set(state, cfg.shots, base_seed, cfg.noise.readout_flip)
 
 
 def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):

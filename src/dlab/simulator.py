@@ -40,6 +40,9 @@ _PAULI_ROTATIONS = {
     "X": _FIXED_MATRICES[GateKind.H],
     "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) * _SQRT2_INV,
 }
+# The bases of a complete Pauli measurement set, in the order in which
+# `pauli_settings` runs through each qubit's basis.
+_PAULI_SET = "XYZ"
 
 
 def basis_rotation(phi, xi) -> np.ndarray:
@@ -201,17 +204,22 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
     of block qubits that a gate leaves alone, and costs one kernel sweep.
     Channels on disjoint qubits commute, so a qubit outside the block only
     owes one idle step per gate. A qubit owing k steps gets S_idle^k folded
-    in at the start of its next block, and what is still owed at the end is
-    applied one qubit per sweep.
+    in at the start of its next block, and the steps it owes after its last
+    block are folded in at the end of that block; a qubit no gate touches
+    takes all of them on its own.
+
+    The state is a product of factors, each a density matrix over a sorted
+    tuple of qubits. Every qubit starts as its own |0><0| factor, a block
+    whose qubits sit in two factors first merges them into one, and the
+    block's sweep covers that factor only. The factors left at the end are
+    merged in qubit order.
 
     Every gate kind and both noise channels have real superoperators, so
-    the state is a float64 vector and every sweep is real. A superoperator
-    with a nonzero imaginary part is refused with a ValueError."""
+    the state is float64 and every sweep is real. A superoperator with a
+    nonzero imaginary part is refused with a ValueError."""
     if c.num_qubits > DENSITY_MAX_QUBITS:
         raise ValueError(f"density runs support at most {DENSITY_MAX_QUBITS} qubits")
     n = c.num_qubits
-    rho = np.zeros(4**n)
-    rho[0] = 1.0
     noise = noise or NoiseModel()
     gate_noise = {
         1: _noise_superop(noise.depol_1q, noise.amp_damp_gamma, 1),
@@ -219,18 +227,47 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
     }
     idle = gate_noise[1] if noise.idle_noise else None
     wait = np.eye(4) if idle is None else idle  # one qubit's idle step
+    blocks = _blocks(c.gates)
+    last = {q: b for b, (qubits, _) in enumerate(blocks) for q in qubits}
+    # qubit -> the factor (qubits, flattened density matrix) that holds it
+    factors = {q: ((q,), np.array([1.0, 0.0, 0.0, 0.0])) for q in range(n)}
     owed = [0] * n
-    for qubits, gates in _blocks(c.gates):
+    after = len(c.gates)  # gates after the current block
+    for b, (qubits, gates) in enumerate(blocks):
+        after -= len(gates)
         sup = reduce(np.kron, [np.linalg.matrix_power(wait, owed[q]) for q in qubits])
         for g in gates:
             sup = _block_step(g, qubits, gate_noise, wait) @ sup
-        apply_matrix(rho, sup, tuple(ax for q in qubits for ax in (q, n + q)), 2 * n)
+        tail = [after if last[q] == b else 0 for q in qubits]
+        if idle is not None and any(tail):
+            sup = reduce(np.kron, [np.linalg.matrix_power(idle, k) for k in tail]) @ sup
         owed = [0 if q in qubits else k + len(gates) for q, k in enumerate(owed)]
+        if factors[qubits[0]] is not factors[qubits[-1]]:
+            merged = _product([factors[qubits[0]], factors[qubits[-1]]])
+            factors.update(dict.fromkeys(merged[0], merged))
+        held, rho = factors[qubits[0]]
+        pos = [held.index(q) for q in qubits]
+        apply_matrix(rho, sup, tuple(ax for i in pos for ax in (i, len(held) + i)), 2 * len(held))
     if idle is not None:
-        for q, k in enumerate(owed):
-            if k:
-                apply_matrix(rho, np.linalg.matrix_power(idle, k), (q, n + q), 2 * n)
+        for q in [q for q in range(n) if q not in last]:
+            apply_matrix(factors[q][1], np.linalg.matrix_power(idle, len(c.gates)), (0, 1), 2)
+    _, rho = _product([f for q, f in factors.items() if f[0][0] == q])
     return DensityMatrix(n, rho.reshape(2**n, 2**n))
+
+
+def _product(factors) -> tuple[tuple[int, ...], np.ndarray]:
+    """The tensor product of density-matrix factors on disjoint qubits, as one
+    factor over their qubits in ascending order, written once; a single
+    factor is returned as it is."""
+    if len(factors) == 1:
+        return factors[0]
+    qubits = tuple(sorted(q for held, _ in factors for q in held))
+    k = len(qubits)
+    operands = []
+    for held, rho in factors:
+        pos = [qubits.index(q) for q in held]
+        operands += [rho.reshape([2] * (2 * len(held))), pos + [k + i for i in pos]]
+    return qubits, np.einsum(*operands, list(range(2 * k)), order="C").reshape(-1)
 
 
 def _blocks(gates) -> list[tuple[tuple[int, ...], list]]:
@@ -317,21 +354,30 @@ def _pauli_expansion(mat: np.ndarray, k: int) -> np.ndarray:
 
 def born_distribution(state, setting: MeasSetting) -> np.ndarray:
     """Exact outcome probabilities of `state` measured in `setting`, indexed
-    by bitstring value (qubit 0 = most significant bit). A pure state's
-    amplitudes are rotated qubit by qubit; a density matrix's Pauli expansion
-    is contracted with each qubit's Bloch rows."""
+    by bitstring value (qubit 0 = most significant bit)."""
     n = state.num_qubits
     if setting.num_qubits != n:
         raise ValueError(
             f"basis arity mismatch: setting covers {setting.num_qubits} qubits, state has {n}"
         )
-    rotations = setting.rotations()
+    return _normalised(_local_probabilities(state, setting.rotations()).reshape(1, -1))[0]
+
+
+def _local_probabilities(state, rotations) -> np.ndarray:
+    """p[o_0, ..., o_{n-1}] = <o_0 ... o_{n-1}| (x_q U_q) rho (x_q U_q)^dag |o_0 ... o_{n-1}>
+    for rotations U_q = rotations[q] of any number of rows (the new bras).
+    A pure state's amplitudes are rotated qubit by qubit; a density matrix's
+    Pauli expansion is contracted with each qubit's Bloch rows."""
+    n = state.num_qubits
     if isinstance(state, PureState):
-        probs = np.abs(_local_apply(rotations, state.amplitudes.reshape([2] * n))) ** 2
-    else:
-        probs = _local_apply(_bloch_rows(rotations), _pauli_expansion(state.matrix, n)) / 2**n
-    probs = np.clip(probs.reshape(-1), 0.0, None)
-    return probs / probs.sum()
+        return np.abs(_local_apply(rotations, state.amplitudes.reshape([2] * n))) ** 2
+    return _local_apply(_bloch_rows(rotations), _pauli_expansion(state.matrix, n)) / 2**n
+
+
+def _normalised(probs: np.ndarray) -> np.ndarray:
+    """Each row of `probs` with rounding below zero clipped, scaled to sum to 1."""
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _fold_readout_flip(probs: np.ndarray, n: int, r: float) -> np.ndarray:
@@ -362,7 +408,8 @@ def _draw(probs: np.ndarray, shots: int, seeds, readout_flip: float = 0.0) -> np
     _check_probability(readout_flip, "readout_flip")
     if readout_flip > 0.0:
         n = probs.shape[-1].bit_length() - 1
-        probs = _fold_readout_flip(probs.T, n, readout_flip).T
+        # contiguous rows, so that a row sums the same way in any batch
+        probs = np.ascontiguousarray(_fold_readout_flip(probs.T, n, readout_flip).T)
     p = np.where(probs > _PROB_CUTOFF, probs, 0.0)
     p = p / p.sum(axis=-1, keepdims=True)
     return np.array([np.random.default_rng(seed).multinomial(shots, q) for q, seed in zip(p, seeds)])
@@ -372,5 +419,28 @@ def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: flo
     """Multinomial shot sampling with a seeded generator: `_draw` of the Born
     distribution, with `readout_flip` folded in before drawing."""
     draws = _draw(born_distribution(state, setting)[None], shots, [seed], readout_flip)[0]
-    counts = {format(i, f"0{state.num_qubits}b"): int(c) for i, c in enumerate(draws) if c > 0}
+    return _record(setting, draws, shots, seed)
+
+
+def pauli_settings(num_qubits: int) -> list[MeasSetting]:
+    """All 3^n products of X/Y/Z bases, in lexicographic order."""
+    return [MeasSetting.pauli("".join(c)) for c in itertools.product(_PAULI_SET, repeat=num_qubits)]
+
+
+def sample_pauli_set(state, shots: int, seed: int, readout_flip: float = 0.0) -> list[MeasRecord]:
+    """`sample` of every setting of `pauli_settings`, setting j seeded with
+    seed + j: the same records, from one contraction of the state with all
+    three bases of each qubit."""
+    n = state.num_qubits
+    # basis b's rotation rows at 2b and 2b + 1
+    rotations = np.concatenate([_PAULI_ROTATIONS[b] for b in _PAULI_SET])
+    probs = _local_probabilities(state, [rotations] * n).reshape([3, 2] * n)
+    probs = probs.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(3**n, 2**n)
+    draws = _draw(_normalised(probs), shots, range(seed, seed + 3**n), readout_flip)
+    return [_record(s, d, shots, seed + j) for j, (s, d) in enumerate(zip(pauli_settings(n), draws))]
+
+
+def _record(setting: MeasSetting, draws: np.ndarray, shots: int, seed: int) -> MeasRecord:
+    """The record of one drawn row, indexed by bitstring value."""
+    counts = {format(i, f"0{setting.num_qubits}b"): int(c) for i, c in enumerate(draws) if c > 0}
     return MeasRecord(setting=setting, counts=counts, shots=shots, seed=seed)

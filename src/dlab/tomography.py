@@ -7,7 +7,6 @@ Pi_k (Glancy, Knill and Girard, NJP 14, 095017, 2012).
 """
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import DensityMatrix
-from .simulator import MeasRecord, MeasSetting, _local_apply, _pair_axes
+from .simulator import _PAULI_SET, MeasRecord, MeasSetting, _local_apply, _pair_axes, pauli_settings
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000
@@ -28,14 +27,9 @@ _MIN_STEP = 1e-12
 _MAX_STEP = 1e6
 
 
-def pauli_settings(num_qubits: int) -> list[MeasSetting]:
-    """All 3^n products of X/Y/Z bases, in lexicographic order."""
-    return [MeasSetting.pauli("".join(c)) for c in itertools.product("XYZ", repeat=num_qubits)]
-
-
 # _PROJECTORS[2b + o] = Pi_{b,o} for b in X, Y, Z: the rotation's row o is the bra.
 _PROJECTORS = np.array(
-    [np.outer(u[o].conj(), u[o]) for b in "XYZ" for u in MeasSetting.pauli(b).rotations() for o in (0, 1)]
+    [np.outer(u[o].conj(), u[o]) for b in _PAULI_SET for u in MeasSetting.pauli(b).rotations() for o in (0, 1)]
 )
 # On one qubit's (row, column) pair p = 2r + c: _FRAME[p, k] = Pi_k[r, c]; the
 # dual frame 3 Pi_k - I inverts frequencies weighted 1/3 per basis.
@@ -47,7 +41,7 @@ def _pauli_order(settings, num_qubits: int) -> list[int]:
     """Indices that put `settings` in `pauli_settings` order; raises unless each
     of those appears exactly once (no angle basis or other arity matches a label)."""
     labels = [s.label() for s in settings]
-    if sorted(labels) != ["".join(c) for c in itertools.product("XYZ", repeat=num_qubits)]:
+    if sorted(labels) != [s.label() for s in pauli_settings(num_qubits)]:
         raise ValueError(f"settings must be each of the {3**num_qubits} Pauli settings on {num_qubits} qubits, once")
     return sorted(range(len(labels)), key=labels.__getitem__)
 

@@ -1,4 +1,5 @@
 """Mutual-information curves, basis grids, Holevo bounds, scans, backflow."""
+import itertools
 import math
 from functools import reduce
 
@@ -521,18 +522,25 @@ def test_cmi_joint_sampled_errors():
 
 
 def test_sampled_grid_matches_per_cell_draws():
-    # cell (i, j) is cmi_joint sampled with seed + i * xi_steps + j. The loop
-    # is no reference here: numpy's binomial sampler branches on
-    # floor((n + 1) p), so an ulp in a rational Born probability can change a draw
-    psi = ideal_global_state(T_REC, FULL2)
-    for sys_q, frac in (((0,), (1, 2)), ((0,), (1, 2, 3, 4)), ((2,), (0, 3))):
-        grid = cmi_grid(psi, sys_q, frac, 4, 5, shots=512, seed=40)
-        xis = np.linspace(0.0, 2 * math.pi, 5, endpoint=False)
-        for i, phi in enumerate(np.linspace(0.0, math.pi, 4)):
-            for j, xi in enumerate(xis):
-                setting = MeasSetting(((phi, xi),) * len(frac))
-                cell = cmi_joint(psi, sys_q, frac, setting, shots=512, seed=40 + i * 5 + j)
-                assert grid.values[i, j] == cell
+    # cell (i, j) is cmi_joint sampled with seed + i * xi_steps + j, whether
+    # the grid draws it in a batch or alone. The loop is no reference here:
+    # numpy's binomial sampler branches on floor((n + 1) p) and on p > 0.5,
+    # so an ulp in a Born probability can change a draw; phi = pi/2 on the
+    # 5-step axis puts many of them at exactly 0.5
+    noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.001)
+    states = (
+        ideal_global_state(T_REC, FULL2),
+        run_density(build_condensed_circuit(T_MAX, COND3), noise),
+    )
+    xis = np.linspace(0.0, 2 * math.pi, 4, endpoint=False)
+    for state, flip in itertools.product(states, (0.0, 0.05)):
+        for sys_q, frac in (((0,), (1, 2)), ((0,), (1, 2, 3)), ((2,), (0, 3))):
+            grid = cmi_grid(state, sys_q, frac, 5, 4, shots=1000, seed=7, readout_flip=flip)
+            for i, phi in enumerate(np.linspace(0.0, math.pi, 5)):
+                for j, xi in enumerate(xis):
+                    setting = MeasSetting(((phi, xi),) * len(frac))
+                    cell = cmi_joint(state, sys_q, frac, setting, shots=1000, seed=7 + i * 4 + j, readout_flip=flip)
+                    assert grid.values[i, j] == cell
 
 
 def test_sampled_cmi_draws_like_sample():

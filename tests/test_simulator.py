@@ -32,9 +32,11 @@ from dlab import (
     cmi_joint,
     depolarizing_channel,
     partial_trace,
+    pauli_settings,
     run_density,
     run_statevector,
     sample,
+    sample_pauli_set,
     trace_distance,
 )
 from dlab.circuit import GATE_ARITY
@@ -287,17 +289,9 @@ def test_run_density_matches_the_kraus_loop(problem):
     assert np.max(np.abs(rho.matrix - loop_run_density(c, noise).matrix)) < 1e-12
 
 
-@pytest.mark.parametrize(
-    "n, idle_noise, sweeps",
-    [
-        (4, False, 8),  # 17 gates in 8 blocks: 4 x (Ry, CNOT, X), (H, CZ) and 3 CZ
-        (3, True, 11),  # 13 gates in 6 blocks, then the idle steps owed by 5 qubits
-    ],
-)
-def test_run_density_sweeps_once_per_block(monkeypatch, n, idle_noise, sweeps):
-    p = ScmParams(theta=math.pi, lam=1.0, n=n, scenario=Scenario.FULL)
-    c = build_full_circuit(canonical_times().t_max, p)
-    noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.002, idle_noise=idle_noise)
+def _sweep_sizes(monkeypatch, c, noise):
+    """The `n_axes` of every kernel sweep of `run_density(c, noise)`, in
+    order, and the largest deviation from the Kraus loop."""
     sizes = []
 
     def counted(flat, mat, axes, n_axes):
@@ -306,8 +300,71 @@ def test_run_density_sweeps_once_per_block(monkeypatch, n, idle_noise, sweeps):
 
     monkeypatch.setattr(dlab.simulator, "apply_matrix", counted)
     got = run_density(c, noise).matrix
-    assert sizes.count(2 * c.num_qubits) == sweeps
-    assert np.max(np.abs(got - loop_run_density(c, noise).matrix)) < 1e-12
+    return sizes, np.max(np.abs(got - loop_run_density(c, noise).matrix))
+
+
+@pytest.mark.parametrize(
+    "n, idle_noise, sizes",
+    [
+        # 17 gates in 8 blocks: 4 x (Ry, CNOT, X) on a fresh pair, then
+        # (H, CZ) and 3 CZ, each joining the system's factor to a pair's
+        (4, False, [4, 4, 4, 4, 6, 10, 14, 18]),
+        # 13 gates in 6 blocks; each qubit's idle steps after its last block
+        # are folded into that block, so nothing is left to sweep at the end
+        (3, True, [4, 4, 4, 6, 10, 14]),
+    ],
+    ids=["4-False-8", "3-True-6"],
+)
+def test_run_density_sweeps_once_per_block(monkeypatch, n, idle_noise, sizes):
+    # each block sweeps once, on the smallest factor that holds it
+    p = ScmParams(theta=math.pi, lam=1.0, n=n, scenario=Scenario.FULL)
+    c = build_full_circuit(canonical_times().t_max, p)
+    noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.002, idle_noise=idle_noise)
+    got, err = _sweep_sizes(monkeypatch, c, noise)
+    assert got == sizes
+    assert err < 1e-12
+
+
+_FACTOR_NOISE = NoiseModel(depol_1q=0.03, depol_2q=0.05, amp_damp_gamma=0.1, idle_noise=True)
+
+
+def test_run_density_keeps_disjoint_factors_apart(monkeypatch):
+    # pairs (0, 1) and (3, 4) never meet, and qubits 2 and 5 see no gate:
+    # each sweep covers one pair, and each untouched qubit takes all six
+    # idle steps in one sweep of its own
+    c = Circuit(
+        6,
+        (
+            Gate(GateKind.RY, (1,), 0.7),
+            Gate(GateKind.CNOT, (1, 0)),
+            Gate(GateKind.X, (0,)),
+            Gate(GateKind.H, (3,)),
+            Gate(GateKind.CZ, (4, 3)),
+            Gate(GateKind.RY, (4,), -1.2),
+        ),
+    )
+    sizes, err = _sweep_sizes(monkeypatch, c, _FACTOR_NOISE)
+    assert sizes == [4, 4, 2, 2]
+    assert err < 1e-12
+
+
+def test_run_density_merges_factors_out_of_register_order(monkeypatch):
+    # (3, 1) and (2, 0) each merge two fresh qubits; (1, 2) then merges both
+    # pairs, whose qubits interleave in the register; qubit 4 sees no gate
+    c = Circuit(
+        5,
+        (
+            Gate(GateKind.H, (3,)),
+            Gate(GateKind.CNOT, (3, 1)),
+            Gate(GateKind.RY, (2,), 0.4),
+            Gate(GateKind.CZ, (2, 0)),
+            Gate(GateKind.SWAP, (1, 2)),
+            Gate(GateKind.RY, (2,), 1.9),
+        ),
+    )
+    sizes, err = _sweep_sizes(monkeypatch, c, _FACTOR_NOISE)
+    assert sizes == [4, 4, 8, 2]
+    assert err < 1e-12
 
 
 def test_run_density_refuses_a_superoperator_that_is_not_real(monkeypatch):
@@ -520,3 +577,39 @@ def test_meas_record_validation_and_json():
     assert np.allclose(rec.frequencies(), [0.4, 0, 0, 0.6])
     back = MeasRecord.from_json_obj(rec.to_json_obj())
     assert back == rec
+
+
+@st.composite
+def pauli_set_problems(draw):
+    """A state on 1-4 qubits: pure, mixed of random rank (complex or real,
+    as density runs make it), maximally mixed, or a basis state, whose X and
+    Y outcomes all sit at exactly 0.5; shots, a seed and a flip rate."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("pure", "mixed", "real", "maximally mixed", "basis")))
+    if kind == "pure":
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = PureState(n, psi / np.linalg.norm(psi))
+    elif kind in ("mixed", "real"):
+        rank = draw(st.integers(1, 2**n))
+        g = rng.normal(size=(2**n, rank))
+        if kind == "mixed":
+            g = g + 1j * rng.normal(size=(2**n, rank))
+        rho = g @ g.conj().T
+        state = DensityMatrix(n, rho / np.trace(rho).real)
+    elif kind == "maximally mixed":
+        state = DensityMatrix(n, np.eye(2**n) / 2**n)
+    else:
+        state = PureState(n, np.eye(2**n)[draw(st.integers(0, 2**n - 1))])
+    shots = draw(st.integers(1, 5000))
+    return state, shots, draw(st.integers(0, 2**32)), draw(st.sampled_from((0.0, 0.02, 0.5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pauli_set_problems())
+def test_sample_pauli_set_equals_per_setting_samples(problem):
+    # one contraction for all 3^n settings gives the very records of
+    # `sample`, setting j seeded with seed + j, ties at 0.5 included
+    state, shots, seed, flip = problem
+    want = [sample(state, s, shots, seed + j, flip) for j, s in enumerate(pauli_settings(state.num_qubits))]
+    assert sample_pauli_set(state, shots, seed, flip) == want
