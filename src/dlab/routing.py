@@ -10,17 +10,17 @@ operand along a shortest path, picking the cheapest (path, direction) under
 the same accounting.
 
 The search stays exact while doing little per placement, in the spirit of
-exact qubit allocation with pruning (Siraichi et al., "Qubit allocation",
-CGO 2018; Zulehner, Paler and Wille, IEEE TCAD 38(7), 2019). The |0> flags
-and each gate's own cost do not depend on the placement and are computed
-once per `route` call; a path choice is memoised on (source slot, target
-slot, slot |0> flags); a walk stops as soon as it cannot beat the best
-score so far; and only the winner is walked again to emit its gates.
+exact qubit allocation (Siraichi et al., "Qubit allocation", CGO 2018;
+Zulehner, Paler and Wille, IEEE TCAD 38(7), 2019). The |0> flags and each
+gate's own cost do not depend on the placement and are computed once per
+`route` call; all placements are walked together as one array, one step
+per 2-qubit gate, with each distinct (source slot, target slot, slot |0>
+flags) path choice made once; and only the winner is walked again to emit
+its gates.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -235,18 +235,16 @@ class _Plan:
 
     `ops` holds one (first logical qubit, second or -1, logical qubits
     still |0> before the gate, Gate) per gate and `routed_ops` the 2-qubit
-    ones; `fixed` is the gates' own cost; `adjacent[p]` has bit q set when
-    (p, q) is an edge; `memo` maps (source slot, target slot, slot |0>
-    flags) to `_choose_path`'s answer.
+    ones; `fixed` is the gates' own cost; `adjacent[p, q]` is set when
+    (p, q) is an edge; `paths` holds every shortest path between two slots.
     """
 
     ops: tuple
     routed_ops: tuple
     fixed: int
     num_physical: int
-    adjacent: tuple[int, ...]
+    adjacent: np.ndarray
     paths: dict
-    memo: dict = field(default_factory=dict)
 
 
 def _plan(c: Circuit, cmap: CouplingMap) -> _Plan:
@@ -254,7 +252,7 @@ def _plan(c: Circuit, cmap: CouplingMap) -> _Plan:
     fixed = 0
     ops = []
     for g in c.gates:
-        live = tuple(l for l in range(cmap.num_physical) if zero >> l & 1)
+        live = [l for l in range(cmap.num_physical) if zero >> l & 1]
         ops.append((g.qubits[0], g.qubits[1] if len(g.qubits) == 2 else -1, live, g))
         if g.kind is GateKind.SWAP:
             cost, zero = _swap_exec_cost(*g.qubits, zero)
@@ -262,7 +260,9 @@ def _plan(c: Circuit, cmap: CouplingMap) -> _Plan:
         else:
             fixed += _CNOT_COST.get(g.kind, 0)
             zero = _note_zero(g.kind, g.qubits, zero)
-    adjacent = tuple(sum(1 << q for q in cmap.neighbors(p)) for p in range(cmap.num_physical))
+    adjacent = np.zeros((cmap.num_physical, cmap.num_physical), dtype=bool)
+    for u, v in cmap.edges:
+        adjacent[u, v] = adjacent[v, u] = True
     return _Plan(
         ops=tuple(ops),
         routed_ops=tuple(op for op in ops if op[1] >= 0),
@@ -273,55 +273,90 @@ def _plan(c: Circuit, cmap: CouplingMap) -> _Plan:
     )
 
 
-def _walk(plan: _Plan, perm: tuple[int, ...], bound: float = math.inf, out: list | None = None):
+def _walk(plan: _Plan, perm: tuple[int, ...]):
     """Greedy walk of the plan's circuit from `perm` (logical qubit l starts
     on slot perm[l]), scored by the CNOT count the device executes after the
     zero-SWAP rewrite. A non-adjacent gate first moves one operand along
     the `_choose_path` answer for its slots and the slots' |0> flags.
 
-    Routing SWAPs cost at least 0, so the walk gives up, returning None,
-    as soon as its score can no longer fall below `bound`. Otherwise it
-    returns the score, the final slot of every logical qubit (idle slots
-    padded in as extra ids) and the number of inserted SWAPs, and appends
-    the routed (kind, physical qubits, angle) triples to `out` if given:
-    only then are 1-qubit gates visited at all."""
-    budget = bound - plan.fixed
-    if budget <= 0:
-        return None
-    memo, paths, adjacent = plan.memo, plan.paths, plan.adjacent
+    Returns the score, the final slot of every logical qubit (idle slots
+    padded in as extra ids), the number of inserted SWAPs and the routed
+    (kind, physical qubits, angle) triples."""
     num_physical = plan.num_physical
     l2p = list(perm)
     if len(l2p) < num_physical:
         l2p += sorted(set(range(num_physical)).difference(perm))
     p2l = sorted(range(num_physical), key=l2p.__getitem__)
     routed = swaps = 0
-    for a, b, live, gate in plan.routed_ops if out is None else plan.ops:
+    out = []
+    for a, b, live, gate in plan.ops:
         pa = l2p[a]
         if b < 0:
             out.append((gate.kind, (pa,), gate.angle))
             continue
         pb = l2p[b]
-        if not adjacent[pa] >> pb & 1:
+        if not plan.adjacent[pa, pb]:
             zero = 0
             for l in live:
                 zero |= 1 << l2p[l]
-            key = (pa, pb, zero)
-            choice = memo.get(key)
-            if choice is None:
-                choice = memo[key] = _choose_path(paths[pa, pb], zero)
-            cost, src, dst, inserted, (pa, pb) = choice
+            cost, src, dst, inserted, (pa, pb) = _choose_path(plan.paths[pa, pb], zero)
             routed += cost
-            if routed >= budget:
-                return None
             for l, p in zip([p2l[s] for s in src], dst):
                 l2p[l] = p
                 p2l[p] = l
             swaps += len(inserted)
-            if out is not None:
-                out.extend((GateKind.SWAP, uv, None) for uv in inserted)
-        if out is not None:
-            out.append((gate.kind, (pa, pb), gate.angle))
-    return plan.fixed + routed, l2p, swaps
+            out.extend((GateKind.SWAP, uv, None) for uv in inserted)
+        out.append((gate.kind, (pa, pb), gate.angle))
+    return plan.fixed + routed, l2p, swaps, out
+
+
+def _placements(num_physical: int, k: int) -> np.ndarray:
+    """Every injective placement of k logical qubits on `num_physical`
+    slots, one int8 row each in `itertools.permutations` (lexicographic)
+    order, followed by the slots it leaves idle, ascending, as `_walk` pads
+    them."""
+    perms = np.arange(num_physical - k, dtype=np.int8)[None]
+    for size in range(num_physical - k + 1, num_physical + 1):
+        # every first slot of range(size), then every row on the other slots
+        first = np.arange(size, dtype=np.int8)[:, None, None]
+        rest = perms + (perms >= first)
+        perms = np.concatenate((np.broadcast_to(first, (*rest.shape[:2], 1)), rest), axis=2).reshape(-1, size)
+    return perms
+
+
+def _scores(plan: _Plan, perms: np.ndarray) -> np.ndarray:
+    """`_walk`'s score from every row of `perms` (padded placements, as
+    `_placements` gives them), all rows walked at once.
+
+    Each 2-qubit gate is visited once. Every row packs its (source slot,
+    target slot, slot |0> flags) into one int key. Each key not yet seen
+    whose slots share no edge gets `_choose_path`'s answer once, stored in
+    two tables: its SWAP cost, and the slot each slot's occupant moves to
+    (an edge costs 0 and moves nothing). Then every row adds its cost and
+    moves its occupants by one gather. The tables have num_physical^3
+    2^num_physical entries, which is why only the exhaustive search uses
+    this."""
+    num_physical = plan.num_physical
+    slots = np.arange(num_physical)
+    pair_keys = (slots[:, None] * num_physical + slots) << num_physical
+    bits = 1 << slots
+    cost = np.where(plan.adjacent, 0, -1).repeat(1 << num_physical)
+    moves = np.tile(slots.astype(perms.dtype), len(cost))
+    l2p = perms.T
+    routed = np.zeros(len(perms), dtype=int)
+    for a, b, live, _ in plan.routed_ops:
+        keys = pair_keys[l2p[a], l2p[b]]
+        for l in live:
+            keys |= bits[l2p[l]]
+        met = np.zeros(len(cost), dtype=bool)
+        met[keys] = True
+        for key in np.flatnonzero(met & (cost < 0)).tolist():
+            pair, zero = divmod(key, 1 << num_physical)
+            cost[key], src, dst, _, _ = _choose_path(plan.paths[divmod(pair, num_physical)], zero)
+            moves[key * num_physical + np.array(src)] = dst
+        routed += cost[keys]
+        l2p = moves[keys * num_physical + l2p]
+    return plan.fixed + routed
 
 
 def _all_pair_paths(cmap: CouplingMap):
@@ -342,13 +377,13 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
     `peephole_zero_swap` realizes the discount, and `swap_count` counts the
     SWAPs routing inserted.
 
-    The candidates are only scored, each walk stopping once it cannot beat
-    the best score so far (a later placement wins only with a strictly
-    lower one); the winner is walked once more to emit its gates."""
+    All candidates are scored together by `_scores`, and the first minimum
+    wins; only the winner is walked to emit its gates."""
     if c.num_qubits > cmap.num_physical:
         raise ValueError(
             f"circuit needs {c.num_qubits} qubits but the device has {cmap.num_physical}"
         )
+    winner = None
     if placement is not None:
         if set(placement) != set(range(c.num_qubits)):
             raise ValueError("placement must cover exactly the logical qubits")
@@ -356,19 +391,14 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
             raise ValueError("placement is not injective")
         if any(not 0 <= p < cmap.num_physical for p in placement.values()):
             raise ValueError("placement targets a slot outside the device")
-        candidates = [tuple(placement[q] for q in range(c.num_qubits))]
+        winner = tuple(placement[q] for q in range(c.num_qubits))
     elif cmap.num_physical > EXHAUSTIVE_PLACEMENT_MAX:
-        candidates = [tuple(range(c.num_qubits))]
-    else:
-        candidates = itertools.permutations(range(cmap.num_physical), c.num_qubits)
+        winner = tuple(range(c.num_qubits))
     plan = _plan(c, cmap)
-    best, winner = math.inf, None
-    for perm in candidates:
-        walk = _walk(plan, perm, best)
-        if walk is not None:
-            best, winner = walk[0], perm
-    out = []
-    _, l2p, swaps = _walk(plan, winner, out=out)
+    if winner is None:
+        perms = _placements(cmap.num_physical, c.num_qubits)
+        winner = tuple(perms[np.argmin(_scores(plan, perms)), : c.num_qubits].tolist())
+    _, l2p, swaps, out = _walk(plan, winner)
     routed = Circuit(cmap.num_physical, tuple(Gate(kind, qubits, angle) for kind, qubits, angle in out))
     return RoutedCircuit(
         circuit=routed,

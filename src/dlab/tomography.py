@@ -7,6 +7,7 @@ Pi_k (Glancy, Knill and Girard, NJP 14, 095017, 2012).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import DensityMatrix
-from .simulator import _PAULI_SET, MeasRecord, MeasSetting, _local_apply, _pair_axes, pauli_settings
+from .simulator import _PAULI_SET, MeasRecord, MeasSetting, _pair_axes, pauli_settings
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000
@@ -31,10 +32,31 @@ _MAX_STEP = 1e6
 _PROJECTORS = np.array(
     [np.outer(u[o].conj(), u[o]) for b in _PAULI_SET for u in MeasSetting.pauli(b).rotations() for o in (0, 1)]
 )
-# On one qubit's (row, column) pair p = 2r + c: _FRAME[p, k] = Pi_k[r, c]; the
-# dual frame 3 Pi_k - I inverts frequencies weighted 1/3 per basis.
-_FRAME = _PROJECTORS.reshape(6, 4).T
-_DUAL_FRAME = (3 * _PROJECTORS - np.eye(2)).reshape(6, 4).T
+# On one qubit's (row, column) pair p = 2r + c: frame[p, k] = Pi_k[r, c]; the
+# dual frame 3 Pi_k - I inverts frequencies weighted 1/3 per basis, and the
+# conjugate frame reads probabilities off a density matrix.
+_FRAMES = {
+    "frame": _PROJECTORS.reshape(6, 4).T,
+    "dual": (3 * _PROJECTORS - np.eye(2)).reshape(6, 4).T,
+    "conj": _PROJECTORS.reshape(6, 4).T.conj(),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _frame_power(name: str, m: int) -> np.ndarray:
+    """The frame `name` on m qubits: out[(r, c), k] = prod_q frame[2 r_q + c_q, k_q],
+    rows ordered by the m row bits then the m column bits, columns by k."""
+    power = functools.reduce(np.kron, [_FRAMES[name]] * m, np.ones((1, 1)))
+    order = [*range(0, 2 * m, 2), *range(1, 2 * m, 2), 2 * m]
+    return power.reshape([2] * (2 * m) + [6**m]).transpose(order).reshape(4**m, 6**m)
+
+
+def _halves(name: str, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """n // 2, and the frame `name` on the first n // 2 qubits and on the rest:
+    on n qubits the frame is their Kronecker product, so it acts on a
+    coefficient matrix C as two matmuls, (A x B) vec(C) = vec(A C B^T)."""
+    h = n // 2
+    return h, _frame_power(name, h), _frame_power(name, n - h)
 
 
 def _pauli_order(settings, num_qubits: int) -> list[int]:
@@ -61,18 +83,21 @@ def _frequency_tensor(settings, frequencies, num_qubits: int) -> np.ndarray:
     return _pair_axes((f / len(order)).reshape([3] * num_qubits + [2] * num_qubits), num_qubits)
 
 
-def _operator(frame: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _operator(name: str, coeffs: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] (Pi_{k_0} x ... x Pi_{k_{n-1}}) with each Pi_k read
-    from `frame`, as a 2^n x 2^n matrix."""
+    from frame `name`, as a 2^n x 2^n matrix."""
     n = coeffs.ndim
-    t = _local_apply([frame] * n, coeffs).reshape([2] * (2 * n))
-    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(2**n, 2**n)
+    h, a, b = _halves(name, n)
+    t = a @ coeffs.reshape(6**h, -1) @ b.T
+    return t.reshape(2**h, 2**h, 2 ** (n - h), 2 ** (n - h)).transpose(0, 2, 1, 3).reshape(2**n, 2**n)
 
 
 def _probabilities(rho: np.ndarray, num_qubits: int) -> np.ndarray:
     """p[k] = tr(rho (Pi_{k_0} x ... x Pi_{k_{n-1}})), as Pi_k[c, r] = conj(Pi_k[r, c])."""
-    pairs = _pair_axes(rho.reshape([2] * (2 * num_qubits)), num_qubits)
-    return _local_apply([_FRAME.conj().T] * num_qubits, pairs).real
+    h, a, b = _halves("conj", num_qubits)
+    rest = 2 ** (num_qubits - h)
+    pairs = rho.reshape(2**h, rest, 2**h, rest).transpose(0, 2, 1, 3).reshape(4**h, rest * rest)
+    return (a.T @ pairs @ b).real.reshape([6] * num_qubits)
 
 
 def _project(mat: np.ndarray) -> np.ndarray:
@@ -125,37 +150,41 @@ class MleResult:
         return self.stop_reason == "tol"
 
 
-def _log_likelihood(freqs: np.ndarray, probs: np.ndarray) -> float:
-    mask = freqs > 0
-    return float(np.sum(freqs[mask] * np.log(np.maximum(probs[mask], _PROB_FLOOR))))
+def _log_likelihood(weights: np.ndarray, probs: np.ndarray) -> float:
+    """sum_k f_k log p_k over the observed outcomes: their frequencies
+    `weights` and probabilities `probs`."""
+    return float(np.sum(weights * np.log(np.maximum(probs, _PROB_FLOOR))))
 
 
-def _gradient(freqs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """R = sum_k (f_k / p_k) Pi_k, each ratio capped at _RATIO_CAP."""
+def _gradient(freqs: np.ndarray, observed: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """R = sum_k (f_k / p_k) Pi_k over the `observed` (f_k > 0) outcomes, each
+    ratio capped at _RATIO_CAP."""
     capped = np.maximum(probs, freqs / _RATIO_CAP)
-    return _operator(_FRAME, np.divide(freqs, capped, out=np.zeros_like(freqs), where=freqs > 0))
+    return _operator("frame", np.divide(freqs, capped, out=np.zeros_like(freqs), where=observed))
 
 
 def _mle(freqs: np.ndarray, tol: float, max_iters: int):
     """The state, stop reason, log-likelihoods and certified gap of an
     accelerated projected-gradient ascent from the projected inversion."""
     n = freqs.ndim
-    rho = _project(_operator(_DUAL_FRAME, freqs))
+    observed = freqs > 0
+    weights = freqs[observed]
+    rho = _project(_operator("dual", freqs))
     probs = _probabilities(rho, n)
-    history = [_log_likelihood(freqs, probs)]
+    history = [_log_likelihood(weights, probs[observed])]
     # the momentum point; a restart puts it back on the last accepted iterate
     point, point_probs, momentum, step = rho, probs, 1.0, 1.0
     while True:
-        bound = float(np.linalg.eigvalsh(_gradient(freqs, probs))[-1]) - 1.0
+        bound = float(np.linalg.eigvalsh(_gradient(freqs, observed, probs))[-1]) - 1.0
         if bound <= tol or len(history) > max_iters:
             return rho, "tol" if bound <= tol else "max_iters", history, bound
-        point_ll = _log_likelihood(freqs, point_probs)
-        grad = _gradient(freqs, point_probs)
+        point_ll = _log_likelihood(weights, point_probs[observed])
+        grad = _gradient(freqs, observed, point_probs)
         while True:
             cand = _project(point + step * grad)
             diff = cand - point
             cand_probs = _probabilities(cand, n)
-            cand_ll = _log_likelihood(freqs, cand_probs)
+            cand_ll = _log_likelihood(weights, cand_probs[observed])
             if cand_ll >= point_ll + np.vdot(grad, diff).real - np.vdot(diff, diff).real / (2 * step):
                 break
             step /= 2
@@ -199,7 +228,7 @@ def qubit_tomography(records) -> DensityMatrix:
     linear inversion."""
     records = list(records)
     freqs = _frequency_tensor([r.setting for r in records], [r.frequencies() for r in records], 1)
-    return DensityMatrix(1, _project(_operator(_DUAL_FRAME, freqs)))
+    return DensityMatrix(1, _project(_operator("dual", freqs)))
 
 
 def save_state_text(matrix, path) -> None:

@@ -31,7 +31,7 @@ from dlab import (
     routed_unitary_equivalent,
 )
 from dlab.circuit import GATE_ARITY
-from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX, _all_pair_paths, _plan, _walk
+from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX, _all_pair_paths, _placements, _plan, _scores, _walk
 
 T7_EDGES = frozenset({(0, 1), (1, 2), (1, 3), (3, 5), (4, 5), (5, 6)})
 LINE3 = CouplingMap(3, frozenset({(0, 1), (1, 2)}))
@@ -254,10 +254,10 @@ def test_placement_objective_matches_peephole_count():
         (build_condensed_circuit, Scenario.CONDENSED, 3),
     ):
         c = build(math.log(2), ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario))
-        plan = _plan(c, t7)
-        for perm in itertools.permutations(range(t7.num_physical), c.num_qubits):
+        perms = _placements(t7.num_physical, c.num_qubits)
+        objectives = _scores(_plan(c, t7), perms).tolist()
+        for perm, objective in zip(perms[:, : c.num_qubits].tolist(), objectives):
             placement = dict(enumerate(perm))
-            objective = _walk(plan, perm)[0]
             rc = route(c, t7, placement=placement)
             assert_same_routing(rc, loop_route(c, t7, placement))
             realized = peephole_zero_swap(rc).cnot_count
@@ -277,6 +277,23 @@ def test_route_matches_the_loop_on_the_benchmark_circuits(build, scenario, n):
     assert _walk(_plan(c, t7), tuple(rc.placement[q] for q in range(c.num_qubits)))[0] == (
         peephole_zero_swap(rc).cnot_count
     )
+    assert_scores_match_the_loop(c, t7)
+
+
+def assert_scores_match_the_loop(c, cmap):
+    """`_scores` of every placement equals the cost the loop referee executes from it."""
+    paths = _all_pair_paths(cmap)
+    perms = _placements(cmap.num_physical, c.num_qubits)
+    want = [_loop_route_once(c, cmap, dict(enumerate(p)), paths)[3] for p in perms[:, : c.num_qubits].tolist()]
+    assert _scores(_plan(c, cmap), perms).tolist() == want
+
+
+@pytest.mark.parametrize("num_physical", range(1, EXHAUSTIVE_PLACEMENT_MAX + 1))
+def test_placements_are_the_permutations_padded_with_idle_slots(num_physical):
+    for k in range(1, num_physical + 1):
+        perms = _placements(num_physical, k).tolist()
+        assert [tuple(p[:k]) for p in perms] == list(itertools.permutations(range(num_physical), k))
+        assert all(p[k:] == sorted(set(range(num_physical)) - set(p[:k])) for p in perms)
 
 
 @st.composite
@@ -315,6 +332,8 @@ def test_route_matches_the_loop(problem):
     # the winning score is the count the zero-SWAP rewrite realizes, input SWAPs included
     perm = tuple(rc.placement[q] for q in range(c.num_qubits))
     assert _walk(_plan(c, cmap), perm)[0] == peephole_zero_swap(rc).cnot_count
+    if placement is None and cmap.num_physical <= EXHAUSTIVE_PLACEMENT_MAX:
+        assert_scores_match_the_loop(c, cmap)
 
 
 def test_input_swaps_are_scored_as_realized():
@@ -333,18 +352,18 @@ def test_input_swaps_are_scored_as_realized():
         assert peephole_zero_swap(rc).cnot_count == realized
 
 
-def test_zero_cost_input_swaps_do_not_tighten_the_bound():
-    # both input SWAPs meet two |0> wires and vanish. The identity placement
-    # must route SWAP(2, 0) past the live qubit 1 at 2 CNOTs; {0: 1, 1: 0,
-    # 2: 2} needs no routing and wins with 0. A bound that charged the free
-    # SWAPs would give up on it at once and keep the identity.
+def test_zero_cost_input_swaps_are_scored_free():
+    # both input SWAPs meet two |0> wires and vanish, so no score charges
+    # them. The identity placement must route SWAP(2, 0) past the live
+    # qubit 1 at 2 CNOTs; {0: 1, 1: 0, 2: 2} needs no routing and wins with 0.
     c = Circuit(3, (Gate(GateKind.SWAP, (1, 0)), Gate(GateKind.H, (1,)), Gate(GateKind.SWAP, (2, 0))))
-    plan = _plan(c, LINE3)
-    assert _walk(plan, (0, 1, 2))[0] == 2
+    perms = _placements(3, 3)
+    scores = dict(zip(map(tuple, perms.tolist()), _scores(_plan(c, LINE3), perms).tolist()))
+    assert scores[0, 1, 2] == 2
     rc = route(c, LINE3)
     assert rc.placement == {0: 1, 1: 0, 2: 2}
     assert_same_routing(rc, loop_route(c, LINE3))
-    assert _walk(plan, (1, 0, 2))[0] == peephole_zero_swap(rc).cnot_count == 0
+    assert scores[1, 0, 2] == peephole_zero_swap(rc).cnot_count == 0
 
 
 def test_route_builds_gates_only_for_the_winner(monkeypatch):

@@ -32,6 +32,7 @@ from dlab import (
 )
 from dlab import tomography
 from dlab.qstate import PAULIS
+from dlab.simulator import _local_apply, _pair_axes
 
 PLUS = PureState.from_amplitudes(np.array([1, 1]) / math.sqrt(2))
 # X, Y and Z frequencies whose linear inversion has Bloch norm above 1
@@ -186,8 +187,37 @@ def test_qubit_tomography_inversion():
         expect = 0.5 * np.array([[1 + mz, mx - 1j * my], [mx + 1j * my, 1 - mz]])
         records = qubit_records(counts0)
         freqs = tomography._frequency_tensor([r.setting for r in records], [r.frequencies() for r in records], 1)
-        assert np.max(np.abs(tomography._operator(tomography._DUAL_FRAME, freqs) - expect)) < 1e-15
+        assert np.max(np.abs(tomography._operator("dual", freqs) - expect)) < 1e-15
         assert np.max(np.abs(qubit_tomography(records).matrix - expect)) < 1e-12
+
+
+def local_operator(frame, coeffs):
+    """Reference: sum_k coeffs[k] (Pi_{k_0} x ... x Pi_{k_{n-1}}), one qubit's
+    frame contracted at a time."""
+    n = coeffs.ndim
+    t = _local_apply([frame] * n, coeffs).reshape([2] * (2 * n))
+    return t.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(2**n, 2**n)
+
+
+def local_probabilities(rho, n):
+    """Reference: tr(rho Pi_k) for every k, one qubit's frame contracted at a time."""
+    pairs = _pair_axes(rho.reshape([2] * (2 * n)), n)
+    return _local_apply([tomography._FRAMES["conj"].T] * n, pairs).real
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_frame_matmuls_match_the_per_qubit_contraction(n):
+    rng = np.random.default_rng(n)
+    coeffs = rng.random([6] * n)
+    for name in ("frame", "dual"):
+        want = local_operator(tomography._FRAMES[name], coeffs)
+        assert np.max(np.abs(tomography._operator(name, coeffs) - want)) < 1e-12
+    a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    got = tomography._probabilities(rho, n)
+    assert got.shape == (6,) * n
+    assert np.max(np.abs(got - local_probabilities(rho, n))) < 1e-12
 
 
 def test_qubit_tomography_projects_unphysical_means():
