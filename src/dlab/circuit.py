@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import apply_matrix
+from .qstate import _read_only
 from .scm import THETA_PI_ATOL, Scenario, ScmParams, prep_angle
 
 UNITARY_MAX_QUBITS = 6
@@ -37,13 +38,14 @@ GATE_ARITY = {
 
 _SQRT2_INV = 1 / math.sqrt(2)
 # Every gate kind is real, so its matrix is float64: noisy density runs stay
-# real from end to end (see `run_density`).
+# real from end to end (see `run_density`). `Gate.matrix` hands out these
+# arrays themselves, so they are read-only.
 _FIXED_MATRICES = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=float),
-    GateKind.H: np.array([[1, 1], [1, -1]], dtype=float) * _SQRT2_INV,
-    GateKind.CNOT: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float),
-    GateKind.CZ: np.diag([1.0, 1.0, 1.0, -1.0]),
-    GateKind.SWAP: np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float),
+    GateKind.X: _read_only(np.array([[0, 1], [1, 0]], dtype=float)),
+    GateKind.H: _read_only(np.array([[1, 1], [1, -1]], dtype=float) * _SQRT2_INV),
+    GateKind.CNOT: _read_only(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)),
+    GateKind.CZ: _read_only(np.diag([1.0, 1.0, 1.0, -1.0])),
+    GateKind.SWAP: _read_only(np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=float)),
 }
 
 

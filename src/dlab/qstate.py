@@ -26,12 +26,21 @@ TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-9  # floating-point eigenvalues of a valid state can dip just below 0
 EIG_CUTOFF = 1e-12  # 0*log(0) guard
 CHANNEL_ATOL = 1e-10
+_BLOCK_MIN_ROWS = 128  # smallest matrix that `_eigvalsh` splits into blocks
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """`arr`, made read-only: module constants and cached arrays are shared
+    by every caller, so a caller's write would reach all the others."""
+    arr.setflags(write=False)
+    return arr
+
 
 PAULIS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": _read_only(np.eye(2, dtype=complex)),
+    "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": _read_only(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
 
@@ -92,13 +101,16 @@ class DensityMatrix:
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
         _check_finite(mat, "matrix")
-        dev = np.max(np.abs(mat - mat.conj().T))
+        # 64 rows against 64 columns at a time: the transposed operand of a
+        # whole 512-row matrix misses the cache on every read (4.2 ms, in
+        # strips 1.4 ms); the largest deviation is the same either way
+        dev = max(np.max(np.abs(mat[i : i + 64] - mat[:, i : i + 64].conj().T)) for i in range(0, dim, 64))
         if dev > HERMITIAN_ATOL:
             raise ValueError(f"matrix deviates from Hermitian by {dev}")
         tr = np.trace(mat).real
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr} deviates from 1 beyond {TRACE_ATOL}")
-        spectrum = np.linalg.eigvalsh(mat)
+        spectrum = _eigvalsh(mat)
         if spectrum[0] < -PSD_ATOL:
             raise ValueError(f"matrix has eigenvalue {spectrum[0]} below -{PSD_ATOL}")
         mat.setflags(write=False)
@@ -225,7 +237,58 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 def _entropy(mat: np.ndarray) -> float:
     """von_neumann_entropy of a bare Hermitian matrix."""
-    return _spectrum_entropy(np.linalg.eigvalsh(mat))
+    return _spectrum_entropy(_eigvalsh(mat))
+
+
+def _eigvalsh(mat: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, solved block by block
+    over the connected components of its exact nonzero pattern.
+
+    Noisy density runs and their reductions split into many small blocks:
+    the full n=4 state at t_max (512 rows, 2% of entries nonzero) has 81 of
+    at most 32 rows. Blocks of equal size go to LAPACK as one stacked call.
+    A matrix whose first row has no zero is one block, and so is any matrix
+    below _BLOCK_MIN_ROWS rows: either goes to LAPACK as it is.
+
+    The components come from min-label propagation over the nonzero
+    entries, each row its own neighbour, with pointer jumping: every row
+    ends labelled with the smallest row of its component. The sweeps grow
+    with a component's diameter; noisy density matrices take two.
+
+    The cutoff was measured on the matrices the benchmark workloads
+    diagonalise (2 vCPUs, one BLAS thread, numpy 2.4.6; block path time
+    over dense `eigvalsh` time): 32 rows 1.35-2.07, 64 rows 0.37-1.06,
+    128 rows 0.26-0.28, 256 rows 0.11-0.12, 512 rows 0.05-0.06 (15-16 ms
+    dense, 0.7-0.95 ms blocked). At 64 rows the noisy full n=4 fraction
+    reduction only breaks even, and a block solve moves eigenvalues in
+    their last bits, so 64-row matrices stay dense."""
+    n = len(mat)
+    if n < _BLOCK_MIN_ROWS or (mat[0] != 0).all():
+        return np.linalg.eigvalsh(mat)
+    pattern = mat != 0
+    np.fill_diagonal(pattern, True)  # a row with no nonzero entry labels itself
+    flat = np.flatnonzero(pattern)
+    cols = flat % n
+    starts = np.searchsorted(flat, np.arange(0, n * n, n))
+    labels = np.arange(n)
+    while True:
+        hooked = np.minimum.reduceat(labels[cols], starts)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, labels):
+            break
+        labels = hooked
+    counts = np.bincount(labels, minlength=n)  # component sizes, at their smallest rows
+    parts = []
+    for size in sorted(set(counts[counts > 0].tolist())):
+        # rows by mask rather than `argsort`, and an in-place stable sort
+        # below: the code of `argsort` and of the default float sort, loaded
+        # on first use, raised a noisy run's peak RSS by 0.3 MB
+        roots = np.flatnonzero(counts == size)
+        idx = np.flatnonzero(labels == roots[:, None]).reshape(-1, size) % n
+        parts.append(np.linalg.eigvalsh(mat[idx[:, :, None], idx[:, None, :]]).reshape(-1))
+    spectrum = np.concatenate(parts)
+    spectrum.sort(kind="stable")
+    return spectrum
 
 
 def _spectrum_entropy(eigs: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     _check_probability,
+    _read_only,
     _superop,
     amplitude_damping_channel,
     depolarizing_channel,
@@ -31,14 +32,15 @@ DENSITY_MAX_QUBITS = 10
 # Outcomes at or below this probability are rounding noise: draws and
 # Shannon entropies drop them.
 _PROB_CUTOFF = 1e-15
-_PAULI_BASIS = np.stack([PAULIS[m] for m in "IXYZ"])
+_PAULI_BASIS = _read_only(np.stack([PAULIS[m] for m in "IXYZ"]))
 # _PAULI_TRACE[mu, 2a + b] = sigma_mu[b, a]: one qubit's tr(rho sigma_mu) from its (row, column) pair
-_PAULI_TRACE = _PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4)
+_PAULI_TRACE = _read_only(_PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4))
 
+# `MeasSetting.rotations` hands out these arrays themselves
 _PAULI_ROTATIONS = {
-    "Z": np.eye(2, dtype=complex),
+    "Z": _read_only(np.eye(2, dtype=complex)),
     "X": _FIXED_MATRICES[GateKind.H],
-    "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) * _SQRT2_INV,
+    "Y": _read_only(np.array([[1, -1j], [1, 1j]], dtype=complex) * _SQRT2_INV),
 }
 # The bases of a complete Pauli measurement set, in the order in which
 # `pauli_settings` runs through each qubit's basis.
@@ -301,9 +303,12 @@ def _block_step(g, qubits, gate_noise, wait) -> np.ndarray:
     return sup.reshape([2] * 8).transpose(pairs + [4 + ax for ax in pairs]).reshape(16, 16)
 
 
+@lru_cache(maxsize=None)
 def _noise_superop(p: float, gamma: float, k: int) -> np.ndarray | None:
     """Superoperator of k-qubit depolarizing at `p`, then amplitude damping at
-    `gamma` on each of the k qubits, as a real matrix; None when both are zero."""
+    `gamma` on each of the k qubits, as a read-only real matrix; None when
+    both are zero. Built once per (p, gamma, k): every density run with the
+    same noise shares it."""
     sup = None
     if p > 0:
         sup = _superop(depolarizing_channel(p, k).operators)
@@ -312,7 +317,7 @@ def _noise_superop(p: float, gamma: float, k: int) -> np.ndarray | None:
         damp = amplitude_damping_channel(gamma).operators
         damp_k = _superop([reduce(np.kron, ks) for ks in itertools.product(damp, repeat=k)])
         sup = damp_k if sup is None else damp_k @ sup
-    return None if sup is None else _real(sup, "noise channel")
+    return None if sup is None else _read_only(_real(sup, "noise channel"))
 
 
 def _real(sup: np.ndarray, what: str) -> np.ndarray:

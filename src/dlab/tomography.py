@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix
+from .qstate import DensityMatrix, _read_only
 from .simulator import _PAULI_SET, MeasRecord, MeasSetting, _pair_axes, pauli_settings
 
 DEFAULT_TOL = 1e-7
@@ -29,26 +29,29 @@ _MAX_STEP = 1e6
 
 
 # _PROJECTORS[2b + o] = Pi_{b,o} for b in X, Y, Z: the rotation's row o is the bra.
-_PROJECTORS = np.array(
-    [np.outer(u[o].conj(), u[o]) for b in _PAULI_SET for u in MeasSetting.pauli(b).rotations() for o in (0, 1)]
+_PROJECTORS = _read_only(
+    np.array(
+        [np.outer(u[o].conj(), u[o]) for b in _PAULI_SET for u in MeasSetting.pauli(b).rotations() for o in (0, 1)]
+    )
 )
 # On one qubit's (row, column) pair p = 2r + c: frame[p, k] = Pi_k[r, c]; the
 # dual frame 3 Pi_k - I inverts frequencies weighted 1/3 per basis, and the
 # conjugate frame reads probabilities off a density matrix.
 _FRAMES = {
     "frame": _PROJECTORS.reshape(6, 4).T,
-    "dual": (3 * _PROJECTORS - np.eye(2)).reshape(6, 4).T,
-    "conj": _PROJECTORS.reshape(6, 4).T.conj(),
+    "dual": _read_only((3 * _PROJECTORS - np.eye(2)).reshape(6, 4).T),
+    "conj": _read_only(_PROJECTORS.reshape(6, 4).T.conj()),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _frame_power(name: str, m: int) -> np.ndarray:
     """The frame `name` on m qubits: out[(r, c), k] = prod_q frame[2 r_q + c_q, k_q],
-    rows ordered by the m row bits then the m column bits, columns by k."""
+    rows ordered by the m row bits then the m column bits, columns by k;
+    read-only, as every caller shares the cached array."""
     power = functools.reduce(np.kron, [_FRAMES[name]] * m, np.ones((1, 1)))
     order = [*range(0, 2 * m, 2), *range(1, 2 * m, 2), 2 * m]
-    return power.reshape([2] * (2 * m) + [6**m]).transpose(order).reshape(4**m, 6**m)
+    return _read_only(power.reshape([2] * (2 * m) + [6**m]).transpose(order).reshape(4**m, 6**m))
 
 
 def _halves(name: str, n: int) -> tuple[int, np.ndarray, np.ndarray]:

@@ -215,6 +215,23 @@ def test_mixed_whole_register_entropy_reads_the_spectrum(monkeypatch):
     assert len(sizes) == 14 and max(sizes) < 32
 
 
+def test_noisy_curve_splits_every_matrix_above_the_cutoff(monkeypatch):
+    # noisy full n=4 at t_max: the 512-row state, its 256-row fraction and
+    # the 128-row sides go to the eigensolver in blocks of at most 32 rows;
+    # only the 64-row sides, below the block cutoff, go whole
+    params = ScmParams(theta=math.pi, lam=1.0, n=4, scenario=Scenario.FULL)
+    noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.001)
+    scheme = partition_scheme(params, SchemeMode.PER_PAIR)
+    want = loop_averaged_qmi(_circuit_state(params, T_MAX, noise), (0,), scheme)
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: rows.append(a.shape[-1]) or eigvalsh(a))
+    got = averaged_qmi(_circuit_state(params, T_MAX, noise), (0,), scheme).points
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+    assert max(rows) == 64
+    assert max(r for r in rows if r != 64) == 32
+
+
 def _circuit_state(params, t, noise=None):
     build = build_full_circuit if params.scenario is Scenario.FULL else build_condensed_circuit
     circuit = build(t, params)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dlab import (
     DensityMatrix,
@@ -19,6 +21,7 @@ from dlab import (
     trace_distance,
     von_neumann_entropy,
 )
+from dlab.qstate import _BLOCK_MIN_ROWS, _eigvalsh
 from test_kernels import dense_operator
 
 BELL = PureState.from_amplitudes(np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -97,6 +100,66 @@ def test_entropy_reads_the_spectrum(monkeypatch):
     eigs = eigvalsh(rho.matrix)
     eigs = eigs[eigs > 1e-12]
     assert abs(want + np.sum(eigs * np.log2(eigs))) < 1e-12
+
+
+def _permuted(mat, rng):
+    perm = rng.permutation(len(mat))
+    return mat[np.ix_(perm, perm)]
+
+
+@st.composite
+def permuted_block_hermitians(draw):
+    """A real or complex Hermitian matrix of _BLOCK_MIN_ROWS to 512 rows,
+    block diagonal under a random permutation: blocks of up to 40 rows,
+    some all zero (rows with no nonzero entry) and some with entries zeroed
+    inside; or a fully diagonal matrix; or one dense block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = draw(st.sampled_from([float, complex]))
+    layout = draw(st.sampled_from(["blocks", "diagonal", "dense"]))
+    n = draw(st.integers(_BLOCK_MIN_ROWS, 512))
+    sizes = {"diagonal": [1] * n, "dense": [n]}.get(layout, [])
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.integers(1, 41)), n - sum(sizes)))
+    mat = np.zeros((n, n), dtype=dtype)
+    start = 0
+    for size in sizes:
+        a = rng.standard_normal((size, size)) + (1j * rng.standard_normal((size, size)) if dtype is complex else 0)
+        a = a + a.conj().T
+        if layout == "blocks" and rng.random() < 0.2:
+            a[:] = 0
+        elif rng.random() < 0.3:
+            keep = rng.random((size, size)) < 0.5
+            a *= keep | keep.T
+        mat[start : start + size, start : start + size] = a
+        start += size
+    return _permuted(mat, rng) / n
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_hermitians())
+@example(np.diag(np.r_[np.zeros(100), np.linspace(-1, 1, 412)]))  # fully diagonal, isolated zero rows
+@example(_permuted(np.kron(np.eye(128), [[0.5, 0.25], [0.25, 0.0]]), np.random.default_rng(1)))  # one stacked call
+@example(np.ones((256, 256), dtype=complex) / 256)  # one dense block
+def test_block_eigvalsh_matches_the_dense_solver(mat):
+    got = _eigvalsh(mat)
+    assert got.dtype == np.float64 and got.shape == (len(mat),)
+    assert np.all(np.diff(got) >= 0)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(mat))) < 1e-12
+
+
+def test_block_path_still_refuses_one_negative_eigenvalue():
+    # 254 isolated rows and one 2x2 block whose eigenvalues are -1e-6 and 0.1:
+    # the whole spectrum's smallest eigenvalue comes from that block alone
+    rng = np.random.default_rng(12)
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    mat = np.zeros((256, 256))
+    mat[:2, :2] = rot @ np.diag([-1e-6, 0.1]) @ rot.T
+    mat[range(2, 256), range(2, 256)] = (1 - 0.1 + 1e-6) / 254
+    mat = _permuted(mat, rng)
+    assert len(mat) >= _BLOCK_MIN_ROWS and not np.all(mat[0] != 0)
+    with pytest.raises(ValueError, match=r"eigenvalue -1\.0+\d*e-06 below"):
+        DensityMatrix(8, mat)
 
 
 def random_real_density(num_qubits, rank, rng):

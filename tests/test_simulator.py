@@ -11,6 +11,7 @@ from scipy import stats
 
 import dlab.circuit
 import dlab.simulator
+import dlab.tomography
 from dlab import (
     Circuit,
     DensityMatrix,
@@ -365,6 +366,31 @@ def test_run_density_merges_factors_out_of_register_order(monkeypatch):
     sizes, err = _sweep_sizes(monkeypatch, c, _FACTOR_NOISE)
     assert sizes == [4, 4, 8, 2]
     assert err < 1e-12
+
+
+def test_run_density_spectrum_matches_the_dense_solver():
+    # the full n=4 state at t_max splits into 81 blocks of at most 32 rows
+    p = ScmParams(theta=math.pi, lam=1.0, n=4, scenario=Scenario.FULL)
+    noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.001)
+    rho = run_density(build_full_circuit(canonical_times().t_max, p), noise)
+    assert rho.spectrum.dtype == np.float64 and not rho.spectrum.flags.writeable
+    assert np.max(np.abs(rho.spectrum - np.linalg.eigvalsh(rho.matrix))) < 1e-12
+
+
+def test_shared_arrays_are_read_only():
+    # module constants and cached arrays reach every caller as they are: a
+    # write through one would change every later gate, rotation or frame
+    simulator, tomography = dlab.simulator, dlab.tomography
+    shared = [Gate(kind, tuple(range(GATE_ARITY[kind]))).matrix() for kind in GateKind if kind is not GateKind.RY]
+    shared += MeasSetting.pauli("XYZ").rotations() + list(PAULIS.values())
+    shared += [simulator._PAULI_BASIS, simulator._PAULI_TRACE, simulator._noise_superop(0.01, 0.001, 2)]
+    shared += [tomography._PROJECTORS, *tomography._FRAMES.values(), tomography._frame_power("dual", 2)]
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 5
+    assert Gate(GateKind.X, (0,)).matrix()[0, 0] == 0
+    # one superoperator per noise setting, however many runs use it
+    assert simulator._noise_superop(0.01, 0.001, 2) is simulator._noise_superop(0.01, 0.001, 2)
 
 
 def test_run_density_refuses_a_superoperator_that_is_not_real(monkeypatch):
