@@ -377,7 +377,7 @@ def _coherence_point(payload):
     analytic = coherence_finite(t, cfg.params)
     ideal, state = _evolve(cfg, t)
     simulated = system_coherence(ideal)
-    records = _pauli_records(cfg, partial_trace(state, (0,)), cfg.seed + 3 * index)
+    records = sample_pauli_set(partial_trace(state, (0,)), cfg.shots, cfg.seed + 3 * index, cfg.noise.readout_flip)
     sampled = system_coherence(qubit_tomography(records))
     freq_x = records[0].frequencies()
     mean_x = float(freq_x[0] - freq_x[1])
@@ -395,13 +395,8 @@ def cmd_coherence(cfg: ExperimentConfig) -> None:
     _finish(cfg, "coherence", ["coherence.csv"])
 
 
-def _pauli_records(cfg: ExperimentConfig, state, base_seed: int):
-    """`cfg.shots` of every setting of `pauli_settings`, setting j drawn with seed base_seed + j."""
-    return sample_pauli_set(state, cfg.shots, base_seed, cfg.noise.readout_flip)
-
-
 def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):
-    records = _pauli_records(cfg, state, base_seed)
+    records = sample_pauli_set(state, cfg.shots, base_seed, cfg.noise.readout_flip)
     job = TomographyJob(state.num_qubits, tuple(records), cfg.tol, cfg.max_iters)
     result = mle_reconstruct(job)
     if result.stop_reason != "tol":

@@ -283,9 +283,7 @@ def _walk(plan: _Plan, perm: tuple[int, ...]):
     padded in as extra ids), the number of inserted SWAPs and the routed
     (kind, physical qubits, angle) triples."""
     num_physical = plan.num_physical
-    l2p = list(perm)
-    if len(l2p) < num_physical:
-        l2p += sorted(set(range(num_physical)).difference(perm))
+    l2p = list(_padded(dict(enumerate(perm)), num_physical).values())
     p2l = sorted(range(num_physical), key=l2p.__getitem__)
     routed = swaps = 0
     out = []

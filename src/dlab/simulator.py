@@ -128,7 +128,9 @@ class MeasRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "shots", _check_shots(self.shots))
+        object.__setattr__(self, "shots", _check_integer(self.shots, "shots", 1))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _check_integer(self.seed, "seed", 0))
         total = 0
         for bits, c in self.counts.items():
             if len(bits) != self.setting.num_qubits or set(bits) - {"0", "1"}:
@@ -162,7 +164,7 @@ class MeasRecord:
             # as read, so that the constructor sees a bool or a float and refuses it
             counts={str(k): v for k, v in obj["counts"].items()},
             shots=obj["shots"],
-            seed=None if obj.get("seed") is None else int(obj["seed"]),
+            seed=obj.get("seed"),
         )
 
 
@@ -200,20 +202,18 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
     after each gate: depolarizing on the gate qubits, then amplitude damping,
     then (optionally) single-qubit noise on every idle qubit.
 
-    The gates are swept in blocks: maximal runs of adjacent gates on at most
-    two qubits together. Each block is one superoperator on its qubits' row
-    and column axes, composed from its gates, their noise and the idle noise
-    of block qubits that a gate leaves alone, and costs one kernel sweep.
-    Channels on disjoint qubits commute, so a qubit outside the block only
-    owes one idle step per gate. A qubit owing k steps gets S_idle^k folded
-    in at the start of its next block, and the steps it owes after its last
-    block are folded in at the end of that block; a qubit no gate touches
-    takes all of them on its own.
+    Each gate is one superoperator on its qubits' row and column axes (the
+    gate, then its depolarizing, then its damping) and costs one kernel
+    sweep. Channels on disjoint qubits commute, so a qubit the gate leaves
+    alone only owes one idle step. A qubit owing k steps gets S_idle^k
+    folded in at the start of its next gate, and the steps it owes after
+    its last gate are folded in at the end of that gate; a qubit no gate
+    touches takes all of them in one sweep of its own.
 
     The state is a product of factors, each a density matrix over a sorted
-    tuple of qubits. Every qubit starts as its own |0><0| factor, a block
+    tuple of qubits. Every qubit starts as its own |0><0| factor, a gate
     whose qubits sit in two factors first merges them into one, and the
-    block's sweep covers that factor only. The factors left at the end are
+    gate's sweep covers that factor only. The factors left at the end are
     merged in qubit order.
 
     Every gate kind and both noise channels have real superoperators, so
@@ -228,31 +228,26 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
         2: _noise_superop(noise.depol_2q, noise.amp_damp_gamma, 2),
     }
     idle = gate_noise[1] if noise.idle_noise else None
-    wait = np.eye(4) if idle is None else idle  # one qubit's idle step
-    blocks = _blocks(c.gates)
-    last = {q: b for b, (qubits, _) in enumerate(blocks) for q in qubits}
+    last = {q: i for i, g in enumerate(c.gates) for q in g.qubits}
     # qubit -> the factor (qubits, flattened density matrix) that holds it
     factors = {q: ((q,), np.array([1.0, 0.0, 0.0, 0.0])) for q in range(n)}
-    owed = [0] * n
-    after = len(c.gates)  # gates after the current block
-    for b, (qubits, gates) in enumerate(blocks):
-        after -= len(gates)
-        sup = reduce(np.kron, [np.linalg.matrix_power(wait, owed[q]) for q in qubits])
-        for g in gates:
-            sup = _block_step(g, qubits, gate_noise, wait) @ sup
-        tail = [after if last[q] == b else 0 for q in qubits]
-        if idle is not None and any(tail):
-            sup = reduce(np.kron, [np.linalg.matrix_power(idle, k) for k in tail]) @ sup
-        owed = [0 if q in qubits else k + len(gates) for q, k in enumerate(owed)]
-        if factors[qubits[0]] is not factors[qubits[-1]]:
-            merged = _product([factors[qubits[0]], factors[qubits[-1]]])
+    paid = [0] * n  # qubit q owes one idle step per gate from gate paid[q] on
+    for i, g in enumerate(c.gates):
+        sup = _gate_superop(g, gate_noise)
+        if idle is not None:
+            tail = [len(c.gates) - 1 - i if last[q] == i else 0 for q in g.qubits]
+            sup = _idle_power(idle, tail) @ sup @ _idle_power(idle, [i - paid[q] for q in g.qubits])
+            for q in g.qubits:
+                paid[q] = i + 1
+        if factors[g.qubits[0]] is not factors[g.qubits[-1]]:
+            merged = _product([factors[q] for q in g.qubits])
             factors.update(dict.fromkeys(merged[0], merged))
-        held, rho = factors[qubits[0]]
-        pos = [held.index(q) for q in qubits]
-        apply_matrix(rho, sup, tuple(ax for i in pos for ax in (i, len(held) + i)), 2 * len(held))
+        held, rho = factors[g.qubits[0]]
+        pos = [held.index(q) for q in g.qubits]
+        apply_matrix(rho, sup, tuple(ax for p in pos for ax in (p, len(held) + p)), 2 * len(held))
     if idle is not None:
         for q in [q for q in range(n) if q not in last]:
-            apply_matrix(factors[q][1], np.linalg.matrix_power(idle, len(c.gates)), (0, 1), 2)
+            apply_matrix(factors[q][1], _idle_power(idle, [len(c.gates)]), (0, 1), 2)
     _, rho = _product([f for q, f in factors.items() if f[0][0] == q])
     return DensityMatrix(n, rho.reshape(2**n, 2**n))
 
@@ -272,35 +267,23 @@ def _product(factors) -> tuple[tuple[int, ...], np.ndarray]:
     return qubits, np.einsum(*operands, list(range(2 * k)), order="C").reshape(-1)
 
 
-def _blocks(gates) -> list[tuple[tuple[int, ...], list]]:
-    """Maximal runs of adjacent gates whose qubits together span at most two
-    qubits (the largest gate arity), each with its qubits in order of first use."""
-    blocks = []
-    for g in gates:
-        if blocks:
-            qubits, run = blocks[-1]
-            joined = qubits + tuple(q for q in g.qubits if q not in qubits)
-            if len(joined) <= 2:
-                run.append(g)
-                blocks[-1] = (joined, run)
-                continue
-        blocks.append((g.qubits, [g]))
-    return blocks
-
-
-def _block_step(g, qubits, gate_noise, wait) -> np.ndarray:
-    """Gate `g` and its noise as a superoperator on the block `qubits`, each
-    qubit's (row, column) axis pair adjacent, in block order; block qubits
-    the gate leaves alone take `wait`."""
+def _gate_superop(g, gate_noise) -> np.ndarray:
+    """Gate `g`, then its noise, as one superoperator on the gate's qubits,
+    each qubit's (row, column) axis pair adjacent, in gate order."""
     sup = _real(_superop((g.matrix(),)), f"{g.kind.value} gate")
     after = gate_noise[len(g.qubits)]
     if after is not None:
         sup = after @ sup
     if len(g.qubits) == 1:
-        return reduce(np.kron, [sup if q == g.qubits[0] else wait for q in qubits])
-    # sup acts on (row g0, row g1, column g0, column g1); regroup by block qubit
-    pairs = [ax for i in map(g.qubits.index, qubits) for ax in (i, 2 + i)]
-    return sup.reshape([2] * 8).transpose(pairs + [4 + ax for ax in pairs]).reshape(16, 16)
+        return sup
+    # (row g0, row g1, column g0, column g1) -> (row g0, column g0, row g1, column g1)
+    return sup.reshape([2] * 8).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+
+
+def _idle_power(idle: np.ndarray, steps) -> np.ndarray:
+    """steps[j] idle steps on the j-th of some qubits, as one superoperator
+    with each qubit's (row, column) axis pair adjacent."""
+    return reduce(np.kron, [np.linalg.matrix_power(idle, k) for k in steps])
 
 
 @lru_cache(maxsize=None)
@@ -392,14 +375,14 @@ def _fold_readout_flip(probs: np.ndarray, n: int, r: float) -> np.ndarray:
     return _local_apply([flip] * n, probs.reshape([2] * n + list(probs.shape[1:]))).reshape(probs.shape)
 
 
-def _check_shots(shots) -> int:
-    """`shots` as an int: a positive integer, a numpy one included; a bool,
-    a float and anything else are refused."""
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    return int(shots)
+def _check_integer(value, name: str, least: int) -> int:
+    """`value` as an int: an integer, a numpy one included, of at least
+    `least`; a bool, a float and anything else are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least == 1 else 'non-negative'}, got {value}")
+    return int(value)
 
 
 def _draw(probs: np.ndarray, shots: int, seeds, readout_flip: float = 0.0) -> np.ndarray:
@@ -409,7 +392,7 @@ def _draw(probs: np.ndarray, shots: int, seeds, readout_flip: float = 0.0) -> np
     negative rounding included, are then dropped: noise on an outcome that
     cannot occur would still consume random numbers. `shots` is checked
     as `MeasRecord` checks it."""
-    shots = _check_shots(shots)
+    shots = _check_integer(shots, "shots", 1)
     _check_probability(readout_flip, "readout_flip")
     if readout_flip > 0.0:
         n = probs.shape[-1].bit_length() - 1

@@ -507,17 +507,18 @@ def test_package_exports_every_public_name():
 
 
 def test_import_leaves_the_process_pool_out():
-    # only a run with jobs > 1 imports the process pool
+    # only a run with jobs > 1 imports the process pool; a warning fails the child
     code = "import sys, dlab.cli; print('concurrent.futures.process' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
 def test_module_entry_point(tmp_path):
+    # the child runs with every warning an error, as the CI benchmark step runs dlab
     cfg = write_config(tmp_path, n=1, times=[0.3], shots=128)
     proc = subprocess.run(
-        [sys.executable, "-m", "dlab.cli", "coherence", "--config", str(cfg)],
+        [sys.executable, "-W", "error", "-m", "dlab.cli", "coherence", "--config", str(cfg)],
         capture_output=True,
         text=True,
     )

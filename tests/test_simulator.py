@@ -256,9 +256,9 @@ def noisy_circuits(draw):
 
     Gates act within a working set of qubits that moves now and then: one
     qubit, a pair or the whole register. So runs of gates share qubits,
-    and `run_density`'s blocks grow from one qubit to two and hold three
-    gates or more, while a last working set that is not the whole register
-    leaves idle noise owed at the end."""
+    `run_density`'s factors grow from one qubit to several, and idle steps
+    are owed before a qubit's next gate, while a last working set that is
+    not the whole register leaves idle noise owed at the end."""
     n = draw(st.integers(1, 5))
     gates = []
     for _ in range(draw(st.integers(1, 10))):
@@ -305,21 +305,23 @@ def _sweep_sizes(monkeypatch, c, noise):
 
 
 @pytest.mark.parametrize(
-    "n, idle_noise, sizes",
+    "scenario, n, idle_noise, sizes",
     [
-        # 17 gates in 8 blocks: 4 x (Ry, CNOT, X) on a fresh pair, then
-        # (H, CZ) and 3 CZ, each joining the system's factor to a pair's
-        (4, False, [4, 4, 4, 4, 6, 10, 14, 18]),
-        # 13 gates in 6 blocks; each qubit's idle steps after its last block
-        # are folded into that block, so nothing is left to sweep at the end
-        (3, True, [4, 4, 4, 6, 10, 14]),
+        # 17 gates: 4 x (Ry, CNOT, X) on a fresh pair, then H on the system
+        # and 4 CZs, each joining the system's factor to a pair's
+        (Scenario.FULL, 4, False, [2, 4, 4] * 4 + [2, 6, 10, 14, 18]),
+        # 13 gates; each qubit's idle steps after its last gate are folded
+        # into that gate, so nothing is left to sweep at the end
+        (Scenario.FULL, 3, True, [2, 4, 4] * 3 + [2, 6, 10, 14]),
+        # the Ry layer sweeps each qubit alone before the CZs join them
+        (Scenario.CONDENSED, 3, True, [2, 2, 2, 2, 4, 6, 8]),
     ],
-    ids=["4-False-8", "3-True-6"],
+    ids=["full-4-False-17", "full-3-True-13", "condensed-3-True-7"],
 )
-def test_run_density_sweeps_once_per_block(monkeypatch, n, idle_noise, sizes):
-    # each block sweeps once, on the smallest factor that holds it
-    p = ScmParams(theta=math.pi, lam=1.0, n=n, scenario=Scenario.FULL)
-    c = build_full_circuit(canonical_times().t_max, p)
+def test_run_density_sweeps_once_per_gate(monkeypatch, scenario, n, idle_noise, sizes):
+    # each gate sweeps once, on the smallest factor that holds its qubits
+    build = build_full_circuit if scenario is Scenario.FULL else build_condensed_circuit
+    c = build(canonical_times().t_max, ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario))
     noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.002, idle_noise=idle_noise)
     got, err = _sweep_sizes(monkeypatch, c, noise)
     assert got == sizes
@@ -331,8 +333,8 @@ _FACTOR_NOISE = NoiseModel(depol_1q=0.03, depol_2q=0.05, amp_damp_gamma=0.1, idl
 
 def test_run_density_keeps_disjoint_factors_apart(monkeypatch):
     # pairs (0, 1) and (3, 4) never meet, and qubits 2 and 5 see no gate:
-    # each sweep covers one pair, and each untouched qubit takes all six
-    # idle steps in one sweep of its own
+    # each sweep covers one qubit or one pair, and each untouched qubit
+    # takes all six idle steps in one sweep of its own
     c = Circuit(
         6,
         (
@@ -345,7 +347,7 @@ def test_run_density_keeps_disjoint_factors_apart(monkeypatch):
         ),
     )
     sizes, err = _sweep_sizes(monkeypatch, c, _FACTOR_NOISE)
-    assert sizes == [4, 4, 2, 2]
+    assert sizes == [2, 4, 4, 2, 4, 4, 2, 2]
     assert err < 1e-12
 
 
@@ -364,7 +366,7 @@ def test_run_density_merges_factors_out_of_register_order(monkeypatch):
         ),
     )
     sizes, err = _sweep_sizes(monkeypatch, c, _FACTOR_NOISE)
-    assert sizes == [4, 4, 8, 2]
+    assert sizes == [2, 4, 2, 4, 8, 8, 2]
     assert err < 1e-12
 
 
@@ -599,6 +601,18 @@ def test_meas_record_validation_and_json():
             MeasRecord.from_json_obj({"setting": ["Z"], "shots": shots, "counts": counts})
     numpy_shots = MeasRecord(setting, {"00": 4, "11": 6}, np.int64(10))
     assert type(numpy_shots.shots) is int and json.dumps(numpy_shots.to_json_obj())
+    # a seed is None or a non-negative integer, checked as shots are, and
+    # loaded as read rather than coerced
+    for seed, message in ((2.5, "an integer"), (True, "an integer"), ("7", "an integer"), (-1, "non-negative")):
+        with pytest.raises(ValueError, match=f"seed must be {message}"):
+            MeasRecord(setting, {"00": 10}, 10, seed=seed)
+    for seed in (1.7, True, "7"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            MeasRecord.from_json_obj({"setting": ["Z"], "shots": 1, "seed": seed, "counts": {"0": 1}})
+    numpy_seed = MeasRecord(setting, {"00": 10}, 10, seed=np.uint32(7))
+    assert type(numpy_seed.seed) is int and numpy_seed.seed == 7
+    assert MeasRecord(setting, {"00": 10}, 10, seed=0).seed == 0
+    assert MeasRecord.from_json_obj({"setting": ["Z"], "shots": 1, "seed": None, "counts": {"0": 1}}).seed is None
     rec = MeasRecord(setting, {"00": 4, "11": 6}, 10, seed=3)
     assert np.allclose(rec.frequencies(), [0.4, 0, 0, 0.6])
     back = MeasRecord.from_json_obj(rec.to_json_obj())
