@@ -3,6 +3,8 @@ circuit construction, routing, simulation, tomography and the
 information-theoretic analysis suite.
 """
 
+import types as _types
+
 __version__ = "0.1.0"
 # The one gate kernel, `dlab.kernels.apply_matrix`, is numpy; run records name it.
 KERNEL_IMPLEMENTATION = "python"
@@ -95,87 +97,7 @@ from .tomography import (
     save_tomography_job,
 )
 
-__all__ = [
-    "__version__",
-    "KERNEL_IMPLEMENTATION",
-    # qstate
-    "PureState",
-    "DensityMatrix",
-    "KrausChannel",
-    "depolarizing_channel",
-    "amplitude_damping_channel",
-    "apply_channel",
-    "partial_trace",
-    "von_neumann_entropy",
-    "trace_distance",
-    "fidelity",
-    # scm
-    "Scenario",
-    "ScmParams",
-    "CanonicalTimes",
-    "canonical_times",
-    "collision_probability",
-    "prep_angle",
-    "coherence_markovian",
-    "coherence_finite",
-    "ideal_global_state",
-    # circuit
-    "GateKind",
-    "Gate",
-    "Circuit",
-    "build_full_circuit",
-    "build_condensed_circuit",
-    "unitary_of",
-    "circuit_to_text",
-    "circuit_from_text",
-    # routing
-    "CouplingMap",
-    "RoutedCircuit",
-    "builtin_coupling_map",
-    "circuit_cnot_count",
-    "coupling_map_from_text",
-    "coupling_map_to_text",
-    "coupling_map_from_file",
-    "route",
-    "peephole_zero_swap",
-    "permutation_unitary",
-    "replay_permutation",
-    "routed_statevector_equivalent",
-    "routed_unitary_equivalent",
-    # simulator
-    "MeasSetting",
-    "MeasRecord",
-    "NoiseModel",
-    "basis_rotation",
-    "run_statevector",
-    "run_density",
-    "born_distribution",
-    "sample",
-    "pauli_settings",
-    "sample_pauli_set",
-    # tomography
-    "TomographyJob",
-    "MleResult",
-    "mle_reconstruct",
-    "mle_reconstruct_from_frequencies",
-    "qubit_tomography",
-    "save_tomography_job",
-    "load_tomography_job",
-    "save_state_text",
-    "load_state_text",
-    # darwinism
-    "SchemeMode",
-    "PartitionScheme",
-    "partition_scheme",
-    "MiCurve",
-    "BasisGrid",
-    "system_coherence",
-    "qmi",
-    "orbit_fractions",
-    "averaged_qmi",
-    "cmi_joint",
-    "cmi_grid",
-    "holevo_bound",
-    "pauli_cmi_scan",
-    "blp_witness",
+# The public surface is what the import block above binds, and the version.
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items()) if name[0] != "_" and not isinstance(value, _types.ModuleType)
 ]

@@ -40,7 +40,7 @@ from .routing import (
     routed_statevector_equivalent,
     routed_unitary_equivalent,
 )
-from .scm import THETA_PI_ATOL, CanonicalTimes, Scenario, ScmParams, canonical_times, coherence_finite
+from .scm import CanonicalTimes, Scenario, ScmParams, canonical_times, coherence_finite
 from .simulator import (
     DENSITY_MAX_QUBITS,
     STATEVECTOR_MAX_QUBITS,
@@ -64,9 +64,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 TOMO_MAX_QUBITS = 5
-# Sampled `cmi` grids seed cell c of time index i with seed + i * stride + c,
-# so a grid of more cells than the stride would reuse seeds across times.
-_CMI_SEED_STRIDE = 100_000
 
 _SCENARIOS = {s.value: s for s in Scenario}
 _PARTITIONS = {m.value: m for m in SchemeMode}
@@ -79,23 +76,30 @@ class ConfigError(Exception):
 _NOISE_KEYS = {f.name for f in dataclasses.fields(NoiseModel)}
 
 
-def _integer(value, key: str) -> int:
-    """A JSON integer (or an integral-valued number); never a bool or a fraction."""
+def _integer(value, key: str, least: int | None = None) -> int:
+    """A JSON integer (or an integral-valued number) of at least `least`;
+    never a bool or a fraction."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
+        value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{key}' must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"'{key}' must be at least {least}, got {value}")
     return value
 
 
-def _number(value, key: str) -> float:
-    """A JSON number; never a bool or a numeric string."""
+def _number(value, key: str, least: float | None = None) -> float:
+    """A JSON number, finite and at least `least` when that is given; never a
+    bool or a numeric string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"'{key}' must be a number, got {value!r}")
     try:
-        return float(value)
+        value = float(value)
     except OverflowError:
         raise ConfigError(f"'{key}' is too large for a float") from None
+    if least is not None and not least <= value < math.inf:
+        raise ConfigError(f"'{key}' must be finite and at least {least}, got {value!r}")
+    return value
 
 
 def _boolean(value, key: str) -> bool:
@@ -119,8 +123,6 @@ def _named_time(name: str, ct: CanonicalTimes) -> float:
 
 def _resolve_times(raw) -> tuple[float, ...]:
     ct = canonical_times()
-    if raw is None:
-        raise ConfigError("'times' is required")
     if isinstance(raw, str):
         if raw == "canonical":
             values = list(ct)
@@ -131,24 +133,20 @@ def _resolve_times(raw) -> tuple[float, ...]:
         if extra:
             raise ConfigError(f"unknown time-grid keys {sorted(extra)}")
         try:
-            start, stop = _number(raw["start"], "start"), _number(raw["stop"], "stop")
+            start, stop = _number(raw["start"], "start", 0.0), _number(raw["stop"], "stop", 0.0)
             count = _integer(raw["count"], "count")
         except KeyError as e:
             raise ConfigError(f"time grid needs 'start', 'stop', 'count' (missing {e})") from None
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ConfigError("times must be finite")
+        # finite, non-negative endpoints: the span cannot overflow, and every
+        # grid point is finite and non-negative too
         values = np.linspace(start, stop, count).tolist()
     elif isinstance(raw, list):
-        values = [_named_time(v, ct) if isinstance(v, str) else _number(v, "times") for v in raw]
+        values = [_named_time(v, ct) if isinstance(v, str) else _number(v, "times", 0.0) for v in raw]
     else:
         raise ConfigError(f"cannot interpret 'times': {raw!r}")
     if not values:
         raise ConfigError("'times' must hold at least one time")
-    if not all(math.isfinite(t) for t in values):
-        raise ConfigError("times must be finite")
     values = sorted(values)
-    if any(t < 0 for t in values):
-        raise ConfigError("times must be non-negative")
     if any(b - a <= 1e-15 for a, b in zip(values, values[1:])):
         raise ConfigError("times must be distinct")
     return tuple(values)
@@ -197,7 +195,7 @@ class ExperimentConfig:
         unknown = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
-        for key in ("scenario", "n"):
+        for key in ("scenario", "n", "times"):
             if key not in raw:
                 raise ConfigError(f"'{key}' is required")
         scenario = _SCENARIOS.get(raw["scenario"])
@@ -221,40 +219,28 @@ class ExperimentConfig:
                 n=_integer(raw["n"], "n"),
                 theta=_number(raw.get("theta", math.pi), "theta"),
                 lam=_number(raw.get("lam", 1.0), "lam"),
-                times=_resolve_times(raw.get("times")),
-                shots=_integer(raw.get("shots", 4096), "shots"),
-                seed=_integer(raw.get("seed", 0), "seed"),
+                times=_resolve_times(raw["times"]),
+                shots=_integer(raw.get("shots", 4096), "shots", 1),
+                seed=_integer(raw.get("seed", 0), "seed", 0),
                 noise=noise,
                 coupling_map=_string(raw.get("coupling_map", "t7"), "coupling_map"),
                 partition=partition,
                 outputs=_string(raw.get("outputs", "out"), "outputs"),
-                phi_steps=_integer(raw.get("phi_steps", DEFAULT_PHI_STEPS), "phi_steps"),
-                xi_steps=_integer(raw.get("xi_steps", DEFAULT_XI_STEPS), "xi_steps"),
+                phi_steps=_integer(raw.get("phi_steps", DEFAULT_PHI_STEPS), "phi_steps", 2),
+                xi_steps=_integer(raw.get("xi_steps", DEFAULT_XI_STEPS), "xi_steps", 2),
                 fraction_units=_integer(raw.get("fraction_units", 1), "fraction_units"),
                 sizes=_sizes(raw.get("sizes")),
                 include_tomography=_boolean(
                     raw.get("include_tomography", False), "include_tomography"
                 ),
                 sampled=_boolean(raw.get("sampled", False), "sampled"),
-                tol=_number(raw.get("tol", DEFAULT_TOL), "tol"),
-                max_iters=_integer(raw.get("max_iters", DEFAULT_MAX_ITERS), "max_iters"),
-                jobs=_integer(raw.get("jobs", 1), "jobs"),
+                tol=_number(raw.get("tol", DEFAULT_TOL), "tol", 0.0),
+                max_iters=_integer(raw.get("max_iters", DEFAULT_MAX_ITERS), "max_iters", 1),
+                jobs=_integer(raw.get("jobs", 1), "jobs", 1),
             )
             cfg.params  # force ScmParams invariants now, as a config check
         except (ValueError, TypeError) as e:
             raise ConfigError(str(e)) from None
-        if cfg.shots <= 0:
-            raise ConfigError("'shots' must be positive")
-        if cfg.seed < 0:
-            raise ConfigError("'seed' must be non-negative")
-        if cfg.jobs < 1:
-            raise ConfigError("'jobs' must be at least 1")
-        if cfg.phi_steps < 2 or cfg.xi_steps < 2:
-            raise ConfigError("'phi_steps' and 'xi_steps' must be at least 2")
-        if not 0 <= cfg.tol < math.inf:
-            raise ConfigError("'tol' must be finite and non-negative")
-        if cfg.max_iters < 1:
-            raise ConfigError("'max_iters' must be at least 1")
         return cfg
 
     @property
@@ -281,12 +267,15 @@ def _preflight(cfg: ExperimentConfig, command: str) -> None:
     of `command` (or, for `route`, no device) can hold, or a partition,
     fraction or size the register does not have, before any compute.
     `route` checks its result by a statevector run over every device slot,
-    so the device must fit the statevector cap too."""
-    if abs(cfg.theta - math.pi) > THETA_PI_ATOL:
-        raise ConfigError("circuit-based commands require theta = pi")
+    so the device must fit the statevector cap too. The angle is the
+    builders' rule: the circuit is built once, at t = 0, to ask them."""
     nq = cfg.params.num_qubits
     if nq > STATEVECTOR_MAX_QUBITS:
         raise ConfigError(f"statevector runs are capped at {STATEVECTOR_MAX_QUBITS} qubits ({nq} requested)")
+    try:
+        _build_circuit(cfg, 0.0)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if command == "route":
         device = _resolve_coupling_map(cfg).num_physical
         if nq > device:
@@ -311,11 +300,6 @@ def _preflight(cfg: ExperimentConfig, command: str) -> None:
         raise ConfigError(str(e)) from None
     if command == "cmi" and not 1 <= cfg.fraction_units <= units:
         raise ConfigError(f"'fraction_units' must lie in 1..{units}, got {cfg.fraction_units}")
-    if command == "cmi" and cfg.sampled and len(cfg.times) > 1 and cfg.phi_steps * cfg.xi_steps > _CMI_SEED_STRIDE:
-        raise ConfigError(
-            f"a sampled grid over several times holds at most {_CMI_SEED_STRIDE} cells"
-            " (phi_steps * xi_steps), or its times would share seeds"
-        )
     if command == "compare" and any(not 1 <= s <= units for s in cfg.sizes or ()):
         raise ConfigError(f"'sizes' must lie in 1..{units}")
 
@@ -438,7 +422,9 @@ def _cmi_point(payload):
     units = partition_scheme(cfg.params, cfg.partition).units[: cfg.fraction_units]
     frac = tuple(sorted(q for u in units for q in u))
     state = _noisy_state(cfg, t)
-    shots, seed = (cfg.shots if cfg.sampled else None), cfg.seed + _CMI_SEED_STRIDE * index
+    # cell (i, j) draws with seed + (index * phi_steps + i) * xi_steps + j, so
+    # the seeds of one time's grid follow on from the last time's
+    shots, seed = (cfg.shots if cfg.sampled else None), cfg.seed + index * cfg.phi_steps * cfg.xi_steps
     grid = cmi_grid(
         state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
     )

@@ -408,9 +408,12 @@ def test_config_errors(tmp_path, monkeypatch, capsys):
         ("compare", {"sizes": []}),
         ("compare", {"sizes": [3]}),
         ("compare", {"sizes": [0]}),
-        # a sampled grid over several times with more cells than the seed
-        # stride between times
-        ("cmi", {"sampled": True, "phi_steps": 2, "xi_steps": cli._CMI_SEED_STRIDE // 2 + 1}),
+        # counts below their least value
+        ("coherence", {"shots": 0}),
+        ("coherence", {"shots": -3}),
+        ("coherence", {"jobs": 0}),
+        # a grid whose span overflows a float, refused before it is built
+        ("coherence", {"times": {"start": -1.7e308, "stop": 1.7e308, "count": 3}}),
     ):
         cfg = write_config(tmp_path, **overrides)
         assert main([command, "--config", str(cfg)]) == EXIT_CONFIG, overrides
@@ -457,20 +460,16 @@ def test_null_sizes_and_unread_partition_pass(tmp_path):
         assert main([command, "--config", str(cfg)]) == EXIT_OK, command
 
 
-def test_sampled_cmi_grid_fits_the_seed_stride():
-    # time i seeds cell c with seed + i * stride + c, so a sampled grid over
-    # several times holds at most `stride` cells; one time, or an exact grid,
-    # may hold more
-    def preflight(times, xi_steps, sampled=True):
-        raw = dict(scenario="condensed", n=2, times=times, sampled=sampled, phi_steps=2, xi_steps=xi_steps)
-        cli._preflight(ExperimentConfig.from_dict(raw), "cmi")
+def test_sampled_cmi_seeds_count_on_across_times(tmp_path):
+    # cell (i, j) of time NN draws with seed + (NN * phi_steps + i) * xi_steps + j,
+    # so the second time's 2 x 3 grid draws as a first time seeded 6 later
+    def grid(times, seed):
+        cfg = write_config(tmp_path, times=times, sampled=True, phi_steps=2, xi_steps=3, seed=seed)
+        assert main(["cmi", "--config", str(cfg)]) == EXIT_OK
+        return tmp_path / "out"
 
-    fits = cli._CMI_SEED_STRIDE // 2
-    preflight(["t_max", "t_rec"], fits)
-    preflight(["t_max"], fits + 1)
-    preflight(["t_max", "t_rec"], fits + 1, sampled=False)
-    with pytest.raises(cli.ConfigError, match="share seeds"):
-        preflight(["t_max", "t_rec"], fits + 1)
+    second = data_lines(grid(["t_max", "t_rec"], 5) / "cmi_t01.csv")
+    assert second == data_lines(grid(["t_rec"], 11) / "cmi_t00.csv")
 
 
 def test_sampled_cmi_applies_readout_flips(tmp_path):

@@ -10,7 +10,7 @@ import re
 
 import pytest
 
-from dlab.cli import _CMI_SEED_STRIDE, EXIT_OK, TOMO_MAX_QUBITS, ExperimentConfig, main
+from dlab.cli import EXIT_OK, TOMO_MAX_QUBITS, ExperimentConfig, main
 from dlab.qstate import _BLOCK_MIN_ROWS
 from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX
 from dlab.simulator import DENSITY_MAX_QUBITS, STATEVECTOR_MAX_QUBITS, NoiseModel
@@ -59,8 +59,6 @@ CAPS = {
     "tomography": (r"at most (\d+) for `tomo`", TOMO_MAX_QUBITS),
     "route_device": (r"coupling map may have at most (\d+) nodes", STATEVECTOR_MAX_QUBITS),
     "exhaustive_placement": (r"identity on devices of more than (\d+) qubits", EXHAUSTIVE_PLACEMENT_MAX),
-    "cmi_seed_stride": (r"seed \+ (\d+) \* NN", _CMI_SEED_STRIDE),
-    "sampled_grid_cells": (r"may hold at most (\d+) cells", _CMI_SEED_STRIDE),
     "block_eigensolve": (r"of (\d+) rows or more", _BLOCK_MIN_ROWS),
 }
 
