@@ -422,9 +422,8 @@ def _cmi_point(payload):
     units = partition_scheme(cfg.params, cfg.partition).units[: cfg.fraction_units]
     frac = tuple(sorted(q for u in units for q in u))
     state = _noisy_state(cfg, t)
-    # cell (i, j) draws with seed + (index * phi_steps + i) * xi_steps + j, so
-    # the seeds of one time's grid follow on from the last time's
-    shots, seed = (cfg.shots if cfg.sampled else None), cfg.seed + index * cfg.phi_steps * cfg.xi_steps
+    # time NN's grid draws its cells from one generator seeded with seed + NN
+    shots, seed = (cfg.shots if cfg.sampled else None), cfg.seed + index
     grid = cmi_grid(
         state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
     )

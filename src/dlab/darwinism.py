@@ -28,6 +28,7 @@ from .simulator import (
     _PROB_CUTOFF,
     MeasSetting,
     _bloch_rows,
+    _check_integer,
     _draw,
     _local_apply,
     _pauli_expansion,
@@ -318,7 +319,7 @@ def _reduced_parts(state, sys_q, frac_q):
 
 
 def _basis_cmi(
-    mat, sys_pos, frac_pos, sys_rotations, frac_rows, shots=None, seeds=None, readout_flip=0.0
+    mat, sys_pos, frac_pos, sys_rotations, frac_rows, shots=None, seed=0, readout_flip=0.0
 ) -> np.ndarray:
     """Shannon MI in bits between system and fraction outcomes, one value per cell.
 
@@ -328,8 +329,11 @@ def _basis_cmi(
     probabilities are p(o) = 2^-k sum_mu T[mu] prod_i v_i[o_i, mu_i], with T
     the Pauli expansion of the state: the system axes are contracted once, the
     fraction axes one at a time over chunks of cells. With `shots`, cell c is
-    the plug-in MI of `sample`'s draw seeded with seeds[c], over outcomes in
-    register order, after `sample`'s per-bit `readout_flip` is folded in.
+    the plug-in MI of `sample`'s draw over outcomes in register order, after
+    `sample`'s per-bit `readout_flip` is folded in. The cells are drawn in
+    order from one generator seeded with `seed`, whose stream carries on from
+    chunk to chunk: cell 0 draws as `sample` with `seed` would, and a later
+    cell's counts depend on the cells drawn before it, not on the chunk size.
     """
     s, f = len(sys_pos), len(frac_pos)
     k = s + f
@@ -339,6 +343,7 @@ def _basis_cmi(
     to_register = (0,) + tuple(1 + np.argsort(order))
     from_register = (0,) + tuple(1 + q for q in order)
     cells = len(frac_rows)
+    rng = None if shots is None else np.random.default_rng(seed)
     step = max(1, _CHUNK_BYTES // (8 * 2 ** (s + 1) * 4 ** (f - 1)))
     out = np.empty(cells)
     for lo in range(0, cells, step):
@@ -350,7 +355,7 @@ def _basis_cmi(
         p = np.clip(p.reshape((len(rows),) + (2,) * k), 0.0, None)
         if shots is not None:
             probs = p.transpose(to_register).reshape(len(rows), -1)
-            draws = _draw(probs, shots, seeds[lo : lo + step], readout_flip)
+            draws = _draw(probs, shots, rng, readout_flip)
             p = (draws / shots).reshape((len(rows),) + (2,) * k).transpose(from_register)
         joint = p.reshape(len(rows), 2**s, 2**f)
         joint = joint / joint.sum(axis=(1, 2), keepdims=True)
@@ -360,6 +365,13 @@ def _basis_cmi(
             - _entropies(joint.reshape(len(rows), -1))
         ) / math.log(2)
     return out
+
+
+def _check_sampling(shots, readout_flip) -> int | None:
+    """`shots` checked as `MeasRecord` checks it, None (an exact value)
+    passed through; the flip rate is checked either way."""
+    _check_probability(readout_flip, "readout_flip")
+    return None if shots is None else _check_integer(shots, "shots", 1)
 
 
 def _system_basis(sys_basis: MeasSetting | None, num_qubits: int) -> MeasSetting:
@@ -385,8 +397,8 @@ def cmi_joint(
     the plug-in MI of `shots` seeded multinomial counts instead, with
     `sample`'s per-bit `readout_flip` folded in before the draw: a
     finite-shot estimate of the same quantity. The exact value has no flips,
-    but the rate is checked either way."""
-    _check_probability(readout_flip, "readout_flip")
+    but the rate is checked either way, as is `shots`, before any work."""
+    shots = _check_sampling(shots, readout_flip)
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     if env_basis.num_qubits != len(frac_q):
         raise ValueError(
@@ -395,7 +407,7 @@ def cmi_joint(
     sys_basis = _system_basis(sys_basis, len(sys_q))
     mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
     env_rows = _bloch_rows([env_basis.rotations()])
-    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), env_rows, shots, [seed], readout_flip)
+    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), env_rows, shots, seed, readout_flip)
     return float(values[0])
 
 
@@ -412,11 +424,14 @@ def cmi_grid(
 ) -> BasisGrid:
     """cmi_joint over the uniform basis grid phi in [0, pi], xi in [0, 2*pi),
     with the same (phi, xi) basis on every fraction qubit. With `shots`, each
-    cell is instead cmi_joint's sampled estimate, cell (i, j) drawn with
-    seed + i * xi_steps + j. The state is reduced and expanded once."""
+    cell is instead a sampled estimate as cmi_joint's, the cells drawn
+    row-major from one generator seeded with `seed`: cell (0, 0) equals
+    cmi_joint's with that seed, and a later cell's counts depend on the
+    cells before it. `shots` and the flip rate are checked before any work;
+    the state is reduced and expanded once."""
     if phi_steps < 2 or xi_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
-    _check_probability(readout_flip, "readout_flip")
+    shots = _check_sampling(shots, readout_flip)
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     sys_basis = _system_basis(sys_basis, len(sys_q))
     mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
@@ -424,8 +439,7 @@ def cmi_grid(
     xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
     rows = _bloch_rows(basis_rotation(phis[:, None], xis[None, :]).reshape(-1, 2, 2))
     frac_rows = np.broadcast_to(rows[:, None], (len(rows), len(frac_q), 2, 4))
-    seeds = range(seed, seed + len(rows))
-    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), frac_rows, shots, seeds, readout_flip)
+    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), frac_rows, shots, seed, readout_flip)
     return BasisGrid(tuple(phis.tolist()), tuple(xis.tolist()), values.reshape(phi_steps, xi_steps))
 
 
@@ -505,9 +519,11 @@ def mi_curve_to_csv(curve: MiCurve) -> str:
 
 
 def basis_grid_to_csv(grid: BasisGrid) -> str:
+    # each axis value is formatted once per grid, not once per cell
+    xis = [repr(float(xi)) for xi in grid.xis]
     lines = ["phi,xi,value"]
-    for i, phi in enumerate(grid.phis):
-        for j, xi in enumerate(grid.xis):
-            lines.append(f"{float(phi)!r},{float(xi)!r},{float(grid.values[i, j])!r}")
+    for phi, row in zip(grid.phis, grid.values.tolist()):
+        phi = repr(float(phi))
+        lines += [f"{phi},{xi},{value!r}" for xi, value in zip(xis, row)]
     return "\n".join(lines) + "\n"
 

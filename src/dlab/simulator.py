@@ -385,28 +385,35 @@ def _check_integer(value, name: str, least: int) -> int:
     return int(value)
 
 
-def _draw(probs: np.ndarray, shots: int, seeds, readout_flip: float = 0.0) -> np.ndarray:
-    """Seeded multinomial counts over each row of `probs` (outcomes of n
-    qubits in register order), row r drawn with seeds[r], after per-bit flips
-    at rate `readout_flip` are folded in. Outcomes at or below _PROB_CUTOFF,
-    negative rounding included, are then dropped: noise on an outcome that
-    cannot occur would still consume random numbers. `shots` is checked
-    as `MeasRecord` checks it."""
-    shots = _check_integer(shots, "shots", 1)
-    _check_probability(readout_flip, "readout_flip")
+def _shot_probabilities(probs: np.ndarray, readout_flip: float = 0.0) -> np.ndarray:
+    """Each row of `probs` (outcomes of n qubits in register order) as every
+    draw takes it: per-bit flips at rate `readout_flip` folded in, then
+    outcomes at or below _PROB_CUTOFF, negative rounding included, dropped
+    (noise on an outcome that cannot occur would still consume random
+    numbers), then scaled to sum to 1. A row comes out the same in any batch."""
     if readout_flip > 0.0:
         n = probs.shape[-1].bit_length() - 1
         # contiguous rows, so that a row sums the same way in any batch
         probs = np.ascontiguousarray(_fold_readout_flip(probs.T, n, readout_flip).T)
     p = np.where(probs > _PROB_CUTOFF, probs, 0.0)
-    p = p / p.sum(axis=-1, keepdims=True)
-    return np.array([np.random.default_rng(seed).multinomial(shots, q) for q, seed in zip(p, seeds)])
+    return p / p.sum(axis=-1, keepdims=True)
+
+
+def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator, readout_flip: float = 0.0) -> np.ndarray:
+    """Multinomial counts of `shots` over each row of `_shot_probabilities`,
+    the rows drawn in order from the one generator `rng`: a row's counts
+    depend on the rows drawn before it from `rng`, but not on how the rows
+    are split between calls. Callers check `shots` and `readout_flip`."""
+    return rng.multinomial(shots, _shot_probabilities(probs, readout_flip))
 
 
 def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: float = 0.0) -> MeasRecord:
-    """Multinomial shot sampling with a seeded generator: `_draw` of the Born
-    distribution, with `readout_flip` folded in before drawing."""
-    draws = _draw(born_distribution(state, setting)[None], shots, [seed], readout_flip)[0]
+    """Multinomial shot sampling with a generator seeded with `seed`: `_draw`
+    of the Born distribution, with `readout_flip` folded in before drawing.
+    `shots` is checked as `MeasRecord` checks it."""
+    shots = _check_integer(shots, "shots", 1)
+    _check_probability(readout_flip, "readout_flip")
+    draws = _draw(born_distribution(state, setting)[None], shots, np.random.default_rng(seed), readout_flip)[0]
     return _record(setting, draws, shots, seed)
 
 
@@ -418,13 +425,17 @@ def pauli_settings(num_qubits: int) -> list[MeasSetting]:
 def sample_pauli_set(state, shots: int, seed: int, readout_flip: float = 0.0) -> list[MeasRecord]:
     """`sample` of every setting of `pauli_settings`, setting j seeded with
     seed + j: the same records, from one contraction of the state with all
-    three bases of each qubit."""
+    three bases of each qubit, and the flips folded into every setting at once."""
+    shots = _check_integer(shots, "shots", 1)
+    _check_probability(readout_flip, "readout_flip")
     n = state.num_qubits
     # basis b's rotation rows at 2b and 2b + 1
     rotations = np.concatenate([_PAULI_ROTATIONS[b] for b in _PAULI_SET])
     probs = _local_probabilities(state, [rotations] * n).reshape([3, 2] * n)
     probs = probs.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(3**n, 2**n)
-    draws = _draw(_normalised(probs), shots, range(seed, seed + 3**n), readout_flip)
+    # one generator per record, as `sample` draws it: a one-row draw is the 1-D draw
+    rows = _shot_probabilities(_normalised(probs), readout_flip)
+    draws = [np.random.default_rng(seed + j).multinomial(shots, p) for j, p in enumerate(rows)]
     return [_record(s, d, shots, seed + j) for j, (s, d) in enumerate(zip(pauli_settings(n), draws))]
 
 

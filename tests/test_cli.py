@@ -460,16 +460,16 @@ def test_null_sizes_and_unread_partition_pass(tmp_path):
         assert main([command, "--config", str(cfg)]) == EXIT_OK, command
 
 
-def test_sampled_cmi_seeds_count_on_across_times(tmp_path):
-    # cell (i, j) of time NN draws with seed + (NN * phi_steps + i) * xi_steps + j,
-    # so the second time's 2 x 3 grid draws as a first time seeded 6 later
+def test_sampled_cmi_seeds_each_time_with_seed_plus_index(tmp_path):
+    # time NN's grid draws from one generator seeded with seed + NN, so the
+    # second time of a run seeded 5 draws as the first time of a run seeded 6
     def grid(times, seed):
         cfg = write_config(tmp_path, times=times, sampled=True, phi_steps=2, xi_steps=3, seed=seed)
         assert main(["cmi", "--config", str(cfg)]) == EXIT_OK
         return tmp_path / "out"
 
     second = data_lines(grid(["t_max", "t_rec"], 5) / "cmi_t01.csv")
-    assert second == data_lines(grid(["t_rec"], 11) / "cmi_t00.csv")
+    assert second == data_lines(grid(["t_rec"], 6) / "cmi_t00.csv")
 
 
 def test_sampled_cmi_applies_readout_flips(tmp_path):

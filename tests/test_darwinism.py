@@ -538,26 +538,61 @@ def test_cmi_joint_sampled_errors():
         cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"), MeasSetting.pauli("ZZ"), shots=100, seed=0)
 
 
-def test_sampled_grid_matches_per_cell_draws():
-    # cell (i, j) is cmi_joint sampled with seed + i * xi_steps + j, whether
-    # the grid draws it in a batch or alone. The loop is no reference here:
-    # numpy's binomial sampler branches on floor((n + 1) p) and on p > 0.5,
-    # so an ulp in a Born probability can change a draw; phi = pi/2 on the
-    # 5-step axis puts many of them at exactly 0.5
+def _sampled_grid_problems():
     noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.001)
     states = (
         ideal_global_state(T_REC, FULL2),
         run_density(build_condensed_circuit(T_MAX, COND3), noise),
     )
-    xis = np.linspace(0.0, 2 * math.pi, 4, endpoint=False)
     for state, flip in itertools.product(states, (0.0, 0.05)):
         for sys_q, frac in (((0,), (1, 2)), ((0,), (1, 2, 3)), ((2,), (0, 3))):
-            grid = cmi_grid(state, sys_q, frac, 5, 4, shots=1000, seed=7, readout_flip=flip)
-            for i, phi in enumerate(np.linspace(0.0, math.pi, 5)):
-                for j, xi in enumerate(xis):
-                    setting = MeasSetting(((phi, xi),) * len(frac))
-                    cell = cmi_joint(state, sys_q, frac, setting, shots=1000, seed=7 + i * 4 + j, readout_flip=flip)
-                    assert grid.values[i, j] == cell
+            yield state, sys_q, frac, flip
+
+
+def test_sampled_grid_first_cell_is_cmi_joint():
+    # the grid's one generator is seeded with `seed`, and cell (0, 0) is
+    # drawn first, so it is cmi_joint sampled with that seed, flips included.
+    # A later cell is not compared with a per-cell loop: numpy's binomial
+    # sampler branches on floor((n + 1) p) and on p > 0.5, so an ulp in a
+    # Born probability can change a draw
+    for state, sys_q, frac, flip in _sampled_grid_problems():
+        grid = cmi_grid(state, sys_q, frac, 5, 4, shots=1000, seed=7, readout_flip=flip)
+        setting = MeasSetting(((0.0, 0.0),) * len(frac))
+        assert grid.values[0, 0] == cmi_joint(state, sys_q, frac, setting, shots=1000, seed=7, readout_flip=flip)
+
+
+def test_sampled_grid_stream_crosses_chunks(monkeypatch):
+    # the cells draw from one stream that carries on from chunk to chunk, so
+    # the grid does not depend on how many cells a chunk holds
+    problems = list(_sampled_grid_problems())
+    whole = [cmi_grid(state, s, f, 9, 8, shots=1000, seed=7, readout_flip=r).values for state, s, f, r in problems]
+    draws, draw = [], dlab.darwinism._draw
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(dlab.darwinism, "_CHUNK_BYTES", 4096)
+    monkeypatch.setattr(dlab.darwinism, "_draw", counted)
+    for want, (state, s, f, r) in zip(whole, problems):
+        draws.clear()
+        got = cmi_grid(state, s, f, 9, 8, shots=1000, seed=7, readout_flip=r).values
+        assert len(draws) > 1
+        assert np.array_equal(got, want)
+
+
+def test_sampled_cmi_checks_shots_before_any_work(monkeypatch):
+    # a bad shot count is refused on entry, before the state is reduced
+    def reduced(*args):
+        raise AssertionError("reduced before shots was checked")
+
+    monkeypatch.setattr(dlab.darwinism, "_reduced_parts", reduced)
+    psi = ideal_global_state(T_MAX, COND2)
+    for shots in (0, 2.5):
+        with pytest.raises(ValueError, match="shots"):
+            cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"), shots=shots)
+        with pytest.raises(ValueError, match="shots"):
+            cmi_grid(psi, (0,), (1,), 3, 3, shots=shots)
 
 
 def test_sampled_cmi_draws_like_sample():

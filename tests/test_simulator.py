@@ -444,6 +444,7 @@ def _bad_inputs():
         "sample": lambda shots, r: sample(bell, MeasSetting.computational(2), shots, 0, readout_flip=r),
         "cmi_joint": lambda shots, r: cmi_joint(bell, (0,), (1,), z, shots=shots, readout_flip=r),
         "cmi_grid": lambda shots, r: cmi_grid(bell, (0,), (1,), 2, 2, shots=shots, readout_flip=r),
+        "sample_pauli_set": lambda shots, r: sample_pauli_set(bell, shots, 0, readout_flip=r),
     }
     rates = {
         name: (lambda v, name=name: NoiseModel(**{name: v}), name)
@@ -487,6 +488,24 @@ def test_numpy_integer_shots_draw_like_int():
     assert cmi_joint(bell, (0,), (1,), MeasSetting.pauli("Z"), shots=np.int32(64), seed=3) == cmi_joint(
         bell, (0,), (1,), MeasSetting.pauli("Z"), shots=64, seed=3
     )
+
+
+def test_numpy_multinomial_draws_rows_in_order():
+    # a sampled grid draws its cells with one 2-D multinomial call per chunk
+    # from one generator, `sample` one row with a seed of its own, and a
+    # Pauli set each 1-D row with a seed of its own; all three rest on numpy
+    # drawing the rows of a 2-D call in order, as one 1-D call each would,
+    # zero-probability outcomes included
+    probs = np.random.default_rng(0).random((40, 16))
+    probs[:, [0, 5, 15]] = 0.0
+    probs[3] = np.eye(16)[2]
+    probs /= probs.sum(axis=1, keepdims=True)
+    batch = np.random.default_rng(3).multinomial(1000, probs)
+    rng = np.random.default_rng(3)
+    assert np.array_equal(batch, [rng.multinomial(1000, p) for p in probs])
+    rng = np.random.default_rng(3)
+    assert np.array_equal(batch, np.concatenate([rng.multinomial(1000, probs[lo : lo + 7]) for lo in range(0, 40, 7)]))
+    assert np.array_equal(batch[0], np.random.default_rng(3).multinomial(1000, probs[0]))
 
 
 def test_noise_monotonicity():
