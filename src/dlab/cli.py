@@ -21,6 +21,7 @@ from .darwinism import (
     DEFAULT_PHI_STEPS,
     DEFAULT_XI_STEPS,
     SchemeMode,
+    _orbit_mean,
     averaged_qmi,
     basis_grid_to_csv,
     cmi_grid,
@@ -445,26 +446,17 @@ def cmd_cmi(cfg: ExperimentConfig) -> None:
 
 def _compare_point(payload):
     """One row per fraction size, all from one evolution of the state at `t`:
-    each mean is over the weighted fractions of `orbit_fractions`."""
+    the `_orbit_mean` of QMI, Holevo bound and best-basis CMI."""
     cfg, t, sizes = payload
     scheme = partition_scheme(cfg.params, cfg.partition)
     state = _noisy_state(cfg, t)
-    rows = []
-    for size, pairs in orbit_fractions(state, (0,), scheme, sizes).items():
-        weights = np.array([w for _, w in pairs], dtype=float)
-        values = np.array(
-            [
-                (
-                    qmi(state, (0,), frac),
-                    holevo_bound(state, (0,), frac),
-                    cmi_grid(state, (0,), frac, cfg.phi_steps, cfg.xi_steps).max_value,
-                )
-                for frac, _ in pairs
-            ]
-        )
-        q, chi, cmi = (float(np.sum(weights * col) / weights.sum()) for col in values.T)
-        rows.append((t, size, q, chi, cmi))
-    return rows
+
+    def measures(frac):
+        grid = cmi_grid(state, (0,), frac, cfg.phi_steps, cfg.xi_steps)
+        return qmi(state, (0,), frac), holevo_bound(state, (0,), frac), grid.max_value
+
+    orbits = orbit_fractions(state, (0,), scheme, sizes)
+    return [(t, size, *map(float, _orbit_mean(pairs, measures)[0])) for size, pairs in orbits.items()]
 
 
 def cmd_compare(cfg: ExperimentConfig) -> None:

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import PureState, _check_probability, _entropy, _reduce, _spectrum_entropy
+from .qstate import _CUTOFF, PureState, _check_probability, _check_qubits, _entropy, _reduce, _spectrum_entropy
 from .scm import Scenario, ScmParams
 from .simulator import (
-    _PROB_CUTOFF,
     MeasSetting,
     _bloch_rows,
     _check_integer,
@@ -33,6 +32,7 @@ from .simulator import (
     _local_apply,
     _pauli_expansion,
     basis_rotation,
+    pauli_settings,
 )
 
 DEFAULT_PHI_STEPS = 61
@@ -159,8 +159,8 @@ class BasisGrid:
 
 
 def _entropies(probs: np.ndarray) -> np.ndarray:
-    """-sum p ln p along the last axis, dropping p <= _PROB_CUTOFF."""
-    logs = np.log(probs, where=probs > _PROB_CUTOFF, out=np.zeros_like(probs))
+    """-sum p ln p along the last axis, dropping p <= _CUTOFF."""
+    logs = np.log(probs, where=probs > _CUTOFF, out=np.zeros_like(probs))
     return -np.sum(probs * logs, axis=-1)
 
 
@@ -169,10 +169,7 @@ def _check_parts(state, sys_qubits, frac_qubits):
     frac_q = tuple(sorted(frac_qubits))
     if not sys_q or not frac_q:
         raise ValueError("system and fraction must be non-empty")
-    if set(sys_q) & set(frac_q):
-        raise ValueError("system and fraction overlap")
-    if any(not 0 <= q < state.num_qubits for q in sys_q + frac_q):
-        raise ValueError("qubit index outside the register")
+    _check_qubits(sys_q + frac_q, state.num_qubits, "system and fraction qubits")
     return sys_q, frac_q
 
 
@@ -182,8 +179,7 @@ def system_coherence(state, system_qubit: int = 0) -> float:
     `state` was validated when it was built, so the qubit's 2x2 reduction
     is read as a bare array: no reduced `DensityMatrix` is built or checked.
     """
-    if not 0 <= system_qubit < state.num_qubits:
-        raise ValueError(f"system qubit {system_qubit} outside 0..{state.num_qubits - 1}")
+    _check_qubits((system_qubit,), state.num_qubits, "system qubit")
     return float(2 * _reduce(state, (system_qubit,))[0, 1].real)
 
 
@@ -289,24 +285,33 @@ def orbit_fractions(state, sys_qubits, scheme: PartitionScheme, sizes) -> dict[i
     return out
 
 
+def _orbit_mean(pairs, measure):
+    """Weighted mean of `measure(fraction)`, a number or an array, over the
+    (fraction, weight) pairs of `orbit_fractions`, and its ddof=1 standard
+    error over every fraction, sqrt(sum w (v - m)^2 / (N - 1) / N), N = sum w.
+    Each entry is summed along one contiguous row: with unit weights these
+    are numpy's mean and std(ddof=1) / sqrt(N) step for step, which a sum
+    over axis 0 is not once there are more than 8 fractions."""
+    weights = np.array([w for _, w in pairs], dtype=float)
+    values = np.array([measure(frac) for frac, _ in pairs], dtype=float)
+    rows = np.ascontiguousarray(values.reshape(len(values), -1).T)
+    count = weights.sum()
+    mean = np.sum(weights * rows, axis=1) / count
+    var = np.sum(weights * (rows - mean[:, None]) ** 2, axis=1) / (count - 1) if count > 1 else 0 * mean
+    return mean.reshape(values.shape[1:]), (np.sqrt(var) / math.sqrt(count)).reshape(values.shape[1:])
+
+
 def averaged_qmi(state, sys_qubits, scheme: PartitionScheme) -> MiCurve:
     """QMI in bits averaged over all same-size fractions, with the standard
-    error of the mean as the spread measure. The fractions are those of
-    `orbit_fractions`, each counted by its weight. H(S), and any side two
-    fractions share, is computed once per call."""
+    error of the mean as the spread measure: `_orbit_mean` over the
+    fractions of `orbit_fractions`. H(S), and any side two fractions share,
+    is computed once per call."""
     sys_q, _ = _check_parts(state, sys_qubits, tuple(q for u in scheme.units for q in u))
     entropy = _entropy_table(state)
     points = []
     for f, pairs in orbit_fractions(state, sys_q, scheme, range(1, scheme.num_units + 1)).items():
-        vals = np.array([_qmi(entropy, sys_q, frac) for frac, _ in pairs])
-        weights = np.array([w for _, w in pairs], dtype=float)
-        count = weights.sum()
-        mean = np.sum(weights * vals) / count
-        # the ddof=1 standard error of the mean over every fraction; with unit
-        # weights these are numpy's mean and std(ddof=1) / sqrt(count), step
-        # for step, so a curve that takes every fraction keeps its bytes
-        var = np.sum(weights * (vals - mean) ** 2) / (count - 1) if count > 1 else 0.0
-        points.append((f, float(mean), float(math.sqrt(var) / math.sqrt(count))))
+        mean, stderr = _orbit_mean(pairs, lambda frac: _qmi(entropy, sys_q, frac))
+        points.append((f, float(mean), float(stderr)))
     return MiCurve(tuple(points))
 
 
@@ -444,20 +449,19 @@ def cmi_grid(
 
 
 def holevo_bound(state, sys_qubits, frac_qubits) -> float:
-    """chi = H(rho_F) - sum_i p_i H(rho_F|i) in bits, over the system's
-    computational (pointer) outcomes; zero-probability branches are dropped."""
+    """chi = H(rho_F) - sum_i p_i H(rho_F|i) in bits, over the system's pointer
+    outcomes i. The sum is H(the eigenvalues of all blocks <i|_S rho |i>_S =
+    p_i rho_F|i together) - H(p), so one call diagonalises every block, and
+    a branch of probability 0 drops out through its zero eigenvalues."""
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
-    # blocks[i] = <i|_S rho |i>_S: the system-diagonal blocks, one per pointer outcome
     cols = [a if a in sys_pos else k + a for a in range(k)]
     out = list(sys_pos) + list(frac_pos) + [k + a for a in frac_pos]
     d = 2 ** len(frac_pos)
     blocks = np.einsum(mat.reshape([2] * (2 * k)), list(range(k)) + cols, out).reshape(-1, d, d)
-    chi = _entropy(blocks.sum(axis=0))
-    for p_i, cond in zip(np.trace(blocks, axis1=1, axis2=2).real, blocks):
-        if p_i >= _PROB_CUTOFF:
-            chi -= p_i * _entropy(cond / p_i)
-    return chi
+    probs = np.trace(blocks, axis1=1, axis2=2).real
+    branches = _spectrum_entropy(np.linalg.eigvalsh(blocks).reshape(-1)) - _spectrum_entropy(probs)
+    return _entropy(blocks.sum(axis=0)) - branches
 
 
 @dataclass(frozen=True)
@@ -470,8 +474,8 @@ class ScanEntry:
 def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme) -> tuple[ScanEntry, ...]:
     """CMI in bits for every Pauli basis combination on system and fraction, averaged
     over all unordered fractions of `frac_size` qubits built from whole
-    scheme units. The fractions are those of `orbit_fractions`, each counted
-    by its weight."""
+    scheme units: `_orbit_mean` over the fractions of `orbit_fractions`,
+    with the bases of both sides in `pauli_settings` order."""
     if frac_size < 1:
         raise ValueError("fraction size must be positive")
     sys_q = tuple(sorted(sys_qubits))
@@ -479,20 +483,19 @@ def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme) -
     fractions = [(frac, w) for pairs in orbits.values() for frac, w in pairs if len(frac) == frac_size]
     if not fractions:
         raise ValueError(f"no fraction of {frac_size} qubits fits whole units")
-    sys_labels = ["".join(p) for p in itertools.product("XYZ", repeat=len(sys_q))]
-    env_labels = ["".join(p) for p in itertools.product("XYZ", repeat=frac_size)]
-    env_rows = _bloch_rows([MeasSetting.pauli(e).rotations() for e in env_labels])
-    values = np.zeros((len(sys_labels), len(env_labels)))
-    for frac, weight in fractions:
+    sys_settings = pauli_settings(len(sys_q))
+    env_settings = pauli_settings(frac_size)
+    env_rows = _bloch_rows([e.rotations() for e in env_settings])
+
+    def scan(frac):
         mat, sys_pos, frac_pos, _ = _reduced_parts(state, *_check_parts(state, sys_q, frac))
-        for b, label in enumerate(sys_labels):
-            sys_rot = MeasSetting.pauli(label).rotations()
-            values[b] += weight * _basis_cmi(mat, sys_pos, frac_pos, sys_rot, env_rows)
-    values /= sum(w for _, w in fractions)
+        return [_basis_cmi(mat, sys_pos, frac_pos, s.rotations(), env_rows) for s in sys_settings]
+
+    values, _ = _orbit_mean(fractions, scan)
     return tuple(
-        ScanEntry(sys_label, env_label, float(values[b, e]))
-        for b, sys_label in enumerate(sys_labels)
-        for e, env_label in enumerate(env_labels)
+        ScanEntry(s.label(), e.label(), float(values[b, c]))
+        for b, s in enumerate(sys_settings)
+        for c, e in enumerate(env_settings)
     )
 
 

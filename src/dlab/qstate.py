@@ -24,9 +24,11 @@ NORM_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-9  # floating-point eigenvalues of a valid state can dip just below 0
-EIG_CUTOFF = 1e-12  # 0*log(0) guard
 CHANNEL_ATOL = 1e-10
 _BLOCK_MIN_ROWS = 128  # smallest matrix that `_eigvalsh` splits into blocks
+# Eigenvalues and outcome probabilities at or below this are rounding noise,
+# dropped by every entropy and draw; at small t real eigenvalues are 1e-12.
+_CUTOFF = 1e-15
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -159,6 +161,15 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has non-finite entries")
 
 
+def _check_qubits(qubits, num_qubits: int, what: str) -> list[int]:
+    """`qubits` as a list, refused if it is empty, repeats a qubit or names one
+    outside the register: the reductions would fail later, inside numpy."""
+    qubits = list(qubits)
+    if not qubits or len(set(qubits)) != len(qubits) or any(not 0 <= q < num_qubits for q in qubits):
+        raise ValueError(f"{what} {qubits} must be non-empty, distinct and in range 0..{num_qubits - 1}")
+    return qubits
+
+
 def _check_probability(value: float, name: str) -> None:
     """Refuse a rate outside [0, 1]; written so that NaN fails the test too."""
     if not 0.0 <= value <= 1.0:
@@ -186,9 +197,7 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets: list[int]) -> D
     """Apply the channel embedded on `targets`: rho' = sum_i (K_i x I) rho (K_i^dag x I).
     The result is complex, as Kraus operators are."""
     n = rho.num_qubits
-    targets = list(targets)
-    if len(set(targets)) != len(targets) or any(not 0 <= q < n for q in targets):
-        raise ValueError(f"targets {targets} must be distinct and in range 0..{n - 1}")
+    targets = _check_qubits(targets, n, "targets")
     if ch.dim != 2 ** len(targets):
         raise ValueError(f"operator dim {ch.dim} does not match 2^{len(targets)} targets")
     flat = rho.matrix.reshape(-1).astype(complex)
@@ -205,12 +214,7 @@ def _superop(ops) -> np.ndarray:
 
 def partial_trace(state: PureState | DensityMatrix, keep: list[int]) -> DensityMatrix:
     """Reduced density matrix on `keep`, ordered by ascending register index."""
-    n = state.num_qubits
-    keep = sorted(keep)
-    if not keep:
-        raise ValueError("keep list must be non-empty")
-    if len(set(keep)) != len(keep) or any(not 0 <= q < n for q in keep):
-        raise ValueError(f"keep {keep} must be distinct and in range 0..{n - 1}")
+    keep = _check_qubits(sorted(keep), state.num_qubits, "keep")
     return DensityMatrix(len(keep), _reduce(state, keep))
 
 
@@ -292,7 +296,7 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
 
 
 def _spectrum_entropy(eigs: np.ndarray) -> float:
-    eigs = eigs[eigs > EIG_CUTOFF]
+    eigs = eigs[eigs > _CUTOFF]
     return float(-np.sum(eigs * np.log(eigs)) / math.log(2))
 
 

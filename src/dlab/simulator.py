@@ -17,6 +17,7 @@ from .circuit import _FIXED_MATRICES, _SQRT2_INV, Circuit, GateKind
 from .kernels import apply_matrix
 from .qstate import (
     PAULIS,
+    _CUTOFF,
     DensityMatrix,
     PureState,
     _check_probability,
@@ -29,9 +30,6 @@ from .qstate import (
 STATEVECTOR_MAX_QUBITS = 16
 DENSITY_MAX_QUBITS = 10
 
-# Outcomes at or below this probability are rounding noise: draws and
-# Shannon entropies drop them.
-_PROB_CUTOFF = 1e-15
 _PAULI_BASIS = _read_only(np.stack([PAULIS[m] for m in "IXYZ"]))
 # _PAULI_TRACE[mu, 2a + b] = sigma_mu[b, a]: one qubit's tr(rho sigma_mu) from its (row, column) pair
 _PAULI_TRACE = _read_only(_PAULI_BASIS.transpose(0, 2, 1).reshape(4, 4))
@@ -388,14 +386,14 @@ def _check_integer(value, name: str, least: int) -> int:
 def _shot_probabilities(probs: np.ndarray, readout_flip: float = 0.0) -> np.ndarray:
     """Each row of `probs` (outcomes of n qubits in register order) as every
     draw takes it: per-bit flips at rate `readout_flip` folded in, then
-    outcomes at or below _PROB_CUTOFF, negative rounding included, dropped
+    outcomes at or below _CUTOFF, negative rounding included, dropped
     (noise on an outcome that cannot occur would still consume random
     numbers), then scaled to sum to 1. A row comes out the same in any batch."""
     if readout_flip > 0.0:
         n = probs.shape[-1].bit_length() - 1
         # contiguous rows, so that a row sums the same way in any batch
         probs = np.ascontiguousarray(_fold_readout_flip(probs.T, n, readout_flip).T)
-    p = np.where(probs > _PROB_CUTOFF, probs, 0.0)
+    p = np.where(probs > _CUTOFF, probs, 0.0)
     return p / p.sum(axis=-1, keepdims=True)
 
 

@@ -1,6 +1,7 @@
 """Mutual-information curves, basis grids, Holevo bounds, scans, backflow."""
 import itertools
 import math
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -266,6 +267,9 @@ def ideal_runs(draw):
 @given(ideal_runs())
 # full per_qubit is the mode whose orbits differ in size, so the weights matter
 @example((ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL), T_REC, SchemeMode.PER_QUBIT))
+# reduced spectra at t = 1e-12 hold real eigenvalues of about 1e-12, which
+# an entropy cutoff at that size would drop from some sides and not others
+@example((ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL), 1e-12, SchemeMode.PER_QUBIT))
 def test_orbit_average_matches_the_loop(run):
     params, t, mode = run
     state = _circuit_state(params, t)
@@ -521,6 +525,23 @@ def test_cmi_joint_errors():
         cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"), sys_basis=MeasSetting.pauli("ZZ"))
 
 
+@pytest.mark.parametrize("sys_q, frac_q", [((0, 0), (1,)), ((0,), (1, 1))])
+def test_repeated_qubits_are_refused_before_any_work(monkeypatch, sys_q, frac_q):
+    def reduce_nothing(*args):
+        raise AssertionError("the state was reduced before its qubit lists were checked")
+
+    monkeypatch.setattr(dlab.darwinism, "_reduce", reduce_nothing)
+    psi = ideal_global_state(T_MAX, COND2)
+    for call in (
+        lambda: qmi(psi, sys_q, frac_q),
+        lambda: holevo_bound(psi, sys_q, frac_q),
+        lambda: cmi_joint(psi, sys_q, frac_q, MeasSetting.pauli("X" * len(frac_q))),
+        lambda: cmi_grid(psi, sys_q, frac_q, 3, 3),
+    ):
+        with pytest.raises(ValueError, match="distinct"):
+            call()
+
+
 def test_cmi_joint_sampled_consistency():
     psi = ideal_global_state(T_MAX, COND2)
     exact = cmi_joint(psi, (0,), (1,), MeasSetting.pauli("X"))
@@ -646,6 +667,18 @@ def test_holevo_bound_values():
     assert abs(holevo_bound(psi, (0,), (1, 2)) - 1.0) < 1e-9
     # no collisions yet, nothing recorded
     assert holevo_bound(ideal_global_state(0.0, COND2), (0,), (1,)) < 1e-12
+
+
+def test_holevo_bound_drops_a_branch_of_probability_zero():
+    # the system in a pointer state: the other outcome's block is all zero
+    plus = np.array([1.0, 1.0]) / math.sqrt(2)
+    for bit in (0, 1):
+        psi = PureState(3, reduce(np.kron, [np.eye(2)[bit], plus, plus]))
+        for state in (psi, psi.density_matrix()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for frac in ((1,), (1, 2)):
+                    assert abs(holevo_bound(state, (0,), frac)) < 1e-12
 
 
 def test_information_chain_ordering():

@@ -1,6 +1,6 @@
 """The README's Python quick start and example config run as written, its
 list of accepted config keys names every key the config reads, and every
-cap it states is the constant the code enforces."""
+cap and cutoff it states is the constant the code enforces."""
 import ast
 import contextlib
 import dataclasses
@@ -11,7 +11,7 @@ import re
 import pytest
 
 from dlab.cli import EXIT_OK, TOMO_MAX_QUBITS, ExperimentConfig, main
-from dlab.qstate import _BLOCK_MIN_ROWS
+from dlab.qstate import _BLOCK_MIN_ROWS, _CUTOFF
 from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX
 from dlab.simulator import DENSITY_MAX_QUBITS, STATEVECTOR_MAX_QUBITS, NoiseModel
 
@@ -50,8 +50,8 @@ def test_readme_example_config_runs(tmp_path):
     assert (out / "coherence.csv").exists()
 
 
-# Each phrase of the README that states a cap, with the number as its one
-# group, and the constant that number must equal.
+# Each phrase of the README that states a cap or the rounding cutoff, with
+# the number as its one group, and the constant that number must equal.
 CAPS = {
     "statevector": (r"at most (\d+) qubits, at most \d+ when depolarizing", STATEVECTOR_MAX_QUBITS),
     "density": (r"at most \d+ qubits, at most (\d+) when depolarizing", DENSITY_MAX_QUBITS),
@@ -60,6 +60,8 @@ CAPS = {
     "route_device": (r"coupling map may have at most (\d+) nodes", STATEVECTOR_MAX_QUBITS),
     "exhaustive_placement": (r"identity on devices of more than (\d+) qubits", EXHAUSTIVE_PLACEMENT_MAX),
     "block_eigensolve": (r"of (\d+) rows or more", _BLOCK_MIN_ROWS),
+    "cutoff": (r"at or below ([\d.]+e-\d+)", _CUTOFF),
+    "draw_cutoff": (r"probability at most ([\d.]+e-\d+)", _CUTOFF),
 }
 
 
@@ -67,5 +69,5 @@ CAPS = {
 def test_readme_caps_match_the_code(name):
     phrase, cap = CAPS[name]
     text = " ".join(README.read_text(encoding="utf-8").split())
-    stated = [int(m) for m in re.findall(phrase, text)]
+    stated = [type(cap)(m) for m in re.findall(phrase, text)]
     assert stated and all(v == cap for v in stated), (stated, cap)

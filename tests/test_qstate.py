@@ -258,6 +258,14 @@ def test_apply_channel_errors():
         apply_channel(rho, depolarizing_channel(0.1, 2), [0])  # dim mismatch
     with pytest.raises(ValueError):
         apply_channel(rho, depolarizing_channel(0.1), [5])  # out of range
+    with pytest.raises(ValueError, match="distinct"):
+        apply_channel(rho, depolarizing_channel(0.1, 2), [1, 1])
+
+
+def test_partial_trace_refuses_a_bad_keep_list():
+    for keep in ([], [0, 0], [2], [-1]):
+        with pytest.raises(ValueError, match="non-empty, distinct and in range"):
+            partial_trace(BELL, keep)
 
 
 def test_partial_trace_bell_and_product():
