@@ -349,12 +349,19 @@ def _finish(cfg: ExperimentConfig, command: str, artifacts: list[str]) -> None:
 
 
 def _pmap(fn, payloads, jobs: int):
-    if jobs <= 1 or len(payloads) <= 1:
+    """`fn` over `payloads`, in order, on at most one worker per payload and per CPU."""
+    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(p) for p in payloads]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, payloads))
+
+
+def _stream_seed(cfg: ExperimentConfig, index: int) -> int:
+    """The seed of time `index`'s draws, one stream per (seed, index) pair."""
+    return int(np.random.SeedSequence([cfg.seed, index]).generate_state(1, np.uint64)[0])
 
 
 def _coherence_point(payload):
@@ -362,7 +369,7 @@ def _coherence_point(payload):
     analytic = coherence_finite(t, cfg.params)
     ideal, state = _evolve(cfg, t)
     simulated = system_coherence(ideal)
-    records = sample_pauli_set(partial_trace(state, (0,)), cfg.shots, cfg.seed + 3 * index, cfg.noise.readout_flip)
+    records = sample_pauli_set(partial_trace(state, (0,)), cfg.shots, _stream_seed(cfg, index), cfg.noise.readout_flip)
     sampled = system_coherence(qubit_tomography(records))
     freq_x = records[0].frequencies()
     mean_x = float(freq_x[0] - freq_x[1])
@@ -371,8 +378,7 @@ def _coherence_point(payload):
 
 
 def cmd_coherence(cfg: ExperimentConfig) -> None:
-    payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
-    rows = _pmap(_coherence_point, payloads, cfg.jobs)
+    rows = _pmap(_coherence_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs)
     lines = [cfg.provenance_lines() + "time,analytic,simulated,sampled,sampled_stderr"]
     for t, ana, sim, samp, se in rows:
         lines.append(f"{t!r},{ana!r},{sim!r},{samp!r},{se!r}")
@@ -380,8 +386,8 @@ def cmd_coherence(cfg: ExperimentConfig) -> None:
     _finish(cfg, "coherence", ["coherence.csv"])
 
 
-def _tomo_reconstruction(cfg: ExperimentConfig, state, base_seed: int):
-    records = sample_pauli_set(state, cfg.shots, base_seed, cfg.noise.readout_flip)
+def _tomo_reconstruction(cfg: ExperimentConfig, state, seed: int):
+    records = sample_pauli_set(state, cfg.shots, seed, cfg.noise.readout_flip)
     job = TomographyJob(state.num_qubits, tuple(records), cfg.tol, cfg.max_iters)
     result = mle_reconstruct(job)
     if result.stop_reason != "tol":
@@ -401,15 +407,14 @@ def _darwinism_point(payload):
     if cfg.noise.is_mixing:
         curves["noisy"] = averaged_qmi(state, (0,), scheme)
     if cfg.include_tomography:
-        _, result = _tomo_reconstruction(cfg, state, cfg.seed + 10_000 * index)
+        _, result = _tomo_reconstruction(cfg, state, _stream_seed(cfg, index))
         curves["tomo"] = averaged_qmi(result.state, (0,), scheme)
     return index, t, curves
 
 
 def cmd_darwinism(cfg: ExperimentConfig) -> None:
-    payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
-    for index, t, curves in _pmap(_darwinism_point, payloads, cfg.jobs):
+    for index, t, curves in _pmap(_darwinism_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs):
         for variant, curve in sorted(curves.items()):
             name = f"mi_t{index:02d}_{variant}.csv"
             artifacts.append(name)
@@ -423,8 +428,7 @@ def _cmi_point(payload):
     units = partition_scheme(cfg.params, cfg.partition).units[: cfg.fraction_units]
     frac = tuple(sorted(q for u in units for q in u))
     state = _noisy_state(cfg, t)
-    # time NN's grid draws its cells from one generator seeded with seed + NN
-    shots, seed = (cfg.shots if cfg.sampled else None), cfg.seed + index
+    shots, seed = (cfg.shots if cfg.sampled else None), _stream_seed(cfg, index)
     grid = cmi_grid(
         state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
     )
@@ -432,9 +436,8 @@ def _cmi_point(payload):
 
 
 def cmd_cmi(cfg: ExperimentConfig) -> None:
-    payloads = [(cfg, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
-    for index, t, frac, grid in _pmap(_cmi_point, payloads, cfg.jobs):
+    for index, t, frac, grid in _pmap(_cmi_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs):
         name = f"cmi_t{index:02d}.csv"
         artifacts.append(name)
         phi, xi, peak = grid.argmax()
@@ -518,7 +521,7 @@ def cmd_route(cfg: ExperimentConfig) -> None:
 def cmd_tomo(cfg: ExperimentConfig) -> None:
     t = cfg.times[0]
     ideal, state = _evolve(cfg, t)
-    job, result = _tomo_reconstruction(cfg, state, cfg.seed)
+    job, result = _tomo_reconstruction(cfg, state, _stream_seed(cfg, 0))
     save_tomography_job(job, os.path.join(cfg.outputs, "job"))
     fid = fidelity(result.state, ideal.density_matrix())
     lls = result.log_likelihoods
@@ -537,8 +540,7 @@ def cmd_tomo(cfg: ExperimentConfig) -> None:
     }
     save_state_text(result.state, os.path.join(cfg.outputs, "state.txt"))
     _write_json(os.path.join(cfg.outputs, "tomo_report.json"), report)
-    artifacts = ["job", "state.txt", "tomo_report.json"]
-    _finish(cfg, "tomo", artifacts)
+    _finish(cfg, "tomo", ["job", "state.txt", "tomo_report.json"])
 
 
 _COMMANDS = {

@@ -22,12 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _CUTOFF, PureState, _check_probability, _check_qubits, _entropy, _reduce, _spectrum_entropy
+from .qstate import _CUTOFF, PureState, _check_qubits, _entropy, _reduce, _spectrum_entropy
 from .scm import Scenario, ScmParams
 from .simulator import (
     MeasSetting,
     _bloch_rows,
-    _check_integer,
+    _check_sampling,
     _draw,
     _local_apply,
     _pauli_expansion,
@@ -372,13 +372,6 @@ def _basis_cmi(
     return out
 
 
-def _check_sampling(shots, readout_flip) -> int | None:
-    """`shots` checked as `MeasRecord` checks it, None (an exact value)
-    passed through; the flip rate is checked either way."""
-    _check_probability(readout_flip, "readout_flip")
-    return None if shots is None else _check_integer(shots, "shots", 1)
-
-
 def _system_basis(sys_basis: MeasSetting | None, num_qubits: int) -> MeasSetting:
     if sys_basis is None:
         return MeasSetting.computational(num_qubits)
@@ -430,10 +423,10 @@ def cmi_grid(
     """cmi_joint over the uniform basis grid phi in [0, pi], xi in [0, 2*pi),
     with the same (phi, xi) basis on every fraction qubit. With `shots`, each
     cell is instead a sampled estimate as cmi_joint's, the cells drawn
-    row-major from one generator seeded with `seed`: cell (0, 0) equals
-    cmi_joint's with that seed, and a later cell's counts depend on the
-    cells before it. `shots` and the flip rate are checked before any work;
-    the state is reduced and expanded once."""
+    row-major from one generator seeded with `seed`, as `sample_pauli_set`
+    draws its records: cell (0, 0) equals cmi_joint's with that seed, and a
+    later cell depends on those before it. `shots` and the flip rate are
+    checked before any work; the state is reduced and expanded once."""
     if phi_steps < 2 or xi_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
     shots = _check_sampling(shots, readout_flip)

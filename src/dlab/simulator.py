@@ -118,7 +118,8 @@ class MeasSetting:
 
 @dataclass(frozen=True)
 class MeasRecord:
-    """Shot counts for one setting. Bitstrings read qubit 0 on the left."""
+    """Shot counts for one setting, bitstrings reading qubit 0 on the left.
+    `seed` seeded the call that drew it: a Pauli set's records share one."""
 
     setting: MeasSetting
     counts: dict[str, int]
@@ -401,16 +402,21 @@ def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator, readout_flip:
     """Multinomial counts of `shots` over each row of `_shot_probabilities`,
     the rows drawn in order from the one generator `rng`: a row's counts
     depend on the rows drawn before it from `rng`, but not on how the rows
-    are split between calls. Callers check `shots` and `readout_flip`."""
+    are split between calls. Callers run `_check_sampling` first."""
     return rng.multinomial(shots, _shot_probabilities(probs, readout_flip))
+
+
+def _check_sampling(shots, readout_flip) -> int | None:
+    """`shots` checked as `MeasRecord` checks it, None (an exact value)
+    passed through; the flip rate is checked either way."""
+    _check_probability(readout_flip, "readout_flip")
+    return None if shots is None else _check_integer(shots, "shots", 1)
 
 
 def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: float = 0.0) -> MeasRecord:
     """Multinomial shot sampling with a generator seeded with `seed`: `_draw`
-    of the Born distribution, with `readout_flip` folded in before drawing.
-    `shots` is checked as `MeasRecord` checks it."""
-    shots = _check_integer(shots, "shots", 1)
-    _check_probability(readout_flip, "readout_flip")
+    of the Born distribution, with `readout_flip` folded in before drawing."""
+    shots = _check_sampling(shots, readout_flip)
     draws = _draw(born_distribution(state, setting)[None], shots, np.random.default_rng(seed), readout_flip)[0]
     return _record(setting, draws, shots, seed)
 
@@ -421,20 +427,18 @@ def pauli_settings(num_qubits: int) -> list[MeasSetting]:
 
 
 def sample_pauli_set(state, shots: int, seed: int, readout_flip: float = 0.0) -> list[MeasRecord]:
-    """`sample` of every setting of `pauli_settings`, setting j seeded with
-    seed + j: the same records, from one contraction of the state with all
-    three bases of each qubit, and the flips folded into every setting at once."""
-    shots = _check_integer(shots, "shots", 1)
-    _check_probability(readout_flip, "readout_flip")
+    """A record per setting of `pauli_settings`, drawn in that order by one
+    `_draw` from one generator seeded with `seed`, which every record stores:
+    record 0 equals `sample`'s, and a later record depends on those before it.
+    One contraction with all three bases of each qubit gives every row."""
+    shots = _check_sampling(shots, readout_flip)
     n = state.num_qubits
     # basis b's rotation rows at 2b and 2b + 1
     rotations = np.concatenate([_PAULI_ROTATIONS[b] for b in _PAULI_SET])
     probs = _local_probabilities(state, [rotations] * n).reshape([3, 2] * n)
     probs = probs.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(3**n, 2**n)
-    # one generator per record, as `sample` draws it: a one-row draw is the 1-D draw
-    rows = _shot_probabilities(_normalised(probs), readout_flip)
-    draws = [np.random.default_rng(seed + j).multinomial(shots, p) for j, p in enumerate(rows)]
-    return [_record(s, d, shots, seed + j) for j, (s, d) in enumerate(zip(pauli_settings(n), draws))]
+    draws = _draw(_normalised(probs), shots, np.random.default_rng(seed), readout_flip)
+    return [_record(s, d, shots, seed) for s, d in zip(pauli_settings(n), draws)]
 
 
 def _record(setting: MeasSetting, draws: np.ndarray, shots: int, seed: int) -> MeasRecord:

@@ -1,4 +1,5 @@
 """End-to-end runs of the config-driven command line interface."""
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -11,7 +12,15 @@ import numpy as np
 import pytest
 
 import dlab
-from dlab import canonical_times, cli, load_state_text
+from dlab import (
+    build_condensed_circuit,
+    canonical_times,
+    cli,
+    load_state_text,
+    load_tomography_job,
+    run_density,
+    sample_pauli_set,
+)
 from dlab.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, ExperimentConfig, main
 
 T_MAX, T_CLOSE, T_REC = canonical_times()
@@ -460,16 +469,87 @@ def test_null_sizes_and_unread_partition_pass(tmp_path):
         assert main([command, "--config", str(cfg)]) == EXIT_OK, command
 
 
-def test_sampled_cmi_seeds_each_time_with_seed_plus_index(tmp_path):
-    # time NN's grid draws from one generator seeded with seed + NN, so the
-    # second time of a run seeded 5 draws as the first time of a run seeded 6
-    def grid(times, seed):
-        cfg = write_config(tmp_path, times=times, sampled=True, phi_steps=2, xi_steps=3, seed=seed)
-        assert main(["cmi", "--config", str(cfg)]) == EXIT_OK
-        return tmp_path / "out"
+def test_neighbouring_seeds_and_times_share_no_stream(tmp_path):
+    # each (seed, time index) pair seeds its draws through one SeedSequence,
+    # so time 1 of seed 5 draws as time 0 of none of the seeds 5 to 9
+    def later(command, times, seed):
+        cfg = write_config(tmp_path, times=times, sampled=True, phi_steps=2, xi_steps=3, shots=2**16, seed=seed)
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+        if command == "cmi":
+            return data_lines(tmp_path / "out" / f"cmi_t{len(times) - 1:02d}.csv")
+        return data_lines(tmp_path / "out" / "coherence.csv")[-1]
 
-    second = data_lines(grid(["t_max", "t_rec"], 5) / "cmi_t01.csv")
-    assert second == data_lines(grid(["t_rec"], 6) / "cmi_t00.csv")
+    for command in ("cmi", "coherence"):
+        second = later(command, ["t_max", "t_rec"], 5)
+        assert all(second != later(command, ["t_rec"], seed) for seed in range(5, 10)), command
+
+    # and a tomo set of seed 6 is not seed 5's set shifted by one setting
+    def records(seed):
+        cfg = write_config(tmp_path, n=1, times=["t_max"], shots=256, seed=seed, noise={"depol_1q": 0.05})
+        assert main(["tomo", "--config", str(cfg)]) == EXIT_OK
+        return [r.counts for r in load_tomography_job(tmp_path / "out" / "job").records]
+
+    first, second = records(5), records(6)
+    assert first != second and first[1:] != second[:-1]
+
+
+def test_stream_seeds_do_not_depend_on_the_numpy_version():
+    # numpy keeps SeedSequence's output the same across versions, so these
+    # seeds, taken on numpy 2.4.6, hold on every supported numpy; the
+    # multinomial draws made from them may not
+    pinned = {
+        (0, 0): 15793235383387715774,
+        (1, 0): 7434755675892716031,
+        (5, 1): 17996766564426832300,
+        (6, 0): 5459377609256077970,
+        (7, 2): 18279110831140952437,
+        (2**32, 3): 10553451911785522164,
+    }
+    for (seed, index), want in pinned.items():
+        assert cli._stream_seed(types.SimpleNamespace(seed=seed), index) == want
+
+
+def test_saved_tomo_job_redraws_from_its_seed(tmp_path):
+    # every record of the saved job stores the seed of its set, and that seed
+    # redraws the whole set from the noisy state
+    noise = {"depol_1q": 0.01, "readout_flip": 0.02}
+    path = write_config(tmp_path, n=1, times=["t_max"], shots=512, noise=noise)
+    assert main(["tomo", "--config", str(path)]) == EXIT_OK
+    records = load_tomography_job(tmp_path / "out" / "job").records
+    assert {r.seed for r in records} == {records[0].seed}
+    cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    state = run_density(build_condensed_circuit(T_MAX, cfg.params), cfg.noise)
+    redrawn = sample_pauli_set(state, cfg.shots, records[0].seed, cfg.noise.readout_flip)
+    assert records == tuple(redrawn)
+
+
+def test_worker_count_is_capped(tmp_path, monkeypatch):
+    # a pool gets at most one worker per time and per CPU, and one worker
+    # runs in this process; the stand-in pool starts no process
+    pools = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    cfg = write_config(tmp_path, n=1, times=[0.2, 0.5], shots=64)
+    for cpus, want in ((8, [2]), (2, [2, 2]), (1, [2, 2]), (None, [2, 2])):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        assert main(["coherence", "--config", str(cfg), "--jobs", "100000"]) == EXIT_OK
+        assert pools == want, cpus
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    assert cli._pmap(abs, [-1, -2, -3], 3) == [1, 2, 3] and pools[-1] == 3
+    assert cli._pmap(abs, [-1, -2, -3], 1) == [1, 2, 3] and len(pools) == 3
 
 
 def test_sampled_cmi_applies_readout_flips(tmp_path):

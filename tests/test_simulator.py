@@ -492,10 +492,10 @@ def test_numpy_integer_shots_draw_like_int():
 
 def test_numpy_multinomial_draws_rows_in_order():
     # a sampled grid draws its cells with one 2-D multinomial call per chunk
-    # from one generator, `sample` one row with a seed of its own, and a
-    # Pauli set each 1-D row with a seed of its own; all three rest on numpy
-    # drawing the rows of a 2-D call in order, as one 1-D call each would,
-    # zero-probability outcomes included
+    # from one generator, a Pauli set its rows with one 2-D call, and `sample`
+    # one row with a seed of its own; all three rest on numpy drawing the rows
+    # of a 2-D call in order, as one 1-D call each would, zero-probability
+    # outcomes included
     probs = np.random.default_rng(0).random((40, 16))
     probs[:, [0, 5, 15]] = 0.0
     probs[3] = np.eye(16)[2]
@@ -666,9 +666,17 @@ def pauli_set_problems(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(pauli_set_problems())
-def test_sample_pauli_set_equals_per_setting_samples(problem):
-    # one contraction for all 3^n settings gives the very records of
-    # `sample`, setting j seeded with seed + j, ties at 0.5 included
+def test_sample_pauli_set_is_one_draw_of_every_setting(problem):
+    # one contraction for all 3^n settings gives each setting's Born row, and
+    # one generator seeded with `seed` draws the rows in `pauli_settings`
+    # order, ties at 0.5 included: record 0 is `sample`'s with that seed, and
+    # every record stores the seed of its set
     state, shots, seed, flip = problem
-    want = [sample(state, s, shots, seed + j, flip) for j, s in enumerate(pauli_settings(state.num_qubits))]
-    assert sample_pauli_set(state, shots, seed, flip) == want
+    n = state.num_qubits
+    settings_ = pauli_settings(n)
+    rows = np.stack([born_distribution(state, s) for s in settings_])
+    draws = dlab.simulator._draw(rows, shots, np.random.default_rng(seed), flip)
+    got = sample_pauli_set(state, shots, seed, flip)
+    assert [r.setting for r in got] == settings_ and {r.seed for r in got} == {seed}
+    assert np.array_equal([[r.counts.get(format(i, f"0{n}b"), 0) for i in range(2**n)] for r in got], draws)
+    assert got[0] == sample(state, settings_[0], shots, seed, flip)
