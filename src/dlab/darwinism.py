@@ -19,10 +19,11 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .qstate import _CUTOFF, PureState, _check_qubits, _entropy, _reduce, _spectrum_entropy
+from .qstate import _CUTOFF, PureState, _check_qubits, _entropy, _read_only, _reduce, _spectrum_entropy
 from .scm import Scenario, ScmParams
 from .simulator import (
     MeasSetting,
@@ -37,9 +38,12 @@ from .simulator import (
 
 DEFAULT_PHI_STEPS = 61
 DEFAULT_XI_STEPS = 61
-# Basis grids are contracted in chunks of cells whose largest intermediate
-# stays within this many bytes. The whole grid at once would hold 32 KiB per
-# cell for a 6-qubit fraction, 14 MB on a 21x21 grid, for no gain in speed.
+# Basis cells are computed in chunks sized to this many bytes, so memory
+# does not grow with the grid. The per-qubit contraction counts a
+# cell's largest intermediate, 32 KiB for a 6-qubit fraction and one system
+# qubit (14 MB for a whole 21x21 grid). The class sums count a cell's
+# monomials and four arrays of its outcome probabilities, as many as the MI
+# tail holds at once: 4.7 KiB for the same fraction, 54 cells per chunk.
 _CHUNK_BYTES = 1 << 18
 # A state counts as unchanged by a swap of two collisions when no entry of
 # its amplitude vector or density matrix moves by more than this.
@@ -161,7 +165,7 @@ class BasisGrid:
 def _entropies(probs: np.ndarray) -> np.ndarray:
     """-sum p ln p along the last axis, dropping p <= _CUTOFF."""
     logs = np.log(probs, where=probs > _CUTOFF, out=np.zeros_like(probs))
-    return -np.sum(probs * logs, axis=-1)
+    return -np.sum(np.multiply(logs, probs, out=logs), axis=-1)
 
 
 def _check_parts(state, sys_qubits, frac_qubits):
@@ -323,53 +327,128 @@ def _reduced_parts(state, sys_q, frac_q):
     return mat, sys_pos, frac_pos, len(kept)
 
 
-def _basis_cmi(
-    mat, sys_pos, frac_pos, sys_rotations, frac_rows, shots=None, seed=0, readout_flip=0.0
-) -> np.ndarray:
-    """Shannon MI in bits between system and fraction outcomes, one value per cell.
+def _system_sides(state, sys_q, frac_q, sys_settings):
+    """The system side of each of `sys_settings`, one array per setting, and
+    `order`, the register positions in the reduction of the system's qubits
+    and then the fraction's: the order of the outcome axes.
 
-    `mat` is the reduced state; system qubit i sits at position sys_pos[i] and
-    is measured in sys_rotations[i] in every cell, fraction qubit j at
-    frac_pos[j] with Bloch rows frac_rows[c, j] in cell c. The Born
-    probabilities are p(o) = 2^-k sum_mu T[mu] prod_i v_i[o_i, mu_i], with T
-    the Pauli expansion of the state: the system axes are contracted once, the
-    fraction axes one at a time over chunks of cells. With `shots`, cell c is
-    the plug-in MI of `sample`'s draw over outcomes in register order, after
-    `sample`'s per-bit `readout_flip` is folded in. The cells are drawn in
-    order from one generator seeded with `seed`, whose stream carries on from
-    chunk to chunk: cell 0 draws as `sample` with `seed` would, and a later
-    cell's counts depend on the cells drawn before it, not on the chunk size.
-    """
-    s, f = len(sys_pos), len(frac_pos)
-    k = s + f
+    A side is 2^-k T_S[o_S, mu_F] of shape (2^s,) + (4,) * f: the Pauli
+    expansion T[mu] = tr(rho sigma_mu) of `state` reduced onto system and
+    fraction, its system axes contracted with the setting's Bloch rows. The
+    state is reduced and expanded once for all settings, and the expansion is
+    dropped before any cell is computed."""
+    mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
     order = sys_pos + frac_pos
-    t = _local_apply(_bloch_rows(sys_rotations), _pauli_expansion(mat, k).transpose(order))
-    system = t.reshape(1, 2**s, 4**f) / 2**k
-    to_register = (0,) + tuple(1 + np.argsort(order))
-    from_register = (0,) + tuple(1 + q for q in order)
-    cells = len(frac_rows)
-    rng = None if shots is None else np.random.default_rng(seed)
-    step = max(1, _CHUNK_BYTES // (8 * 2 ** (s + 1) * 4 ** (f - 1)))
-    out = np.empty(cells)
-    for lo in range(0, cells, step):
+    t = _pauli_expansion(mat, k).transpose(order)
+    shape = (2 ** len(sys_q),) + (4,) * len(frac_q)
+    return [_local_apply(_bloch_rows(s.rotations()), t).reshape(shape) / 2**k for s in sys_settings], order
+
+
+def _qubit_chunks(system, frac_rows):
+    """p[c, o_S, o_F] = sum_mu system[o_S, mu] prod_j frac_rows[c, j, o_j, mu_j],
+    each cell c with Bloch rows of its own on each fraction qubit j: the
+    fraction axes are contracted one at a time, over chunks of cells."""
+    f = frac_rows.shape[1]
+    step = max(1, _CHUNK_BYTES // (8 * 2 * len(system) * 4 ** (f - 1)))
+    for lo in range(0, len(frac_rows), step):
         rows = frac_rows[lo : lo + step]
-        p = system
+        p = system[None]
         for j in range(f):
             p = p.reshape(len(p), -1, 4, 4 ** (f - 1 - j))
             p = rows[:, None, j] @ p  # (C, 1, 2, 4) @ (C or 1, X, 4, R) -> (C, X, 2, R)
-        p = np.clip(p.reshape((len(rows),) + (2,) * k), 0.0, None)
+        yield p.reshape(len(rows), len(system), 2**f)
+
+
+@lru_cache(maxsize=None)
+def _classes(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Pauli-weight classes of f qubits and the table that raises them.
+
+    Class (a, b, c) holds the Pauli strings with a X's, b Y's and c Z's; there
+    are C(f + 3, 3) with a + b + c <= f, ordered by weight a + b + c, so the
+    classes of the first j qubits are the first C(j + 3, 3) rows.
+    raised[axis, i] is the row of class i with one more X, Y or Z (axis 0,
+    1, 2), for the C(f + 2, 3) classes of weight below f."""
+    classes = sorted((c for c in itertools.product(range(f + 1), repeat=3) if sum(c) <= f), key=sum)
+    row = {c: i for i, c in enumerate(classes)}
+    below = classes[: math.comb(f + 2, 3)]
+    raised = [[row[tuple(x + (i == axis) for i, x in enumerate(c))] for c in below] for axis in range(3)]
+    return _read_only(np.array(classes)), _read_only(np.array(raised))
+
+
+def _class_sums(system) -> np.ndarray:
+    """W[class, (o_S, o_F)] = sum of (-1)^(sum_j o_j [mu_j != I]) system[o_S, mu]
+    over the Pauli strings mu of the fraction in that class of `_classes`.
+
+    One pass per fraction qubit turns its Pauli axis into an outcome axis:
+    I goes to both outcomes in the same class, and X, Y or Z goes to outcome
+    0 with sign + and outcome 1 with sign -, one class up along its axis."""
+    f = system.ndim - 1
+    _, raised = _classes(f)
+    w = system.reshape(len(system), 1, 1, -1)  # (o_S, o_F so far, class so far, mu of the qubits left)
+    for j in range(f):
+        w = w.reshape(w.shape[:3] + (4, -1))
+        done = w.shape[2]
+        out = np.zeros(w.shape[:2] + (2, math.comb(j + 4, 3), w.shape[-1]))
+        out[:, :, :, :done] = w[:, :, None, :, 0]
+        for axis in range(3):
+            up = raised[axis, :done]
+            out[:, :, 0, up] += w[:, :, :, axis + 1]
+            out[:, :, 1, up] -= w[:, :, :, axis + 1]
+        w = out.reshape(len(system), -1, *out.shape[3:])
+    return np.ascontiguousarray(w.reshape(-1, w.shape[2]).T)
+
+
+def _class_chunks(system, blochs):
+    """p[c, o_S, o_F] for cells c that measure every fraction qubit along the
+    one Bloch vector n = blochs[c]. Outcome o_j projects onto
+    (I + (-1)^o_j n.sigma) / 2, so p = sum_class n_x^a n_y^b n_z^c W[class]
+    with W the `_class_sums`: one matrix product per chunk of cells."""
+    f = system.ndim - 1
+    classes, _ = _classes(f)
+    sums = _class_sums(system)
+    step = max(1, _CHUNK_BYTES // (8 * (len(classes) + 4 * sums.shape[1])))
+    for lo in range(0, len(blochs), step):
+        n = blochs[lo : lo + step, :, None]
+        powers = np.ones((len(n), 3, f + 1))  # (C, axis, exponent), by products: `**` is several times slower
+        np.cumprod(np.broadcast_to(n, (len(n), 3, f)), axis=-1, out=powers[:, :, 1:])
+        monomials = powers[:, 0, classes[:, 0]]
+        monomials *= powers[:, 1, classes[:, 1]]
+        monomials *= powers[:, 2, classes[:, 2]]
+        yield (monomials @ sums).reshape(len(n), len(system), 2**f)
+
+
+def _basis_cmi(chunks, order, shots=None, seed=0, readout_flip=0.0) -> np.ndarray:
+    """Shannon MI in bits between system and fraction outcomes, one value per
+    cell of `chunks`, in order.
+
+    Each chunk holds the Born probabilities p[c, o_S, o_F] of some cells, the
+    outcomes those of the register positions `order` of the reduction, system
+    first, as `_qubit_chunks` and `_class_chunks` give them. Rounding below
+    zero is clipped. With `shots`, cell c is the plug-in MI of `sample`'s draw
+    over outcomes in register order, after `sample`'s per-bit `readout_flip`
+    is folded in. The cells are drawn in order from one generator seeded with
+    `seed`, whose stream carries on from chunk to chunk: cell 0 draws as
+    `sample` with `seed` would, and a later cell's counts depend on the cells
+    drawn before it, not on the chunk size.
+    """
+    k = len(order)
+    to_register = (0,) + tuple(1 + np.argsort(order))
+    from_register = (0,) + tuple(1 + q for q in order)
+    rng = None if shots is None else np.random.default_rng(seed)
+    out = []
+    for p in chunks:
+        cells = len(p)
+        p = np.clip(p, 0.0, None, out=p)
         if shots is not None:
-            probs = p.transpose(to_register).reshape(len(rows), -1)
+            probs = p.reshape((cells,) + (2,) * k).transpose(to_register).reshape(cells, -1)
             draws = _draw(probs, shots, rng, readout_flip)
-            p = (draws / shots).reshape((len(rows),) + (2,) * k).transpose(from_register)
-        joint = p.reshape(len(rows), 2**s, 2**f)
-        joint = joint / joint.sum(axis=(1, 2), keepdims=True)
-        out[lo : lo + len(rows)] = (
-            _entropies(joint.sum(axis=2))
-            + _entropies(joint.sum(axis=1))
-            - _entropies(joint.reshape(len(rows), -1))
-        ) / math.log(2)
-    return out
+            p = (draws / shots).reshape((cells,) + (2,) * k).transpose(from_register).reshape(p.shape)
+        joint = np.divide(p, p.sum(axis=(1, 2), keepdims=True), out=p)
+        out.append(
+            (_entropies(joint.sum(axis=2)) + _entropies(joint.sum(axis=1)) - _entropies(joint.reshape(cells, -1)))
+            / math.log(2)
+        )
+    return np.concatenate(out)
 
 
 def _system_basis(sys_basis: MeasSetting | None, num_qubits: int) -> MeasSetting:
@@ -396,17 +475,16 @@ def cmi_joint(
     `sample`'s per-bit `readout_flip` folded in before the draw: a
     finite-shot estimate of the same quantity. The exact value has no flips,
     but the rate is checked either way, as is `shots`, before any work."""
-    shots = _check_sampling(shots, readout_flip)
+    shots = _check_sampling(shots, readout_flip, exact_ok=True)
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     if env_basis.num_qubits != len(frac_q):
         raise ValueError(
             f"basis arity mismatch: {env_basis.num_qubits} bases for {len(frac_q)} fraction qubits"
         )
     sys_basis = _system_basis(sys_basis, len(sys_q))
-    mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
-    env_rows = _bloch_rows([env_basis.rotations()])
-    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), env_rows, shots, seed, readout_flip)
-    return float(values[0])
+    (system,), order = _system_sides(state, sys_q, frac_q, [sys_basis])
+    chunks = _qubit_chunks(system, _bloch_rows([env_basis.rotations()]))
+    return float(_basis_cmi(chunks, order, shots, seed, readout_flip)[0])
 
 
 def cmi_grid(
@@ -421,23 +499,31 @@ def cmi_grid(
     readout_flip: float = 0.0,
 ) -> BasisGrid:
     """cmi_joint over the uniform basis grid phi in [0, pi], xi in [0, 2*pi),
-    with the same (phi, xi) basis on every fraction qubit. With `shots`, each
-    cell is instead a sampled estimate as cmi_joint's, the cells drawn
-    row-major from one generator seeded with `seed`, as `sample_pauli_set`
-    draws its records: cell (0, 0) equals cmi_joint's with that seed, and a
-    later cell depends on those before it. `shots` and the flip rate are
-    checked before any work; the state is reduced and expanded once."""
+    with the same (phi, xi) basis on every fraction qubit.
+
+    That shared basis is what the grid is computed from: the state is reduced
+    and expanded once, its Pauli expansion summed once into the C(f + 3, 3)
+    Pauli-weight classes of `_class_sums`, and each chunk of cells is one
+    (cells x classes) @ (classes x 2^k) product. The cells agree with
+    cmi_joint's per-qubit contraction to rounding, not bit for bit.
+
+    With `shots`, each cell is instead a sampled estimate as cmi_joint's, the
+    cells drawn row-major from one generator seeded with `seed`, as
+    `sample_pauli_set` draws its records: cell (0, 0) draws as cmi_joint's
+    with that seed, from probabilities equal to rounding, and a later cell
+    depends on those before it. `shots` and the flip rate are checked before
+    any work."""
     if phi_steps < 2 or xi_steps < 2:
         raise ValueError("grid needs at least 2 steps per axis")
-    shots = _check_sampling(shots, readout_flip)
+    shots = _check_sampling(shots, readout_flip, exact_ok=True)
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
     sys_basis = _system_basis(sys_basis, len(sys_q))
-    mat, sys_pos, frac_pos, _ = _reduced_parts(state, sys_q, frac_q)
+    (system,), order = _system_sides(state, sys_q, frac_q, [sys_basis])
     phis = np.linspace(0.0, math.pi, phi_steps)
     xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
-    rows = _bloch_rows(basis_rotation(phis[:, None], xis[None, :]).reshape(-1, 2, 2))
-    frac_rows = np.broadcast_to(rows[:, None], (len(rows), len(frac_q), 2, 4))
-    values = _basis_cmi(mat, sys_pos, frac_pos, sys_basis.rotations(), frac_rows, shots, seed, readout_flip)
+    # each cell's Bloch vector n: the outcome-0 Bloch row without its identity entry
+    blochs = _bloch_rows(basis_rotation(phis[:, None], xis[None, :]).reshape(-1, 2, 2))[:, 0, 1:]
+    values = _basis_cmi(_class_chunks(system, blochs), order, shots, seed, readout_flip)
     return BasisGrid(tuple(phis.tolist()), tuple(xis.tolist()), values.reshape(phi_steps, xi_steps))
 
 
@@ -481,8 +567,8 @@ def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme) -
     env_rows = _bloch_rows([e.rotations() for e in env_settings])
 
     def scan(frac):
-        mat, sys_pos, frac_pos, _ = _reduced_parts(state, *_check_parts(state, sys_q, frac))
-        return [_basis_cmi(mat, sys_pos, frac_pos, s.rotations(), env_rows) for s in sys_settings]
+        systems, order = _system_sides(state, *_check_parts(state, sys_q, frac), sys_settings)
+        return [_basis_cmi(_qubit_chunks(system, env_rows), order) for system in systems]
 
     values, _ = _orbit_mean(fractions, scan)
     return tuple(

@@ -406,11 +406,11 @@ def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator, readout_flip:
     return rng.multinomial(shots, _shot_probabilities(probs, readout_flip))
 
 
-def _check_sampling(shots, readout_flip) -> int | None:
-    """`shots` checked as `MeasRecord` checks it, None (an exact value)
-    passed through; the flip rate is checked either way."""
+def _check_sampling(shots, readout_flip, exact_ok: bool = False) -> int | None:
+    """`shots` checked as `MeasRecord` checks it; with `exact_ok`, None (an
+    exact value) is passed through. The flip rate is checked either way."""
     _check_probability(readout_flip, "readout_flip")
-    return None if shots is None else _check_integer(shots, "shots", 1)
+    return None if exact_ok and shots is None else _check_integer(shots, "shots", 1)
 
 
 def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: float = 0.0) -> MeasRecord:

@@ -142,6 +142,55 @@ def test_basis_cmi_matches_the_loop(problem):
     assert np.max(np.abs(grid.values - loop_grid(state, sys_q, frac_q, 3, 4, sys_basis))) < 1e-12
 
 
+@st.composite
+def shared_basis_problems(draw):
+    """A random pure state or mixed state of random rank on s + f qubits and
+    up to one more, f = 1-6, a system of one or two qubits anywhere in the
+    register, any basis on the system, and a small (phi, xi) grid: its first
+    and last rows are phi = 0 and phi = pi."""
+    f = draw(st.integers(1, 6))
+    s = draw(st.integers(1, 2))
+    k = s + f + draw(st.integers(0, 1 if s + f < 8 else 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        amps = rng.normal(size=2**k) + 1j * rng.normal(size=2**k)
+        state = PureState(k, amps / np.linalg.norm(amps))
+    else:
+        rank = draw(st.integers(1, 2**k))
+        g = rng.normal(size=(2**k, rank)) + 1j * rng.normal(size=(2**k, rank))
+        rho = g @ g.conj().T
+        state = DensityMatrix(k, rho / np.trace(rho).real)
+    qubits = draw(st.permutations(range(k)))
+    sys_basis = MeasSetting(tuple(draw(st.lists(_BASES, min_size=s, max_size=s))))
+    steps = (draw(st.integers(2, 4)), draw(st.integers(2, 3)))
+    return state, tuple(qubits[:s]), tuple(qubits[s : s + f]), sys_basis, steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_basis_problems())
+def test_class_sums_match_cmi_joint_per_cell(problem):
+    # the grid sums Pauli-weight classes; cmi_joint contracts qubit by qubit
+    state, sys_q, frac_q, sys_basis, steps = problem
+    grid = cmi_grid(state, sys_q, frac_q, *steps, sys_basis)
+    for i, phi in enumerate(grid.phis):
+        for j, xi in enumerate(grid.xis):
+            setting = MeasSetting(((phi, xi),) * len(frac_q))
+            assert abs(grid.values[i, j] - cmi_joint(state, sys_q, frac_q, setting, sys_basis)) < 1e-12
+
+
+@pytest.mark.parametrize("f", range(1, 7))
+def test_pauli_weight_classes(f):
+    classes, raised = dlab.darwinism._classes(f)
+    assert len(classes) == math.comb(f + 3, 3) == len(set(map(tuple, classes.tolist())))
+    weights = classes.sum(axis=1)
+    assert weights.max() == f and np.all(np.diff(weights) >= 0)
+    # raising a class below weight f adds one Pauli of that axis
+    below = math.comb(f + 2, 3)
+    assert raised.shape == (3, below)
+    for axis in range(3):
+        assert np.array_equal(classes[raised[axis]], classes[:below] + np.eye(3, dtype=int)[axis])
+
+
 # Reference: the QMI loop the entropy table replaced. Every side is reduced
 # through the checked `partial_trace` and diagonalised at its own size.
 
@@ -739,6 +788,21 @@ def test_pauli_scan_averages_over_orbits(monkeypatch):
         assert np.max(np.abs(got - want)) < 1e-12 and orbit_count < every_count
         # the noisy state tells the collisions apart: every fraction, same bytes
         assert pauli_cmi_scan(noisy, (0,), size, scheme) == pauli_cmi_scan(noisy, (0,), size, every)
+
+
+def test_pauli_scan_expands_each_fraction_once(monkeypatch):
+    # every system setting contracts the one expansion of the fraction's reduction
+    expanded = []
+    expansion = dlab.darwinism._pauli_expansion
+    monkeypatch.setattr(dlab.darwinism, "_pauli_expansion", lambda *a: expanded.append(1) or expansion(*a))
+    psi = ideal_global_state(T_REC, FULL2)
+    for sys_q in ((0,), (0, 1)):
+        # every single qubit outside the system is a unit, and no collisions: every fraction
+        every = PartitionScheme(tuple((q,) for q in range(len(sys_q), 5)))
+        for size in (1, 2):
+            expanded.clear()
+            pauli_cmi_scan(psi, sys_q, size, every)
+            assert len(expanded) == math.comb(every.num_units, size)
 
 
 def test_pauli_scan_errors():

@@ -11,6 +11,7 @@ import re
 import pytest
 
 from dlab.cli import EXIT_OK, TOMO_MAX_QUBITS, ExperimentConfig, main
+from dlab.darwinism import _CHUNK_BYTES
 from dlab.qstate import _BLOCK_MIN_ROWS, _CUTOFF
 from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX
 from dlab.simulator import DENSITY_MAX_QUBITS, STATEVECTOR_MAX_QUBITS, NoiseModel
@@ -62,6 +63,7 @@ CAPS = {
     "block_eigensolve": (r"of (\d+) rows or more", _BLOCK_MIN_ROWS),
     "cutoff": (r"at or below ([\d.]+e-\d+)", _CUTOFF),
     "draw_cutoff": (r"probability at most ([\d.]+e-\d+)", _CUTOFF),
+    "chunk_budget": (r"within (\d+) KiB", _CHUNK_BYTES // 1024),
 }
 
 

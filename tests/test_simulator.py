@@ -469,12 +469,31 @@ def _bad_inputs():
             yield pytest.param(
                 lambda draw=draw, shots=shots: draw(shots, 0.0), "shots must be an integer", id=f"{name}.shots={shots}"
             )
+    # None asks the CMI for its exact value; a sampler has no exact record to give
+    for name in ("sample", "sample_pauli_set"):
+        yield pytest.param(
+            lambda draw=samplers[name]: draw(None, 0.0), "shots must be an integer, got None", id=f"{name}.shots=None"
+        )
 
 
 @pytest.mark.parametrize("call, message", _bad_inputs())
 def test_rates_and_shot_counts_are_checked(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_samplers_refuse_missing_shots_before_any_contraction(monkeypatch):
+    def contracted(*args):
+        raise AssertionError("the Born probabilities were computed before shots was checked")
+
+    monkeypatch.setattr(dlab.simulator, "_local_probabilities", contracted)
+    bell = run_statevector(BELL_CIRCUIT)
+    for call in (
+        lambda: sample(bell, MeasSetting.computational(2), None, 0),
+        lambda: sample_pauli_set(bell, None, 0),
+    ):
+        with pytest.raises(ValueError, match="shots must be an integer, got None"):
+            call()
 
 
 def test_numpy_integer_shots_draw_like_int():
