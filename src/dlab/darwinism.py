@@ -26,8 +26,10 @@ import numpy as np
 from .qstate import _CUTOFF, PureState, _check_qubits, _entropy, _read_only, _reduce, _spectrum_entropy
 from .scm import Scenario, ScmParams
 from .simulator import (
+    _PAULI_SET_ROTATIONS,
     MeasSetting,
     _bloch_rows,
+    _by_setting,
     _check_sampling,
     _draw,
     _local_apply,
@@ -38,12 +40,11 @@ from .simulator import (
 
 DEFAULT_PHI_STEPS = 61
 DEFAULT_XI_STEPS = 61
-# Basis cells are computed in chunks sized to this many bytes, so memory
-# does not grow with the grid. The per-qubit contraction counts a
-# cell's largest intermediate, 32 KiB for a 6-qubit fraction and one system
-# qubit (14 MB for a whole 21x21 grid). The class sums count a cell's
-# monomials and four arrays of its outcome probabilities, as many as the MI
-# tail holds at once: 4.7 KiB for the same fraction, 54 cells per chunk.
+# Basis-grid cells are computed in chunks sized to this many bytes (256 KiB),
+# so memory does not grow with the grid. A chunk counts each cell's monomials
+# and four arrays of its outcome probabilities, as many as the MI tail holds
+# at once: 4.7 KiB for a 6-qubit fraction and one system qubit, 54 cells
+# per chunk.
 _CHUNK_BYTES = 1 << 18
 # A state counts as unchanged by a swap of two collisions when no entry of
 # its amplitude vector or density matrix moves by more than this.
@@ -327,36 +328,25 @@ def _reduced_parts(state, sys_q, frac_q):
     return mat, sys_pos, frac_pos, len(kept)
 
 
-def _system_sides(state, sys_q, frac_q, sys_settings):
-    """The system side of each of `sys_settings`, one array per setting, and
-    `order`, the register positions in the reduction of the system's qubits
-    and then the fraction's: the order of the outcome axes.
+def _system_side(state, sys_q, frac_q, sys_rows):
+    """2^-k T_S[o_S, mu_F] of shape (r^s,) + (4,) * f, and `order`, the register
+    positions in the reduction of the system's qubits and then the fraction's.
 
-    A side is 2^-k T_S[o_S, mu_F] of shape (2^s,) + (4,) * f: the Pauli
-    expansion T[mu] = tr(rho sigma_mu) of `state` reduced onto system and
-    fraction, its system axes contracted with the setting's Bloch rows. The
-    state is reduced and expanded once for all settings, and the expansion is
-    dropped before any cell is computed."""
+    T[mu] = tr(rho sigma_mu) is the Pauli expansion of `state` reduced onto
+    system and fraction; `_local_apply` contracts its system axes with the r
+    Bloch rows sys_rows[i] of each system qubit i. The expansion is dropped
+    before any cell is computed."""
     mat, sys_pos, frac_pos, k = _reduced_parts(state, sys_q, frac_q)
     order = sys_pos + frac_pos
     t = _pauli_expansion(mat, k).transpose(order)
-    shape = (2 ** len(sys_q),) + (4,) * len(frac_q)
-    return [_local_apply(_bloch_rows(s.rotations()), t).reshape(shape) / 2**k for s in sys_settings], order
+    return _local_apply(sys_rows, t).reshape((-1,) + (4,) * len(frac_q)) / 2**k, order
 
 
-def _qubit_chunks(system, frac_rows):
-    """p[c, o_S, o_F] = sum_mu system[o_S, mu] prod_j frac_rows[c, j, o_j, mu_j],
-    each cell c with Bloch rows of its own on each fraction qubit j: the
-    fraction axes are contracted one at a time, over chunks of cells."""
-    f = frac_rows.shape[1]
-    step = max(1, _CHUNK_BYTES // (8 * 2 * len(system) * 4 ** (f - 1)))
-    for lo in range(0, len(frac_rows), step):
-        rows = frac_rows[lo : lo + step]
-        p = system[None]
-        for j in range(f):
-            p = p.reshape(len(p), -1, 4, 4 ** (f - 1 - j))
-            p = rows[:, None, j] @ p  # (C, 1, 2, 4) @ (C or 1, X, 4, R) -> (C, X, 2, R)
-        yield p.reshape(len(rows), len(system), 2**f)
+def _fraction_side(system, frac_rows) -> np.ndarray:
+    """p[o_S, o_F] = sum_mu system[o_S, mu] prod_j frac_rows[j][o_j, mu_j] for a
+    `_system_side`, the outcomes o_F of the fraction qubits flattened: its
+    fraction axes are moved in front and contracted by `_local_apply`."""
+    return _local_apply(frac_rows, np.moveaxis(system, 0, -1)).reshape(-1, len(system)).T
 
 
 @lru_cache(maxsize=None)
@@ -419,17 +409,18 @@ def _class_chunks(system, blochs):
 
 def _basis_cmi(chunks, order, shots=None, seed=0, readout_flip=0.0) -> np.ndarray:
     """Shannon MI in bits between system and fraction outcomes, one value per
-    cell of `chunks`, in order.
+    cell of `chunks`, in order: the one tail of every basis analysis.
 
     Each chunk holds the Born probabilities p[c, o_S, o_F] of some cells, the
     outcomes those of the register positions `order` of the reduction, system
-    first, as `_qubit_chunks` and `_class_chunks` give them. Rounding below
-    zero is clipped. With `shots`, cell c is the plug-in MI of `sample`'s draw
-    over outcomes in register order, after `sample`'s per-bit `readout_flip`
-    is folded in. The cells are drawn in order from one generator seeded with
-    `seed`, whose stream carries on from chunk to chunk: cell 0 draws as
-    `sample` with `seed` would, and a later cell's counts depend on the cells
-    drawn before it, not on the chunk size.
+    first: `cmi_joint`'s one cell and `pauli_cmi_scan`'s settings as one
+    chunk from `_fraction_side`, a grid's cells from `_class_chunks`.
+    Rounding below zero is clipped. With `shots`, cell c is the plug-in MI of
+    `sample`'s draw over outcomes in register order, after `sample`'s
+    per-bit `readout_flip` is folded in. The cells are drawn in order from
+    one generator seeded with `seed`, whose stream carries on from chunk to
+    chunk: cell 0 draws as `sample` with `seed` would, and a later cell's
+    counts depend on the cells drawn before it, not on the chunk size.
     """
     k = len(order)
     to_register = (0,) + tuple(1 + np.argsort(order))
@@ -451,12 +442,13 @@ def _basis_cmi(chunks, order, shots=None, seed=0, readout_flip=0.0) -> np.ndarra
     return np.concatenate(out)
 
 
-def _system_basis(sys_basis: MeasSetting | None, num_qubits: int) -> MeasSetting:
+def _system_rows(sys_basis: MeasSetting | None, num_qubits: int) -> np.ndarray:
+    """The Bloch rows of `sys_basis`, computational when None, one 2x4 per system qubit."""
     if sys_basis is None:
-        return MeasSetting.computational(num_qubits)
+        sys_basis = MeasSetting.computational(num_qubits)
     if sys_basis.num_qubits != num_qubits:
         raise ValueError("basis arity mismatch on the system side")
-    return sys_basis
+    return _bloch_rows(sys_basis.rotations())
 
 
 def cmi_joint(
@@ -481,10 +473,9 @@ def cmi_joint(
         raise ValueError(
             f"basis arity mismatch: {env_basis.num_qubits} bases for {len(frac_q)} fraction qubits"
         )
-    sys_basis = _system_basis(sys_basis, len(sys_q))
-    (system,), order = _system_sides(state, sys_q, frac_q, [sys_basis])
-    chunks = _qubit_chunks(system, _bloch_rows([env_basis.rotations()]))
-    return float(_basis_cmi(chunks, order, shots, seed, readout_flip)[0])
+    system, order = _system_side(state, sys_q, frac_q, _system_rows(sys_basis, len(sys_q)))
+    p = _fraction_side(system, _bloch_rows(env_basis.rotations()))
+    return float(_basis_cmi([p[None]], order, shots, seed, readout_flip)[0])
 
 
 def cmi_grid(
@@ -505,7 +496,7 @@ def cmi_grid(
     and expanded once, its Pauli expansion summed once into the C(f + 3, 3)
     Pauli-weight classes of `_class_sums`, and each chunk of cells is one
     (cells x classes) @ (classes x 2^k) product. The cells agree with
-    cmi_joint's per-qubit contraction to rounding, not bit for bit.
+    cmi_joint's, from the same `_system_side`, to rounding, not bit for bit.
 
     With `shots`, each cell is instead a sampled estimate as cmi_joint's, the
     cells drawn row-major from one generator seeded with `seed`, as
@@ -517,8 +508,7 @@ def cmi_grid(
         raise ValueError("grid needs at least 2 steps per axis")
     shots = _check_sampling(shots, readout_flip, exact_ok=True)
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
-    sys_basis = _system_basis(sys_basis, len(sys_q))
-    (system,), order = _system_sides(state, sys_q, frac_q, [sys_basis])
+    system, order = _system_side(state, sys_q, frac_q, _system_rows(sys_basis, len(sys_q)))
     phis = np.linspace(0.0, math.pi, phi_steps)
     xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
     # each cell's Bloch vector n: the outcome-0 Bloch row without its identity entry
@@ -557,24 +547,26 @@ def pauli_cmi_scan(state, sys_qubits, frac_size: int, scheme: PartitionScheme) -
     with the bases of both sides in `pauli_settings` order."""
     if frac_size < 1:
         raise ValueError("fraction size must be positive")
-    sys_q = tuple(sorted(sys_qubits))
+    sys_q, _ = _check_parts(state, sys_qubits, tuple(q for u in scheme.units for q in u))
     orbits = orbit_fractions(state, sys_q, scheme, range(1, scheme.num_units + 1))
     fractions = [(frac, w) for pairs in orbits.values() for frac, w in pairs if len(frac) == frac_size]
     if not fractions:
         raise ValueError(f"no fraction of {frac_size} qubits fits whole units")
-    sys_settings = pauli_settings(len(sys_q))
-    env_settings = pauli_settings(frac_size)
-    env_rows = _bloch_rows([e.rotations() for e in env_settings])
+    s, f = len(sys_q), frac_size
+    rows = _bloch_rows(_PAULI_SET_ROTATIONS)
 
     def scan(frac):
-        systems, order = _system_sides(state, *_check_parts(state, sys_q, frac), sys_settings)
-        return [_basis_cmi(_qubit_chunks(system, env_rows), order) for system in systems]
+        # all 3^s x 3^f settings in one pass, six Bloch rows per qubit
+        system, order = _system_side(state, sys_q, frac, [rows] * s)
+        p = _by_setting(_fraction_side(system, [rows] * f), s + f).reshape(-1, 2**s, 2**f)
+        return _basis_cmi([p], order).reshape(3**s, 3**f)
 
     values, _ = _orbit_mean(fractions, scan)
+    env_labels = [e.label() for e in pauli_settings(f)]
     return tuple(
-        ScanEntry(s.label(), e.label(), float(values[b, c]))
-        for b, s in enumerate(sys_settings)
-        for c, e in enumerate(env_settings)
+        ScanEntry(a.label(), e, v)
+        for a, row in zip(pauli_settings(s), values.tolist())
+        for e, v in zip(env_labels, row)
     )
 
 

@@ -43,6 +43,8 @@ _PAULI_ROTATIONS = {
 # The bases of a complete Pauli measurement set, in the order in which
 # `pauli_settings` runs through each qubit's basis.
 _PAULI_SET = "XYZ"
+# Every basis of the set stacked on one qubit: basis b's rotation rows at 2b and 2b + 1
+_PAULI_SET_ROTATIONS = _read_only(np.concatenate([_PAULI_ROTATIONS[b] for b in _PAULI_SET]))
 
 
 def basis_rotation(phi, xi) -> np.ndarray:
@@ -335,8 +337,9 @@ def _pair_axes(t: np.ndarray, k: int) -> np.ndarray:
 
 
 def _pauli_expansion(mat: np.ndarray, k: int) -> np.ndarray:
-    """T[mu_0, ..., mu_{k-1}] = tr(rho sigma_mu_0 x ... x sigma_mu_{k-1})."""
-    return _local_apply([_PAULI_TRACE] * k, _pair_axes(mat.reshape([2] * (2 * k)), k)).real
+    """T[mu_0, ..., mu_{k-1}] = tr(rho sigma_mu_0 x ... x sigma_mu_{k-1}), as an owned
+    C-contiguous float64 array: the complex contraction is freed on return."""
+    return _local_apply([_PAULI_TRACE] * k, _pair_axes(mat.reshape([2] * (2 * k)), k)).real.copy()
 
 
 def born_distribution(state, setting: MeasSetting) -> np.ndarray:
@@ -433,12 +436,16 @@ def sample_pauli_set(state, shots: int, seed: int, readout_flip: float = 0.0) ->
     One contraction with all three bases of each qubit gives every row."""
     shots = _check_sampling(shots, readout_flip)
     n = state.num_qubits
-    # basis b's rotation rows at 2b and 2b + 1
-    rotations = np.concatenate([_PAULI_ROTATIONS[b] for b in _PAULI_SET])
-    probs = _local_probabilities(state, [rotations] * n).reshape([3, 2] * n)
-    probs = probs.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).reshape(3**n, 2**n)
+    probs = _by_setting(_local_probabilities(state, [_PAULI_SET_ROTATIONS] * n), n)
     draws = _draw(_normalised(probs), shots, np.random.default_rng(seed), readout_flip)
     return [_record(s, d, shots, seed) for s, d in zip(pauli_settings(n), draws)]
+
+
+def _by_setting(probs: np.ndarray, n: int) -> np.ndarray:
+    """p[setting, outcome] of shape (3^n, 2^n), settings in `pauli_settings` order,
+    from `probs` whose n axes each run over a qubit's six `_PAULI_SET_ROTATIONS` rows."""
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return probs.reshape([3, 2] * n).transpose(order).reshape(3**n, 2**n)
 
 
 def _record(setting: MeasSetting, draws: np.ndarray, shots: int, seed: int) -> MeasRecord:

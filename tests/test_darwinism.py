@@ -805,13 +805,42 @@ def test_pauli_scan_expands_each_fraction_once(monkeypatch):
             assert len(expanded) == math.comb(every.num_units, size)
 
 
-def test_pauli_scan_errors():
+def test_pauli_scan_system_off_the_start():
+    # a two-qubit system behind and between fraction qubits: the settings and
+    # outcome axes of both sides come back in register order
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=32) + 1j * rng.normal(size=32)
+    g = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+    rho = g @ g.conj().T
+    states = (PureState(5, amps / np.linalg.norm(amps)), DensityMatrix(5, rho / np.trace(rho).real))
+    scheme = PartitionScheme(((0,), (2,), (4,)))
+    for state in states:
+        for size in (1, 2):
+            entries = pauli_cmi_scan(state, (3, 1), size, scheme)
+            assert len(entries) == 9 * 3**size
+            for e in entries:
+                sys_rot = MeasSetting.pauli(e.sys_basis).rotations()
+                env_rot = MeasSetting.pauli(e.env_basis).rotations()
+                loop = [loop_cell(state, (3, 1), frac, sys_rot, env_rot) for frac in scheme.fractions(size)]
+                assert abs(e.value - np.mean(loop)) < 1e-12
+
+
+def test_pauli_scan_errors(monkeypatch):
     psi = ideal_global_state(T_MAX, FULL2)
     scheme = partition_scheme(FULL2, SchemeMode.PER_PAIR)
     with pytest.raises(ValueError):
         pauli_cmi_scan(psi, (0,), 0, scheme)
     with pytest.raises(ValueError):
         pauli_cmi_scan(psi, (0,), 3, scheme)  # pairs cannot sum to 3 qubits
+    with pytest.raises(ValueError, match="system and fraction must be non-empty"):
+        pauli_cmi_scan(psi, (), 2, scheme)
+    # a system qubit inside the last unit is refused before any fraction is reduced
+    reduced = []
+    reduced_parts = dlab.darwinism._reduced_parts
+    monkeypatch.setattr(dlab.darwinism, "_reduced_parts", lambda *a: reduced.append(1) or reduced_parts(*a))
+    with pytest.raises(ValueError, match="distinct"):
+        pauli_cmi_scan(psi, (scheme.units[-1][0],), 2, scheme)
+    assert reduced == []
 
 
 def test_blp_witness():

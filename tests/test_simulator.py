@@ -385,7 +385,8 @@ def test_shared_arrays_are_read_only():
     simulator, tomography = dlab.simulator, dlab.tomography
     shared = [Gate(kind, tuple(range(GATE_ARITY[kind]))).matrix() for kind in GateKind if kind is not GateKind.RY]
     shared += MeasSetting.pauli("XYZ").rotations() + list(PAULIS.values())
-    shared += [simulator._PAULI_BASIS, simulator._PAULI_TRACE, simulator._noise_superop(0.01, 0.001, 2)]
+    shared += [simulator._PAULI_BASIS, simulator._PAULI_TRACE, simulator._PAULI_SET_ROTATIONS]
+    shared += [simulator._noise_superop(0.01, 0.001, 2)]
     shared += [tomography._PROJECTORS, *tomography._FRAMES.values(), tomography._frame_power("dual", 2)]
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -393,6 +394,20 @@ def test_shared_arrays_are_read_only():
     assert Gate(GateKind.X, (0,)).matrix()[0, 0] == 0
     # one superoperator per noise setting, however many runs use it
     assert simulator._noise_superop(0.01, 0.001, 2) is simulator._noise_superop(0.01, 0.001, 2)
+
+
+def test_pauli_expansion_owns_a_contiguous_real_array():
+    # a view into the complex contraction would keep twice the bytes alive
+    # and be read with 16-byte strides by every contraction after it
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    for rho in (g @ g.conj().T, (g @ g.conj().T).real):
+        t = dlab.simulator._pauli_expansion(rho, 3)
+        assert t.dtype == np.float64 and t.shape == (4, 4, 4)
+        assert t.flags["OWNDATA"] and t.flags["C_CONTIGUOUS"]
+        for mu in [(0, 0, 0), (1, 2, 3), (3, 0, 2)]:
+            sigma = reduce(np.kron, [PAULIS["IXYZ"[m]] for m in mu])
+            assert abs(t[mu] - np.trace(rho @ sigma).real) < 1e-12
 
 
 def test_run_density_refuses_a_superoperator_that_is_not_real(monkeypatch):

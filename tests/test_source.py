@@ -1,0 +1,55 @@
+"""Static checks on the package source, parsed with `ast`: no module imports
+a name it never uses, and no module-level private function or class is left
+that nothing refers to."""
+import ast
+import collections
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dlab"
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _references(node) -> collections.Counter:
+    """Every name `node` reads, as a bare name, an attribute or an imported name."""
+    names = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _modules().items():
+        if name == "__init__.py":  # re-exports its imports
+            continue
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{name}: {bound}")
+    assert not unused
+
+
+def test_no_dead_private_definitions():
+    modules = _modules()
+    everywhere = sum((_references(tree) for tree in modules.values()), collections.Counter())
+    dead = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                # references inside its own definition (recursion, decorators) do not count
+                if everywhere[node.name] == _references(node)[node.name]:
+                    dead.append(f"{name}: {node.name}")
+    assert not dead
