@@ -37,9 +37,9 @@ GATE_ARITY = {
 }
 
 _SQRT2_INV = 1 / math.sqrt(2)
-# Every gate kind is real, so its matrix is float64: noisy density runs stay
-# real from end to end (see `run_density`). `Gate.matrix` hands out these
-# arrays themselves, so they are read-only.
+# Every gate kind is real, so its matrix is float64: statevector, unitary and
+# noisy density runs all evolve real arrays (see `run_density`). `Gate.matrix`
+# hands out these arrays themselves, so they are read-only.
 _FIXED_MATRICES = {
     GateKind.X: _read_only(np.array([[0, 1], [1, 0]], dtype=float)),
     GateKind.H: _read_only(np.array([[1, 1], [1, -1]], dtype=float) * _SQRT2_INV),
@@ -119,11 +119,12 @@ def _collision_circuit(t: float, p: ScmParams) -> Circuit:
 
 
 def unitary_of(c: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary by gate composition; dense-matrix guard at 6 qubits."""
+    """Full 2^n x 2^n unitary by gate composition, a float64 matrix because
+    every gate kind is real; dense-matrix guard at 6 qubits."""
     if c.num_qubits > UNITARY_MAX_QUBITS:
         raise ValueError(f"unitary_of supports at most {UNITARY_MAX_QUBITS} qubits")
     n = c.num_qubits
-    u = np.eye(2**n, dtype=complex).reshape(-1)
+    u = np.eye(2**n).reshape(-1)
     for g in c.gates:
         apply_matrix(u, g.matrix(), g.qubits, 2 * n)
     return u.reshape(2**n, 2**n)

@@ -555,13 +555,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="dlab", description="collision-model workbench")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON experiment config")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--jobs", type=int, help="worker count override")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON experiment config")
+    parser.add_argument("--out", help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, help="seed override")
+    parser.add_argument("--jobs", type=int, help="worker count override")
     args = parser.parse_args(argv)
     try:
         try:

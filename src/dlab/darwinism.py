@@ -257,10 +257,16 @@ def orbit_fractions(state, sys_qubits, scheme: PartitionScheme, sizes) -> dict[i
     `state` is unchanged by each swap of two adjacent collisions (checked
     once, for all sizes), every permutation of collisions fixes the state
     and the system. Fractions it maps onto each other share their QMI,
-    Holevo bound and basis grid, so each orbit is represented by its first
-    fraction, weighted by the orbit's size. An orbit is labelled by the
-    sorted tuple of its fractions' per-collision position patterns. In
-    every other case each fraction comes with weight 1.
+    Holevo bound and basis grid, so each orbit is represented by one
+    fraction, weighted by the orbit's size. A collision's share of a
+    fraction is a subset of collision 0's units, as positions in it; an
+    orbit is a multiset of n shares, one per collision, and holds
+    n! / prod(count!) fractions. Its representative deals the shares to the
+    collisions in order, sorted by position with an end marker that sorts
+    last ((e, a) < (e,) < (a,) < ()): with units laid out collision by
+    collision, as `partition_scheme` does, that is the orbit's first
+    fraction, and the orbits keep the order of `scheme.fractions`. In every
+    other case each fraction comes with weight 1.
     """
     collisions = scheme.collisions
     collision_qubits = {q for c in collisions for q in c}
@@ -270,24 +276,20 @@ def orbit_fractions(state, sys_qubits, scheme: PartitionScheme, sizes) -> dict[i
         and collision_qubits <= set(range(state.num_qubits))
         and _unchanged_by_collision_swaps(state, collisions)
     )
-    position = {q: (c, i) for c, coll in enumerate(collisions) for i, q in enumerate(coll)}
-
-    def orbit(frac):
-        if not symmetric:
-            return frac
-        patterns = [[] for _ in collisions]
-        for q in frac:
-            c, i = position[q]
-            patterns[c].append(i)
-        return tuple(sorted(tuple(sorted(p)) for p in patterns))
-
-    out = {}
-    for size in sizes:
-        orbits: dict[tuple, list] = {}
-        for frac in scheme.fractions(size):
-            orbits.setdefault(orbit(frac), [frac, 0])[1] += 1
-        out[size] = tuple(map(tuple, orbits.values()))
-    return out
+    if not symmetric:
+        return {size: tuple((frac, 1) for frac in scheme.fractions(size)) for size in sizes}
+    first = [tuple(collisions[0].index(q) for q in u) for u in scheme.units if u[0] in collisions[0]]
+    shares = [share for k in range(len(first) + 1) for share in itertools.combinations(first, k)]
+    shares.sort(key=lambda share: [*sorted(i for u in share for i in u), math.inf])
+    n = len(collisions)
+    out = {size: [] for size in sizes}
+    for dealt in itertools.combinations_with_replacement(shares, n):
+        size = sum(map(len, dealt))
+        if size in out:
+            frac = tuple(sorted(c[i] for c, share in zip(collisions, dealt) for u in share for i in u))
+            repeats = [len(list(group)) for _, group in itertools.groupby(dealt)]
+            out[size].append((frac, math.factorial(n) // math.prod(map(math.factorial, repeats))))
+    return {size: tuple(pairs) for size, pairs in out.items()}
 
 
 def _orbit_mean(pairs, measure):

@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, unitary_of
 from .qstate import PureState
+from .simulator import run_statevector
 
 EXHAUSTIVE_PLACEMENT_MAX = 8
 # largest entry deviation each routed-equivalence check accepts
@@ -486,8 +487,6 @@ def _to_slots(a: np.ndarray, mapping: dict[int, int]) -> np.ndarray:
 def routed_statevector_equivalent(rc: RoutedCircuit, original: Circuit) -> bool:
     """Check |psi_routed> equals the permuted original state with idle slots
     in |0>. Valid before and after the zero-SWAP peephole."""
-    from .simulator import run_statevector
-
     psi = run_statevector(original).amplitudes
     phi = run_statevector(rc.circuit).amplitudes
     num_physical = rc.coupling_map.num_physical
@@ -503,8 +502,6 @@ def routed_unitary_equivalent(rc: RoutedCircuit, original: Circuit) -> bool:
 
     Needs SWAPs intact (pre-peephole) and a device small enough for dense
     unitaries."""
-    from .circuit import unitary_of
-
     init, final = replay_permutation(rc)
     num_physical = rc.coupling_map.num_physical
     u_orig = unitary_of(original)

@@ -115,7 +115,7 @@ class MeasSetting:
 
     @classmethod
     def from_json_obj(cls, obj) -> "MeasSetting":
-        return cls(tuple(b if isinstance(b, str) else (float(b[0]), float(b[1])) for b in obj))
+        return cls(tuple(b if isinstance(b, str) else tuple(map(float, b)) for b in obj))
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,12 @@ class NoiseModel:
 
 
 def run_statevector(c: Circuit) -> PureState:
+    """Evolve |0..0> through the circuit. Every gate kind is real, so the
+    amplitudes evolve in float64; the returned `PureState` holds them as
+    complex128, as it holds any input."""
     if c.num_qubits > STATEVECTOR_MAX_QUBITS:
         raise ValueError(f"statevector runs support at most {STATEVECTOR_MAX_QUBITS} qubits")
-    psi = np.zeros(2**c.num_qubits, dtype=complex)
+    psi = np.zeros(2**c.num_qubits)
     psi[0] = 1.0
     for g in c.gates:
         apply_matrix(psi, g.matrix(), g.qubits, c.num_qubits)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import DensityMatrix, _read_only
-from .simulator import _PAULI_SET, MeasRecord, MeasSetting, _pair_axes, pauli_settings
+from .simulator import _PAULI_SET_ROTATIONS, MeasRecord, _pair_axes, pauli_settings
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000
@@ -28,12 +28,8 @@ _MIN_STEP = 1e-12
 _MAX_STEP = 1e6
 
 
-# _PROJECTORS[2b + o] = Pi_{b,o} for b in X, Y, Z: the rotation's row o is the bra.
-_PROJECTORS = _read_only(
-    np.array(
-        [np.outer(u[o].conj(), u[o]) for b in _PAULI_SET for u in MeasSetting.pauli(b).rotations() for o in (0, 1)]
-    )
-)
+# _PROJECTORS[2b + o] = Pi_{b,o} for b in X, Y, Z: rotation row 2b + o is the bra.
+_PROJECTORS = _read_only(_PAULI_SET_ROTATIONS.conj()[:, :, None] * _PAULI_SET_ROTATIONS[:, None, :])
 # On one qubit's (row, column) pair p = 2r + c: frame[p, k] = Pi_k[r, c]; the
 # dual frame 3 Pi_k - I inverts frequencies weighted 1/3 per basis, and the
 # conjugate frame reads probabilities off a density matrix.

@@ -334,6 +334,15 @@ def test_seed_override_changes_samples(tmp_path):
     assert base.split(",")[1] == reseeded.split(",")[1]  # analytic column unchanged
 
 
+def test_argument_errors_exit_2(tmp_path):
+    # no command, an unknown command, and a command without --config
+    cfg = str(write_config(tmp_path))
+    for argv in ([], ["nope", "--config", cfg], ["coherence"]):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+
+
 def test_config_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     bad_key = write_config(tmp_path, bogus=1)

@@ -352,6 +352,52 @@ def test_orbit_labels_count_pairs_and_lone_qubits():
     assert per_qubit == {2: (((1, 2), 3), ((1, 3), 3), ((1, 4), 6), ((2, 4), 3))}
 
 
+def loop_orbit_fractions(state, sys_qubits, scheme, sizes):
+    """`orbit_fractions` by labelling every fraction: a symmetric state's
+    orbit is the sorted tuple of a fraction's per-collision position
+    patterns, represented by its first fraction and weighted by its count."""
+    collisions = scheme.collisions
+    collision_qubits = {q for c in collisions for q in c}
+    symmetric = (
+        len(collisions) > 1
+        and not collision_qubits & set(sys_qubits)
+        and collision_qubits <= set(range(state.num_qubits))
+        and dlab.darwinism._unchanged_by_collision_swaps(state, collisions)
+    )
+    position = {q: (c, i) for c, coll in enumerate(collisions) for i, q in enumerate(coll)}
+
+    def orbit(frac):
+        if not symmetric:
+            return frac
+        patterns = [[] for _ in collisions]
+        for q in frac:
+            c, i = position[q]
+            patterns[c].append(i)
+        return tuple(sorted(tuple(sorted(p)) for p in patterns))
+
+    out = {}
+    for size in sizes:
+        orbits = {}
+        for frac in scheme.fractions(size):
+            orbits.setdefault(orbit(frac), [frac, 0])[1] += 1
+        out[size] = tuple(map(tuple, orbits.values()))
+    return out
+
+
+@pytest.mark.parametrize("scenario, max_n", [(Scenario.CONDENSED, 9), (Scenario.FULL, 5)])
+def test_dealt_orbits_match_the_labelled_fractions(scenario, max_n):
+    # pairs, weights and order, for every mode and size 0 to one past the units
+    modes = [m for m in SchemeMode if scenario is Scenario.FULL or m is not SchemeMode.ANCILLAE_ONLY]
+    for n in range(1, max_n + 1):
+        params = ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario)
+        for t in (0.0, 0.3, T_MAX, T_REC):
+            state = _circuit_state(params, t)
+            for mode in modes:
+                scheme = partition_scheme(params, mode)
+                sizes = range(scheme.num_units + 2)
+                assert orbit_fractions(state, (0,), scheme, sizes) == loop_orbit_fractions(state, (0,), scheme, sizes)
+
+
 def test_asymmetric_states_take_every_fraction():
     params = ScmParams(theta=math.pi, lam=1.0, n=3, scenario=Scenario.FULL)
     scheme = partition_scheme(params, SchemeMode.PER_PAIR)

@@ -39,6 +39,7 @@ from dlab import (
     sample,
     sample_pauli_set,
     trace_distance,
+    unitary_of,
 )
 from dlab.circuit import GATE_ARITY
 from dlab.kernels import apply_matrix
@@ -90,6 +91,10 @@ def test_meas_setting_label_and_json():
     for setting in (s, mixed):
         back = MeasSetting.from_json_obj(setting.to_json_obj())
         assert back == setting
+    # a saved angle is read as it stands, so the constructor refuses one of the wrong length
+    for angle in ([0.1, 0.2, 0.3], [0.1]):
+        with pytest.raises(ValueError, match="angle basis must be"):
+            MeasSetting.from_json_obj(["Z", angle])
 
 
 def test_born_distribution_examples():
@@ -185,6 +190,43 @@ def test_born_distribution_matches_the_loop_and_the_dense_rotation(problem):
 def test_run_statevector_guard():
     with pytest.raises(ValueError):
         run_statevector(Circuit(17, ()))
+
+
+@st.composite
+def circuits(draw):
+    """A random circuit over every GateKind the register takes, on 1-8 qubits."""
+    n = draw(st.integers(1, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from([k for k in GateKind if GATE_ARITY[k] <= n]))
+        qubits = tuple(draw(st.permutations(range(n)))[: GATE_ARITY[kind]])
+        angle = draw(st.floats(-math.pi, math.pi)) if kind is GateKind.RY else None
+        gates.append(Gate(kind, qubits, angle))
+    return Circuit(n, tuple(gates))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuits())
+def test_real_runs_match_a_complex_evolution(c):
+    # runs evolve float64 arrays; the reference applies the same gate
+    # matrices to complex128 ones. On one qubit a statevector sweep is a
+    # one-row product, which takes another BLAS path in each dtype.
+    n = c.num_qubits
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0] = 1.0
+    u = np.eye(2**n, dtype=complex).reshape(-1)
+    for g in c.gates:
+        apply_matrix(psi, g.matrix(), g.qubits, n)
+        apply_matrix(u, g.matrix(), g.qubits, 2 * n)
+    got = run_statevector(c).amplitudes
+    if n >= 2:
+        assert np.array_equal(got, psi)
+    else:
+        assert np.max(np.abs(got - psi)) <= 1e-15
+    if n <= 5:
+        unitary = unitary_of(c)
+        assert unitary.dtype == np.float64
+        assert np.array_equal(unitary, u.reshape(2**n, 2**n))
 
 
 def test_noiseless_density_equals_projector():

@@ -1,6 +1,6 @@
 """Static checks on the package source, parsed with `ast`: no module imports
-a name it never uses, and no module-level private function or class is left
-that nothing refers to."""
+a name it never uses, no function imports a package module, and no
+module-level private function or class is left that nothing refers to."""
 import ast
 import collections
 import pathlib
@@ -53,3 +53,16 @@ def test_no_dead_private_definitions():
                 if everywhere[node.name] == _references(node)[node.name]:
                     dead.append(f"{name}: {node.name}")
     assert not dead
+
+
+def test_no_function_level_package_imports():
+    # package modules import each other at module level: no import cycle
+    # needs a deferred one (standard-library imports may stay lazy)
+    inner = []
+    for name, tree in _modules().items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for sub in ast.walk(fn):
+                    if isinstance(sub, ast.ImportFrom) and sub.level > 0:
+                        inner.append(f"{name}: {fn.name} imports {'.' * sub.level}{sub.module or ''}")
+    assert not inner
