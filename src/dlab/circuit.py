@@ -1,7 +1,7 @@
 """Gate-level IR and builders for the purified and condensed collision circuits.
 
-Both builders lay out their register by `ScmParams.units`; :mod:`dlab.scm`
-states the layout.
+Both builders lay out their register by `ScmParams.system` and
+`ScmParams.units`; :mod:`dlab.scm` states the layout.
 """
 from __future__ import annotations
 
@@ -113,8 +113,8 @@ def _collision_circuit(t: float, p: ScmParams) -> Circuit:
         gates.append(Gate(GateKind.RY, unit[:1], 2 * alpha))
         if len(unit) == 2:
             gates += [Gate(GateKind.CNOT, unit), Gate(GateKind.X, unit[:1])]
-    gates.append(Gate(GateKind.H, (0,)))
-    gates += [Gate(GateKind.CZ, (0, unit[-1])) for unit in p.units]
+    gates.append(Gate(GateKind.H, p.system))
+    gates += [Gate(GateKind.CZ, (*p.system, unit[-1])) for unit in p.units]
     return Circuit(p.num_qubits, tuple(gates))
 
 

@@ -336,18 +336,6 @@ def _write_json(path: str, obj) -> None:
     _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _finish(cfg: ExperimentConfig, command: str, artifacts: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "numpy": np.__version__,
-        "kernel": KERNEL_IMPLEMENTATION,
-        "config": cfg.resolved_dict(),
-        "artifacts": sorted(artifacts),
-    }
-    _write_json(os.path.join(cfg.outputs, "manifest.json"), manifest)
-
-
 def _pmap(fn, payloads, jobs: int):
     """`fn` over `payloads`, in order, on at most one worker per payload and per CPU."""
     workers = min(jobs, len(payloads), os.cpu_count() or 1)
@@ -369,7 +357,8 @@ def _coherence_point(payload):
     analytic = coherence_finite(t, cfg.params)
     ideal, state = _evolve(cfg, t)
     simulated = system_coherence(ideal)
-    records = sample_pauli_set(partial_trace(state, (0,)), cfg.shots, _stream_seed(cfg, index), cfg.noise.readout_flip)
+    system = partial_trace(state, cfg.params.system)
+    records = sample_pauli_set(system, cfg.shots, _stream_seed(cfg, index), cfg.noise.readout_flip)
     sampled = system_coherence(qubit_tomography(records))
     freq_x = records[0].frequencies()
     mean_x = float(freq_x[0] - freq_x[1])
@@ -377,13 +366,13 @@ def _coherence_point(payload):
     return t, analytic, simulated, sampled, stderr
 
 
-def cmd_coherence(cfg: ExperimentConfig) -> None:
+def cmd_coherence(cfg: ExperimentConfig) -> list[str]:
     rows = _pmap(_coherence_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs)
     lines = [cfg.provenance_lines() + "time,analytic,simulated,sampled,sampled_stderr"]
     for t, ana, sim, samp, se in rows:
         lines.append(f"{t!r},{ana!r},{sim!r},{samp!r},{se!r}")
     _write(os.path.join(cfg.outputs, "coherence.csv"), "\n".join(lines) + "\n")
-    _finish(cfg, "coherence", ["coherence.csv"])
+    return ["coherence.csv"]
 
 
 def _tomo_reconstruction(cfg: ExperimentConfig, state, seed: int):
@@ -401,18 +390,18 @@ def _tomo_reconstruction(cfg: ExperimentConfig, state, seed: int):
 
 def _darwinism_point(payload):
     cfg, index, t = payload
-    scheme = partition_scheme(cfg.params, cfg.partition)
+    system, scheme = cfg.params.system, partition_scheme(cfg.params, cfg.partition)
     ideal, state = _evolve(cfg, t)
-    curves = {"ideal": averaged_qmi(ideal, (0,), scheme)}
+    curves = {"ideal": averaged_qmi(ideal, system, scheme)}
     if cfg.noise.is_mixing:
-        curves["noisy"] = averaged_qmi(state, (0,), scheme)
+        curves["noisy"] = averaged_qmi(state, system, scheme)
     if cfg.include_tomography:
         _, result = _tomo_reconstruction(cfg, state, _stream_seed(cfg, index))
-        curves["tomo"] = averaged_qmi(result.state, (0,), scheme)
+        curves["tomo"] = averaged_qmi(result.state, system, scheme)
     return index, t, curves
 
 
-def cmd_darwinism(cfg: ExperimentConfig) -> None:
+def cmd_darwinism(cfg: ExperimentConfig) -> list[str]:
     artifacts = []
     for index, t, curves in _pmap(_darwinism_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs):
         for variant, curve in sorted(curves.items()):
@@ -420,22 +409,22 @@ def cmd_darwinism(cfg: ExperimentConfig) -> None:
             artifacts.append(name)
             head = cfg.provenance_lines() + f"# time: {t!r}\n# variant: {variant}\n"
             _write(os.path.join(cfg.outputs, name), head + mi_curve_to_csv(curve))
-    _finish(cfg, "darwinism", artifacts)
+    return artifacts
 
 
 def _cmi_point(payload):
     cfg, index, t = payload
-    units = partition_scheme(cfg.params, cfg.partition).units[: cfg.fraction_units]
+    system, units = cfg.params.system, partition_scheme(cfg.params, cfg.partition).units[: cfg.fraction_units]
     frac = tuple(sorted(q for u in units for q in u))
     state = _noisy_state(cfg, t)
     shots, seed = (cfg.shots if cfg.sampled else None), _stream_seed(cfg, index)
     grid = cmi_grid(
-        state, (0,), frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
+        state, system, frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
     )
     return index, t, frac, grid
 
 
-def cmd_cmi(cfg: ExperimentConfig) -> None:
+def cmd_cmi(cfg: ExperimentConfig) -> list[str]:
     artifacts = []
     for index, t, frac, grid in _pmap(_cmi_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs):
         name = f"cmi_t{index:02d}.csv"
@@ -444,25 +433,25 @@ def cmd_cmi(cfg: ExperimentConfig) -> None:
         head = cfg.provenance_lines() + f"# time: {t!r}\n# fraction: {list(frac)}\n"
         foot = f"# argmax: {phi!r},{xi!r},{peak!r}\n"
         _write(os.path.join(cfg.outputs, name), head + basis_grid_to_csv(grid) + foot)
-    _finish(cfg, "cmi", artifacts)
+    return artifacts
 
 
 def _compare_point(payload):
     """One row per fraction size, all from one evolution of the state at `t`:
     the `_orbit_mean` of QMI, Holevo bound and best-basis CMI."""
     cfg, t, sizes = payload
-    scheme = partition_scheme(cfg.params, cfg.partition)
+    system, scheme = cfg.params.system, partition_scheme(cfg.params, cfg.partition)
     state = _noisy_state(cfg, t)
 
     def measures(frac):
-        grid = cmi_grid(state, (0,), frac, cfg.phi_steps, cfg.xi_steps)
-        return qmi(state, (0,), frac), holevo_bound(state, (0,), frac), grid.max_value
+        grid = cmi_grid(state, system, frac, cfg.phi_steps, cfg.xi_steps)
+        return qmi(state, system, frac), holevo_bound(state, system, frac), grid.max_value
 
-    orbits = orbit_fractions(state, (0,), scheme, sizes)
+    orbits = orbit_fractions(state, system, scheme, sizes)
     return [(t, size, *map(float, _orbit_mean(pairs, measures)[0])) for size, pairs in orbits.items()]
 
 
-def cmd_compare(cfg: ExperimentConfig) -> None:
+def cmd_compare(cfg: ExperimentConfig) -> list[str]:
     """QMI / Holevo / max-basis CMI per fraction size at the canonical times."""
     units = partition_scheme(cfg.params, cfg.partition).num_units
     sizes = tuple(range(1, units + 1)) if cfg.sizes is None else cfg.sizes
@@ -472,7 +461,7 @@ def cmd_compare(cfg: ExperimentConfig) -> None:
     for t, size, q, chi, cmi in rows:
         lines.append(f"{t!r},{size},{q!r},{chi!r},{cmi!r}")
     _write(os.path.join(cfg.outputs, "compare.csv"), "\n".join(lines) + "\n")
-    _finish(cfg, "compare", ["compare.csv"])
+    return ["compare.csv"]
 
 
 def _resolve_coupling_map(cfg: ExperimentConfig):
@@ -488,7 +477,7 @@ def _resolve_coupling_map(cfg: ExperimentConfig):
     raise ConfigError(f"coupling map {cfg.coupling_map!r} is neither built-in nor a file")
 
 
-def cmd_route(cfg: ExperimentConfig) -> None:
+def cmd_route(cfg: ExperimentConfig) -> list[str]:
     cmap = _resolve_coupling_map(cfg)
     circuit = _build_circuit(cfg, canonical_times().t_max)
     rc = route(circuit, cmap)
@@ -515,10 +504,10 @@ def cmd_route(cfg: ExperimentConfig) -> None:
         os.path.join(cfg.outputs, "routed_peephole.txt"),
         cfg.provenance_lines() + circuit_to_text(pp.circuit),
     )
-    _finish(cfg, "route", ["route_report.json", "routed.txt", "routed_peephole.txt"])
+    return ["route_report.json", "routed.txt", "routed_peephole.txt"]
 
 
-def cmd_tomo(cfg: ExperimentConfig) -> None:
+def cmd_tomo(cfg: ExperimentConfig) -> list[str]:
     t = cfg.times[0]
     ideal, state = _evolve(cfg, t)
     job, result = _tomo_reconstruction(cfg, state, _stream_seed(cfg, 0))
@@ -540,9 +529,11 @@ def cmd_tomo(cfg: ExperimentConfig) -> None:
     }
     save_state_text(result.state, os.path.join(cfg.outputs, "state.txt"))
     _write_json(os.path.join(cfg.outputs, "tomo_report.json"), report)
-    _finish(cfg, "tomo", ["job", "state.txt", "tomo_report.json"])
+    return ["job", "state.txt", "tomo_report.json"]
 
 
+# Each command writes its artifacts under `cfg.outputs` and returns their
+# names; `main` lists them in `manifest.json` under the command's name.
 _COMMANDS = {
     "coherence": cmd_coherence,
     "darwinism": cmd_darwinism,
@@ -579,7 +570,15 @@ def main(argv=None) -> int:
             raw["jobs"] = args.jobs
         cfg = ExperimentConfig.from_dict(raw)
         _preflight(cfg, args.command)
-        _COMMANDS[args.command](cfg)
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "numpy": np.__version__,
+            "kernel": KERNEL_IMPLEMENTATION,
+            "config": cfg.resolved_dict(),
+            "artifacts": sorted(_COMMANDS[args.command](cfg)),
+        }
+        _write_json(os.path.join(cfg.outputs, "manifest.json"), manifest)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

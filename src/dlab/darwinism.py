@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import _CUTOFF, PureState, _check_qubits, _entropy, _read_only, _reduce, _spectrum_entropy
+from .qstate import PureState, _check_qubits, _entropies, _entropy, _read_only, _reduce, _spectrum_entropy
 from .scm import Scenario, ScmParams
 from .simulator import (
     _PAULI_SET_ROTATIONS,
@@ -161,12 +161,6 @@ class BasisGrid:
     @property
     def max_value(self) -> float:
         return float(self.values.max())
-
-
-def _entropies(probs: np.ndarray) -> np.ndarray:
-    """-sum p ln p along the last axis, dropping p <= _CUTOFF."""
-    logs = np.log(probs, where=probs > _CUTOFF, out=np.zeros_like(probs))
-    return -np.sum(np.multiply(logs, probs, out=logs), axis=-1)
 
 
 def _check_parts(state, sys_qubits, frac_qubits):

@@ -46,15 +46,23 @@ PAULIS = {
 }
 
 
+def _state_array(data) -> np.ndarray:
+    """`data` as a C-contiguous array, float64 when it is real and complex128
+    otherwise: the dtype rule of both state classes."""
+    return np.ascontiguousarray(data, dtype=float if np.isrealobj(data) else complex)
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over 2**num_qubits basis states."""
+    """Normalized amplitude vector over 2**num_qubits basis states. A real
+    input is kept as float64, anything else as complex128 (`_state_array`):
+    statevector runs are real, so are their reductions and entropies."""
 
     num_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        amps = _state_array(self.amplitudes)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(f"expected 2**{self.num_qubits} amplitudes, got shape {amps.shape}")
         _check_finite(amps, "amplitudes")
@@ -66,13 +74,13 @@ class PureState:
 
     @classmethod
     def from_amplitudes(cls, amps) -> PureState:
-        amps = np.asarray(amps, dtype=complex)
+        amps = _state_array(amps)
         n = int(round(math.log2(amps.size)))
         return cls(n, amps)
 
     @classmethod
     def zero(cls, num_qubits: int) -> PureState:
-        amps = np.zeros(2**num_qubits, dtype=complex)
+        amps = np.zeros(2**num_qubits)
         amps[0] = 1.0
         return cls(num_qubits, amps)
 
@@ -84,10 +92,11 @@ class PureState:
 class DensityMatrix:
     """Hermitian, unit-trace, PSD (within tolerance) matrix over the register.
 
-    A real input is kept as a float64 matrix, anything else as complex128.
-    Noisy density runs are real symmetric, so their checks, partial traces
-    and entropies run on real arrays, where LAPACK's real symmetric
-    eigensolver does about a quarter of the complex one's arithmetic.
+    A real input is kept as a float64 matrix, anything else as complex128
+    (`_state_array`). Noisy density runs are real symmetric, so their
+    checks, partial traces and entropies run on real arrays, where LAPACK's
+    real symmetric eigensolver does about a quarter of the complex one's
+    arithmetic.
 
     `spectrum` holds the ascending eigenvalues that the PSD check computed,
     read-only, so that entropies of the whole state need no second
@@ -99,7 +108,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         dim = 2**self.num_qubits
-        mat = np.ascontiguousarray(self.matrix, dtype=float if np.isrealobj(self.matrix) else complex)
+        mat = _state_array(self.matrix)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {mat.shape}")
         _check_finite(mat, "matrix")
@@ -123,7 +132,7 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> DensityMatrix:
         dim = 2**num_qubits
-        return cls(num_qubits, np.eye(dim, dtype=complex) / dim)
+        return cls(num_qubits, np.eye(dim) / dim)
 
 
 @dataclass(frozen=True)
@@ -295,9 +304,17 @@ def _eigvalsh(mat: np.ndarray) -> np.ndarray:
     return spectrum
 
 
+def _entropies(probs: np.ndarray) -> np.ndarray:
+    """-sum p ln p along the last axis, dropping p <= _CUTOFF."""
+    logs = np.log(probs, where=probs > _CUTOFF, out=np.zeros_like(probs))
+    return -np.sum(np.multiply(logs, probs, out=logs), axis=-1)
+
+
 def _spectrum_entropy(eigs: np.ndarray) -> float:
-    eigs = eigs[eigs > _CUTOFF]
-    return float(-np.sum(eigs * np.log(eigs)) / math.log(2))
+    """`_entropies` of the eigenvalues above the cutoff, in bits. They are
+    picked out before the sum: zero terms would regroup numpy's pairwise
+    sum and move its last bits."""
+    return float(_entropies(eigs[eigs > _CUTOFF]) / math.log(2))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

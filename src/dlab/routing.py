@@ -28,7 +28,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, unitary_of
 from .qstate import PureState
-from .simulator import run_statevector
+from .simulator import _check_integer, run_statevector
 
 EXHAUSTIVE_PLACEMENT_MAX = 8
 # largest entry deviation each routed-equivalence check accepts
@@ -52,6 +52,7 @@ class CouplingMap:
     _adj: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_integer(self.num_physical, "node count", 0)
         norm = set()
         for e in self.edges:
             u, v = e
@@ -149,7 +150,9 @@ class RoutedCircuit:
     """Routing result: hardware-conformant circuit plus the qubit bookkeeping.
 
     `placement` maps each logical qubit to its initial physical slot,
-    `final_placement` to where routing SWAPs left it.
+    `final_placement` to where routing SWAPs left it. `swap_count` is, from
+    `route`, the SWAPs routing inserted (not those of the input circuit)
+    and, from `peephole_zero_swap`, every SWAP left in `circuit`.
     """
 
     circuit: Circuit
@@ -163,16 +166,22 @@ class RoutedCircuit:
             if len(g.qubits) == 2 and not self.coupling_map.has_edge(*g.qubits):
                 raise ValueError(f"gate {g} not on a coupling edge")
         for name, mapping in (("placement", self.placement), ("final_placement", self.final_placement)):
-            if len(set(mapping.values())) != len(mapping):
-                raise ValueError(f"{name} is not injective")
-            if any(not 0 <= p < self.coupling_map.num_physical for p in mapping.values()):
-                raise ValueError(f"{name} targets a slot outside the device")
+            _check_placement(mapping, self.coupling_map.num_physical, name)
         if set(self.placement) != set(self.final_placement):
             raise ValueError("placement and final_placement cover different logical qubits")
 
     @property
     def cnot_count(self) -> int:
         return circuit_cnot_count(self.circuit)
+
+
+def _check_placement(mapping: dict[int, int], num_physical: int, name: str) -> None:
+    """Refuse a map of logical qubits to slots that sends two to one slot or
+    one outside the device's `num_physical` slots."""
+    if len(set(mapping.values())) != len(mapping):
+        raise ValueError(f"{name} is not injective")
+    if any(not 0 <= p < num_physical for p in mapping.values()):
+        raise ValueError(f"{name} targets a slot outside the device")
 
 
 def _swap_exec_cost(u: int, v: int, zero: int) -> tuple[int, int]:
@@ -386,10 +395,7 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
     if placement is not None:
         if set(placement) != set(range(c.num_qubits)):
             raise ValueError("placement must cover exactly the logical qubits")
-        if len(set(placement.values())) != len(placement):
-            raise ValueError("placement is not injective")
-        if any(not 0 <= p < cmap.num_physical for p in placement.values()):
-            raise ValueError("placement targets a slot outside the device")
+        _check_placement(placement, cmap.num_physical, "placement")
         winner = tuple(placement[q] for q in range(c.num_qubits))
     elif cmap.num_physical > EXHAUSTIVE_PLACEMENT_MAX:
         winner = tuple(range(c.num_qubits))
@@ -466,13 +472,14 @@ def replay_permutation(rc: RoutedCircuit) -> tuple[dict[int, int], dict[int, int
 
 def permutation_unitary(mapping: dict[int, int], num_qubits: int) -> np.ndarray:
     """Matrix sending the state of logical register x to slot register y with
-    y[mapping[l]] = x[l]. `mapping` must be a bijection on range(num_qubits)."""
+    y[mapping[l]] = x[l], as float64 0/1 entries like `unitary_of`'s: its
+    inverse is its transpose. `mapping` must be a bijection on range(num_qubits)."""
     if sorted(mapping) != list(range(num_qubits)) or sorted(mapping.values()) != list(
         range(num_qubits)
     ):
         raise ValueError("mapping must be a bijection on the register")
     dim = 2**num_qubits
-    eye = np.eye(dim, dtype=complex).reshape([2] * num_qubits + [dim])
+    eye = np.eye(dim).reshape([2] * num_qubits + [dim])
     return _to_slots(eye, mapping).reshape(dim, dim)
 
 
@@ -506,9 +513,9 @@ def routed_unitary_equivalent(rc: RoutedCircuit, original: Circuit) -> bool:
     num_physical = rc.coupling_map.num_physical
     u_orig = unitary_of(original)
     pad_dim = 2 ** (num_physical - original.num_qubits)
-    u_ext = np.kron(u_orig, np.eye(pad_dim, dtype=complex))
+    u_ext = np.kron(u_orig, np.eye(pad_dim))
     p_init = permutation_unitary(init, num_physical)
     p_final = permutation_unitary(final, num_physical)
     u_routed = unitary_of(rc.circuit)
-    expected = p_final @ u_ext @ p_init.conj().T
+    expected = p_final @ u_ext @ p_init.T
     return bool(np.max(np.abs(u_routed - expected)) <= _UNITARY_ATOL)

@@ -8,7 +8,8 @@ p(t) = 1 - exp(-lam*t).  The purified picture adds one emitter per ancilla
 subspace and is remapped onto one qubit (Condensed scenario).
 
 Register layout.  This module is the one statement of it; the circuit
-builders, the partition schemes and the CLI read it from `ScmParams`:
+builders, the partition schemes and the CLI read it from `ScmParams`
+(`system` and `units`):
   Full:      qubit 0 = system, then one (emitter, ancilla) unit per
              collision: (1, 2), (3, 4), ..., (2n - 1, 2n).
   Condensed: qubit 0 = system, then one pair-qubit unit per collision:
@@ -55,6 +56,11 @@ class ScmParams:
             raise ValueError(f"theta {self.theta} outside [0, 2*pi)")
         if self.scenario is Scenario.CONDENSED and abs(self.theta - math.pi) > THETA_PI_ATOL:
             raise ValueError("condensed scenario requires theta = pi (non-entangling collisions)")
+
+    @property
+    def system(self) -> tuple[int, ...]:
+        """The system's qubits: qubit 0 in both scenarios."""
+        return (0,)
 
     @property
     def units(self) -> tuple[tuple[int, ...], ...]:
@@ -115,12 +121,13 @@ def ideal_global_state(t: float, p: ScmParams) -> PureState:
     Full: per pair the emitted/unemitted superposition of the three-branch
     purification, with the emitted branch carrying the phase factor i; at
     theta = pi the branch phases cancel and the state is real.  Condensed:
-    (|0>_S prod(sqrt(1-p)|0> + sqrt(p)|1>) + |1>_S prod(sqrt(1-p)|0> - sqrt(p)|1>))/sqrt(2).
+    (|0>_S prod(sqrt(1-p)|0> + sqrt(p)|1>) + |1>_S prod(sqrt(1-p)|0> - sqrt(p)|1>))/sqrt(2),
+    built as a float64 state; the full one is complex128.
     """
     prob = collision_probability(t, p)
     sq, sp = math.sqrt(1.0 - prob), math.sqrt(prob)
     if p.scenario is Scenario.CONDENSED:
-        branches = (np.array([sq, sp], dtype=complex), np.array([sq, -sp], dtype=complex))
+        branches = (np.array([sq, sp]), np.array([sq, -sp]))
     else:
         c, s = math.cos(p.theta / 2.0), math.sin(p.theta / 2.0)
         # Pair basis |E A>: amplitudes on |00>, |01>, |10>, |11>.

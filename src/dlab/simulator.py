@@ -190,8 +190,8 @@ class NoiseModel:
 
 def run_statevector(c: Circuit) -> PureState:
     """Evolve |0..0> through the circuit. Every gate kind is real, so the
-    amplitudes evolve in float64; the returned `PureState` holds them as
-    complex128, as it holds any input."""
+    amplitudes evolve in float64, and the returned `PureState` keeps that
+    buffer as it is."""
     if c.num_qubits > STATEVECTOR_MAX_QUBITS:
         raise ValueError(f"statevector runs support at most {STATEVECTOR_MAX_QUBITS} qubits")
     psi = np.zeros(2**c.num_qubits)

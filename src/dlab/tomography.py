@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import DensityMatrix, _read_only
-from .simulator import _PAULI_SET_ROTATIONS, MeasRecord, _pair_axes, pauli_settings
+from .simulator import _PAULI_SET_ROTATIONS, MeasRecord, _check_integer, _pair_axes, pauli_settings
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000
@@ -109,6 +109,16 @@ def _project(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.maximum(vals - shift, 0.0)) @ vecs.conj().T
 
 
+def _check_stopping(tol, max_iters) -> tuple[float, int]:
+    """The MLE's stopping rule as it runs, refused before any work unless
+    `tol` is a finite number of at least 0 (never a bool) and `max_iters`
+    an integer of at least 1."""
+    number = isinstance(tol, (int, float, np.integer, np.floating)) and not isinstance(tol, bool)
+    if not (number and 0.0 <= tol < math.inf):
+        raise ValueError(f"tol must be a finite number of at least 0, got {tol!r}")
+    return float(tol), _check_integer(max_iters, "max_iters", 1)
+
+
 @dataclass(frozen=True)
 class TomographyJob:
     """A complete Pauli measurement set for one register."""
@@ -119,6 +129,9 @@ class TomographyJob:
     max_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
+        tol, max_iters = _check_stopping(self.tol, self.max_iters)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "max_iters", max_iters)
         object.__setattr__(self, "records", tuple(self.records))
         _pauli_order([r.setting for r in self.records], self.num_qubits)
         if len({r.shots for r in self.records}) > 1:
@@ -210,6 +223,7 @@ def mle_reconstruct_from_frequencies(
 ) -> MleResult:
     """MLE from exact (or empirical) outcome distributions, one per setting of
     a complete Pauli set in any order (see `_frequency_tensor`)."""
+    tol, max_iters = _check_stopping(tol, max_iters)
     freqs = _frequency_tensor(settings, frequencies, num_qubits)
     rho, stop_reason, history, bound = _mle(freqs, tol, max_iters)
     return MleResult(DensityMatrix(num_qubits, rho), stop_reason, tuple(history), bound)
@@ -289,6 +303,6 @@ def load_tomography_job(dirpath) -> TomographyJob:
     return TomographyJob(
         num_qubits=int(manifest["num_qubits"]),
         records=tuple(records),
-        tol=float(manifest["tol"]),
-        max_iters=int(manifest["max_iters"]),
+        tol=manifest["tol"],
+        max_iters=manifest["max_iters"],
     )

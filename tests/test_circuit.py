@@ -70,6 +70,19 @@ def test_condensed_builder_shape():
     assert [g.qubits for g in c.gates[7:]] == [(0, i) for i in range(1, 7)]
 
 
+@pytest.mark.parametrize(
+    "scenario, build", [(Scenario.FULL, build_full_circuit), (Scenario.CONDENSED, build_condensed_circuit)]
+)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_builders_read_the_system_from_the_params(scenario, build, n):
+    p = ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario)
+    assert sorted(q for part in (p.system, *p.units) for q in part) == list(range(p.num_qubits))
+    c = build(0.5, p)
+    assert [g.qubits for g in c.gates if g.kind is GateKind.H] == [p.system]
+    cz = [g.qubits for g in c.gates if g.kind is GateKind.CZ]
+    assert len(cz) == n and all(set(p.system) <= set(qubits) for qubits in cz)
+
+
 def test_builder_guards():
     with pytest.raises(ValueError):
         build_full_circuit(0.5, COND6)

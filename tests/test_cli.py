@@ -275,6 +275,17 @@ def test_each_time_is_evolved_once(tmp_path, monkeypatch, command, noise):
     assert calls == Counter(run_statevector=statevector, run_density=density)
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_manifest_lists_the_command_and_everything_it_wrote(tmp_path, command):
+    noise = {"depol_1q": 0.01}
+    cfg = write_config(tmp_path, include_tomography=True, max_iters=20, phi_steps=3, xi_steps=3, noise=noise)
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["artifacts"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
 def test_readout_only_noise_runs_as_a_statevector(tmp_path):
     # past the density-run cap, and with no noisy curve to write
     cfg = write_config(tmp_path, n=10, times=["t_max"], noise={"readout_flip": 0.02})

@@ -11,13 +11,17 @@ from dlab import (
     KrausChannel,
     PureState,
     Scenario,
+    SchemeMode,
     ScmParams,
     amplitude_damping_channel,
     apply_channel,
+    averaged_qmi,
     depolarizing_channel,
     fidelity,
     ideal_global_state,
     partial_trace,
+    partition_scheme,
+    qmi,
     trace_distance,
     von_neumann_entropy,
 )
@@ -184,6 +188,28 @@ def test_real_states_stay_real():
         assert abs(von_neumann_entropy(part_real) - von_neumann_entropy(part_cplx)) < 1e-12
     # integer input counts as real
     assert DensityMatrix(1, [[1, 0], [0, 0]]).matrix.dtype == np.float64
+
+
+def test_real_pure_states_stay_real():
+    # PureState keeps DensityMatrix's rule, and QMI reads the same either way
+    assert PureState.zero(3).amplitudes.dtype == np.float64
+    assert PureState.from_amplitudes([0, 1]).amplitudes.dtype == np.float64  # integers count as real
+    assert PureState.from_amplitudes([0, 1j]).amplitudes.dtype == np.complex128
+    assert DensityMatrix.maximally_mixed(2).matrix.dtype == np.float64
+    rng = np.random.default_rng(10)
+    params = ScmParams(theta=math.pi, lam=1.0, n=4, scenario=Scenario.CONDENSED)
+    random = rng.standard_normal(2**params.num_qubits)
+    for amps in (ideal_global_state(0.4, params).amplitudes, random / np.linalg.norm(random)):
+        real = PureState.from_amplitudes(amps)
+        cplx = PureState(params.num_qubits, amps.astype(complex))
+        assert real.amplitudes.dtype == np.float64 and cplx.amplitudes.dtype == np.complex128
+        assert real.density_matrix().matrix.dtype == np.float64
+        assert abs(qmi(real, (0,), (1, 3)) - qmi(cplx, (0,), (1, 3))) < 1e-12
+        for mode in (SchemeMode.PER_PAIR, SchemeMode.PER_QUBIT):
+            scheme = partition_scheme(params, mode)
+            want = averaged_qmi(cplx, (0,), scheme).points
+            got = averaged_qmi(real, (0,), scheme).points
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-12
 
 
 def test_apply_channel_promotes_a_real_state():

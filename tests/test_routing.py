@@ -20,6 +20,7 @@ from dlab import (
     builtin_coupling_map,
     canonical_times,
     circuit_cnot_count,
+    circuit_from_text,
     coupling_map_from_file,
     coupling_map_from_text,
     coupling_map_to_text,
@@ -162,6 +163,13 @@ def test_coupling_map_validation():
         CouplingMap(2, frozenset({(0, 5)}))
     with pytest.raises(ValueError):
         CouplingMap(4, frozenset({(0, 1), (2, 3)}))  # disconnected
+
+
+def test_coupling_map_refuses_a_negative_node_count():
+    with pytest.raises(ValueError, match="node count"):
+        coupling_map_from_text("-3")
+    with pytest.raises(ValueError, match="node count"):
+        CouplingMap(-1, frozenset())
 
 
 def test_all_shortest_paths():
@@ -352,6 +360,14 @@ def test_input_swaps_are_scored_as_realized():
         assert peephole_zero_swap(rc).cnot_count == realized
 
 
+def test_swap_count_of_route_and_of_the_peephole():
+    # route counts the SWAPs it inserted, the peephole every SWAP it left
+    c = circuit_from_text("H 0\nH 1\nSWAP 0 1\nCNOT 0 1\n")
+    rc = route(c, builtin_coupling_map("t7"))
+    assert rc.swap_count == 0
+    assert peephole_zero_swap(rc).swap_count == 1
+
+
 def test_zero_cost_input_swaps_are_scored_free():
     # both input SWAPs meet two |0> wires and vanish, so no score charges
     # them. The identity placement must route SWAP(2, 0) past the live
@@ -523,6 +539,10 @@ def test_permutation_unitary():
     assert np.allclose(swap, unitary_of(Circuit(2, (Gate(GateKind.SWAP, (0, 1)),))))
     with pytest.raises(ValueError):
         permutation_unitary({0: 0, 1: 0}, 2)
+
+
+def test_permutation_unitary_is_real():
+    assert permutation_unitary({0: 2, 1: 0, 2: 1}, 3).dtype == np.float64
 
 
 def test_statevector_equivalence_detects_tampering():

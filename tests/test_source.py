@@ -1,6 +1,7 @@
 """Static checks on the package source, parsed with `ast`: no module imports
-a name it never uses, no function imports a package module, and no
-module-level private function or class is left that nothing refers to."""
+a name it never uses, no function imports a package module, no
+module-level private function or class is left that nothing refers to,
+and the circuit builders and the CLI name no qubit by number."""
 import ast
 import collections
 import pathlib
@@ -66,3 +67,18 @@ def test_no_function_level_package_imports():
                     if isinstance(sub, ast.ImportFrom) and sub.level > 0:
                         inner.append(f"{name}: {fn.name} imports {'.' * sub.level}{sub.module or ''}")
     assert not inner
+
+
+def test_layout_is_read_from_scm_params():
+    # the register layout is stated once, in `ScmParams`: a call argument
+    # such as `(0,)` or `(0, unit[-1])` would state it a second time
+    literal = []
+    for name in ("circuit.py", "cli.py"):
+        for call in ast.walk(_modules()[name]):
+            if isinstance(call, ast.Call):
+                for arg in call.args + [kw.value for kw in call.keywords]:
+                    if isinstance(arg, ast.Tuple) and any(
+                        isinstance(e, ast.Constant) and type(e.value) is int for e in arg.elts
+                    ):
+                        literal.append(f"{name}:{arg.lineno}: {ast.unparse(arg)}")
+    assert not literal

@@ -75,6 +75,35 @@ def test_job_validation():
         TomographyJob(1, tuple(uneven))
 
 
+BAD_STOPPING = [(-1.0, 10), (math.nan, 10), (math.inf, 10), (True, 10), (1e-7, 0), (1e-7, 2.5), (1e-7, True)]
+
+
+@pytest.mark.parametrize("tol, max_iters", BAD_STOPPING)
+def test_stopping_rule_is_refused_before_any_work(tol, max_iters, monkeypatch):
+    settings = pauli_settings(1)
+    records = tuple(sample(PLUS, s, shots=100, seed=i) for i, s in enumerate(settings))
+    with pytest.raises(ValueError, match="tol|max_iters"):
+        TomographyJob(1, records, tol=tol, max_iters=max_iters)
+    freqs = exact_frequencies(PLUS, settings)
+
+    def no_work(*args):
+        raise AssertionError("the frequencies were read before the stopping rule was checked")
+
+    monkeypatch.setattr(tomography, "_frequency_tensor", no_work)
+    with pytest.raises(ValueError, match="tol|max_iters"):
+        mle_reconstruct_from_frequencies(1, settings, freqs, tol=tol, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("key, value", [("max_iters", 2.5), ("max_iters", 0), ("tol", -1.0)])
+def test_saved_stopping_rule_loads_as_written(tmp_path, key, value):
+    records = tuple(sample(PLUS, s, shots=100, seed=i) for i, s in enumerate(pauli_settings(1)))
+    save_tomography_job(TomographyJob(1, records, tol=1e-6, max_iters=99), tmp_path / "job")
+    manifest_path = tmp_path / "job" / "manifest.json"
+    manifest_path.write_text(json.dumps(dict(json.loads(manifest_path.read_text()), **{key: value})))
+    with pytest.raises(ValueError, match=key):
+        load_tomography_job(tmp_path / "job")
+
+
 def test_mle_recovers_plus_state():
     settings = pauli_settings(1)
     res = mle_reconstruct_from_frequencies(1, settings, exact_frequencies(PLUS, settings))
