@@ -48,15 +48,19 @@ PAULIS = {
 
 def _state_array(data) -> np.ndarray:
     """`data` as a C-contiguous array, float64 when it is real and complex128
-    otherwise: the dtype rule of both state classes."""
-    return np.ascontiguousarray(data, dtype=float if np.isrealobj(data) else complex)
+    otherwise: the dtype rule of both state classes. The state makes it
+    read-only, so a writable array that already has that layout is copied
+    and a read-only one, handed over by its maker, is kept as it is."""
+    arr = np.ascontiguousarray(data, dtype=float if np.isrealobj(data) else complex)
+    return arr.copy() if arr is data and arr.flags.writeable else arr
 
 
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector over 2**num_qubits basis states. A real
     input is kept as float64, anything else as complex128 (`_state_array`):
-    statevector runs are real, so are their reductions and entropies."""
+    statevector runs are real, so are their reductions and entropies. A
+    writable input array is copied, a read-only one kept."""
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -74,18 +78,16 @@ class PureState:
 
     @classmethod
     def from_amplitudes(cls, amps) -> PureState:
-        amps = _state_array(amps)
-        n = int(round(math.log2(amps.size)))
-        return cls(n, amps)
+        return cls(int(round(math.log2(np.size(amps)))), amps)
 
     @classmethod
     def zero(cls, num_qubits: int) -> PureState:
         amps = np.zeros(2**num_qubits)
         amps[0] = 1.0
-        return cls(num_qubits, amps)
+        return cls(num_qubits, _read_only(amps))
 
     def density_matrix(self) -> DensityMatrix:
-        return DensityMatrix(self.num_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityMatrix(self.num_qubits, _read_only(np.outer(self.amplitudes, self.amplitudes.conj())))
 
 
 @dataclass(frozen=True)
@@ -93,10 +95,10 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD (within tolerance) matrix over the register.
 
     A real input is kept as a float64 matrix, anything else as complex128
-    (`_state_array`). Noisy density runs are real symmetric, so their
-    checks, partial traces and entropies run on real arrays, where LAPACK's
-    real symmetric eigensolver does about a quarter of the complex one's
-    arithmetic.
+    (`_state_array`); a writable input array is copied, a read-only one
+    kept. Noisy density runs are real symmetric, so their checks, partial
+    traces and entropies run on real arrays, where LAPACK's real symmetric
+    eigensolver does about a quarter of the complex one's arithmetic.
 
     `spectrum` holds the ascending eigenvalues that the PSD check computed,
     read-only, so that entropies of the whole state need no second
@@ -132,7 +134,7 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, num_qubits: int) -> DensityMatrix:
         dim = 2**num_qubits
-        return cls(num_qubits, np.eye(dim) / dim)
+        return cls(num_qubits, _read_only(np.eye(dim) / dim))
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,7 @@ def apply_channel(rho: DensityMatrix, ch: KrausChannel, targets: list[int]) -> D
     flat = rho.matrix.reshape(-1).astype(complex)
     axes = tuple(targets) + tuple(n + q for q in targets)
     apply_matrix(flat, _superop(ch.operators), axes, 2 * n)
-    return DensityMatrix(n, flat.reshape(2**n, 2**n))
+    return DensityMatrix(n, _read_only(flat.reshape(2**n, 2**n)))
 
 
 def _superop(ops) -> np.ndarray:
@@ -224,7 +226,7 @@ def _superop(ops) -> np.ndarray:
 def partial_trace(state: PureState | DensityMatrix, keep: list[int]) -> DensityMatrix:
     """Reduced density matrix on `keep`, ordered by ascending register index."""
     keep = _check_qubits(sorted(keep), state.num_qubits, "keep")
-    return DensityMatrix(len(keep), _reduce(state, keep))
+    return DensityMatrix(len(keep), _read_only(_reduce(state, keep)))
 
 
 def _reduce(state: PureState | DensityMatrix, keep) -> np.ndarray:

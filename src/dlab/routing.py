@@ -150,16 +150,15 @@ class RoutedCircuit:
     """Routing result: hardware-conformant circuit plus the qubit bookkeeping.
 
     `placement` maps each logical qubit to its initial physical slot,
-    `final_placement` to where routing SWAPs left it. `swap_count` is, from
-    `route`, the SWAPs routing inserted (not those of the input circuit)
-    and, from `peephole_zero_swap`, every SWAP left in `circuit`.
+    `final_placement` to where routing SWAPs left it. `swap_count` and
+    `cnot_count` are read from `circuit`: every SWAP in it, input SWAPs
+    included, and the CNOTs it costs as written.
     """
 
     circuit: Circuit
     coupling_map: CouplingMap
     placement: dict[int, int]
     final_placement: dict[int, int]
-    swap_count: int
 
     def __post_init__(self):
         for g in self.circuit.gates:
@@ -169,6 +168,10 @@ class RoutedCircuit:
             _check_placement(mapping, self.coupling_map.num_physical, name)
         if set(self.placement) != set(self.final_placement):
             raise ValueError("placement and final_placement cover different logical qubits")
+
+    @property
+    def swap_count(self) -> int:
+        return sum(g.kind is GateKind.SWAP for g in self.circuit.gates)
 
     @property
     def cnot_count(self) -> int:
@@ -206,6 +209,21 @@ def _note_zero(kind: GateKind, qubits: tuple[int, ...], zero: int) -> int:
     return zero
 
 
+def _zero_walk(gates, num_qubits: int):
+    """Each of `gates` on `num_qubits` wires that start in |0>, with the |0>
+    flags before it and the CNOTs it executes after the zero-SWAP rewrite:
+    CNOT = CZ = 1, a SWAP its `_swap_exec_cost`, a 1-qubit gate 0. The
+    placement score and `peephole_zero_swap` both read this one walk."""
+    zero = (1 << num_qubits) - 1
+    for g in gates:
+        if g.kind is GateKind.SWAP:
+            cost, after = _swap_exec_cost(*g.qubits, zero)
+        else:
+            cost, after = _CNOT_COST.get(g.kind, 0), _note_zero(g.kind, g.qubits, zero)
+        yield g, zero, cost
+        zero = after
+
+
 def _choose_path(paths: tuple[tuple[int, ...], ...], zero: int):
     """Cheapest way to bring the ends of `paths` (every shortest path
     between two slots) next to each other, with `zero` the slots' |0>
@@ -238,10 +256,10 @@ class _Plan:
     The |0> flags follow a wire's content, and routing SWAPs move content
     with its flag, so the flags of the logical qubits (idle slots padded in
     as extra ids, always |0>) evolve the same way under every placement.
-    They are computed here once, by `_note_zero` and `_swap_exec_cost`, and
-    so is every gate's own cost: CNOT = CZ = 1, an input SWAP what the
-    zero-SWAP rewrite leaves of it. The only cost a placement changes is
-    that of the routing SWAPs.
+    They are computed here once, by `_zero_walk`, and so is every gate's
+    own cost: CNOT = CZ = 1, an input SWAP what the zero-SWAP rewrite
+    leaves of it. The only cost a placement changes is that of the routing
+    SWAPs.
 
     `ops` holds one (first logical qubit, second or -1, logical qubits
     still |0> before the gate, Gate) per gate and `routed_ops` the 2-qubit
@@ -258,18 +276,12 @@ class _Plan:
 
 
 def _plan(c: Circuit, cmap: CouplingMap) -> _Plan:
-    zero = (1 << cmap.num_physical) - 1
     fixed = 0
     ops = []
-    for g in c.gates:
+    for g, zero, cost in _zero_walk(c.gates, cmap.num_physical):
         live = [l for l in range(cmap.num_physical) if zero >> l & 1]
         ops.append((g.qubits[0], g.qubits[1] if len(g.qubits) == 2 else -1, live, g))
-        if g.kind is GateKind.SWAP:
-            cost, zero = _swap_exec_cost(*g.qubits, zero)
-            fixed += cost
-        else:
-            fixed += _CNOT_COST.get(g.kind, 0)
-            zero = _note_zero(g.kind, g.qubits, zero)
+        fixed += cost
     adjacent = np.zeros((cmap.num_physical, cmap.num_physical), dtype=bool)
     for u, v in cmap.edges:
         adjacent[u, v] = adjacent[v, u] = True
@@ -290,12 +302,12 @@ def _walk(plan: _Plan, perm: tuple[int, ...]):
     the `_choose_path` answer for its slots and the slots' |0> flags.
 
     Returns the score, the final slot of every logical qubit (idle slots
-    padded in as extra ids), the number of inserted SWAPs and the routed
-    (kind, physical qubits, angle) triples."""
+    padded in as extra ids) and the routed (kind, physical qubits, angle)
+    triples."""
     num_physical = plan.num_physical
     l2p = list(_padded(dict(enumerate(perm)), num_physical).values())
     p2l = sorted(range(num_physical), key=l2p.__getitem__)
-    routed = swaps = 0
+    routed = 0
     out = []
     for a, b, live, gate in plan.ops:
         pa = l2p[a]
@@ -312,10 +324,9 @@ def _walk(plan: _Plan, perm: tuple[int, ...]):
             for l, p in zip([p2l[s] for s in src], dst):
                 l2p[l] = p
                 p2l[p] = l
-            swaps += len(inserted)
             out.extend((GateKind.SWAP, uv, None) for uv in inserted)
         out.append((gate.kind, (pa, pb), gate.angle))
-    return plan.fixed + routed, l2p, swaps, out
+    return plan.fixed + routed, l2p, out
 
 
 def _placements(num_physical: int, k: int) -> np.ndarray:
@@ -381,9 +392,9 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
     assignment is tried on devices of up to 8 qubits and the cheapest routed
     circuit wins, cost being the executable CNOT count after the zero-SWAP
     rewrite (ties broken by lexicographic placement); larger devices keep
-    the identity placement. The returned circuit keeps its SWAPs intact;
-    `peephole_zero_swap` realizes the discount, and `swap_count` counts the
-    SWAPs routing inserted.
+    the identity placement. The returned circuit keeps its SWAPs intact,
+    the input's and those routing inserted, and `peephole_zero_swap`
+    realizes the discount.
 
     All candidates are scored together by `_scores`, and the first minimum
     wins; only the winner is walked to emit its gates."""
@@ -403,48 +414,37 @@ def route(c: Circuit, cmap: CouplingMap, *, placement: dict[int, int] | None = N
     if winner is None:
         perms = _placements(cmap.num_physical, c.num_qubits)
         winner = tuple(perms[np.argmin(_scores(plan, perms)), : c.num_qubits].tolist())
-    _, l2p, swaps, out = _walk(plan, winner)
+    _, l2p, out = _walk(plan, winner)
     routed = Circuit(cmap.num_physical, tuple(Gate(kind, qubits, angle) for kind, qubits, angle in out))
     return RoutedCircuit(
         circuit=routed,
         coupling_map=cmap,
         placement=dict(enumerate(winner)),
         final_placement={q: l2p[q] for q in range(c.num_qubits)},
-        swap_count=swaps,
     )
 
 
 def peephole_zero_swap(rc: RoutedCircuit) -> RoutedCircuit:
     """Rewrite SWAPs with one operand provably in |0>: two CNOTs do the job.
 
-    Zero-ness is tracked by forward dataflow from initialization (every slot
-    starts in |0>). A SWAP between two zero slots is dropped outright.
+    Zero-ness is tracked by `_zero_walk`, the walk the placement score
+    reads (every slot starts in |0>). A SWAP between two zero slots is
+    dropped outright.
     """
-    zero = (1 << rc.circuit.num_qubits) - 1
     gates = []
-    for g in rc.circuit.gates:
-        if g.kind is GateKind.SWAP:
+    for g, zero, cost in _zero_walk(rc.circuit.gates, rc.circuit.num_qubits):
+        if g.kind is not GateKind.SWAP or cost == 3:
+            gates.append(g)
+        elif cost == 2:
+            # dst is |0>: CNOT(src, dst) copies, CNOT(dst, src) clears the source
             a, b = g.qubits
             src, dst = (b, a) if zero >> a & 1 else (a, b)
-            # the placement objective's SWAP cost is the rewrite: 0 drops it,
-            # 2 means dst is |0> (CNOT(src,dst) copies, CNOT(dst,src) clears
-            # the source), 3 keeps it
-            cost, zero = _swap_exec_cost(a, b, zero)
-            if cost == 2:
-                gates.append(Gate(GateKind.CNOT, (src, dst)))
-                gates.append(Gate(GateKind.CNOT, (dst, src)))
-            elif cost == 3:
-                gates.append(g)
-            continue
-        gates.append(g)
-        zero = _note_zero(g.kind, g.qubits, zero)
-    circuit = Circuit(rc.circuit.num_qubits, tuple(gates))
+            gates += [Gate(GateKind.CNOT, (src, dst)), Gate(GateKind.CNOT, (dst, src))]
     return RoutedCircuit(
-        circuit=circuit,
+        circuit=Circuit(rc.circuit.num_qubits, tuple(gates)),
         coupling_map=rc.coupling_map,
         placement=dict(rc.placement),
         final_placement=dict(rc.final_placement),
-        swap_count=sum(1 for g in gates if g.kind is GateKind.SWAP),
     )
 
 

@@ -87,22 +87,27 @@ def canonical_times() -> CanonicalTimes:
     return CanonicalTimes(math.log(2.0), math.log(2.0 / 1.3), math.log(6.0))
 
 
+def _check_time(t: float) -> None:
+    """Refuse a negative or NaN time: every closed form here starts at t = 0."""
+    if not t >= 0:
+        raise ValueError(f"negative time or NaN, got {t}")
+
+
 def collision_probability(t: float, p: ScmParams) -> float:
     """Probability that a given ancilla has collided by time t: 1 - exp(-lam*t)."""
-    if t < 0:
-        raise ValueError(f"negative time {t}")
+    _check_time(t)
     return 1.0 - math.exp(-p.lam * t)
 
 
 def prep_angle(t: float, p: ScmParams) -> float:
     """Rotation half-angle alpha = arccos(exp(-lam*t/2)); sin^2(alpha) = p(t)."""
-    if t < 0:
-        raise ValueError(f"negative time {t}")
+    _check_time(t)
     return math.acos(math.exp(-p.lam * t / 2.0))
 
 
 def coherence_markovian(t: float, p: ScmParams) -> float:
     """Infinite-environment coherence factor exp[-lam*(1 - cos theta)*t]."""
+    _check_time(t)
     return math.exp(-p.lam * (1.0 - math.cos(p.theta)) * t)
 
 

@@ -190,15 +190,15 @@ class NoiseModel:
 
 def run_statevector(c: Circuit) -> PureState:
     """Evolve |0..0> through the circuit. Every gate kind is real, so the
-    amplitudes evolve in float64, and the returned `PureState` keeps that
-    buffer as it is."""
+    amplitudes evolve in float64, and the buffer is handed to the returned
+    `PureState` read-only, so that it keeps it as it is."""
     if c.num_qubits > STATEVECTOR_MAX_QUBITS:
         raise ValueError(f"statevector runs support at most {STATEVECTOR_MAX_QUBITS} qubits")
     psi = np.zeros(2**c.num_qubits)
     psi[0] = 1.0
     for g in c.gates:
         apply_matrix(psi, g.matrix(), g.qubits, c.num_qubits)
-    return PureState(c.num_qubits, psi)
+    return PureState(c.num_qubits, _read_only(psi))
 
 
 def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
@@ -253,7 +253,7 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
         for q in [q for q in range(n) if q not in last]:
             apply_matrix(factors[q][1], _idle_power(idle, [len(c.gates)]), (0, 1), 2)
     _, rho = _product([f for q, f in factors.items() if f[0][0] == q])
-    return DensityMatrix(n, rho.reshape(2**n, 2**n))
+    return DensityMatrix(n, _read_only(rho.reshape(2**n, 2**n)))
 
 
 def _product(factors) -> tuple[tuple[int, ...], np.ndarray]:

@@ -129,6 +129,7 @@ class TomographyJob:
     max_iters: int = DEFAULT_MAX_ITERS
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _check_integer(self.num_qubits, "num_qubits", 1))
         tol, max_iters = _check_stopping(self.tol, self.max_iters)
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "max_iters", max_iters)
@@ -301,7 +302,7 @@ def load_tomography_job(dirpath) -> TomographyJob:
         with open(os.path.join(dirpath, rel), "r", encoding="utf-8") as fh:
             records.append(MeasRecord.from_json_obj(json.load(fh)))
     return TomographyJob(
-        num_qubits=int(manifest["num_qubits"]),
+        num_qubits=manifest["num_qubits"],
         records=tuple(records),
         tol=manifest["tol"],
         max_iters=manifest["max_iters"],

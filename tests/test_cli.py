@@ -64,6 +64,21 @@ def test_coherence_command(tmp_path):
     assert manifest["config"]["seed"] == 7
 
 
+def test_coherence_reads_the_system_from_the_params(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(state, *args, _run=cli.system_coherence, **kwargs):
+        calls.append((state.num_qubits, args + tuple(kwargs.values())))
+        return _run(state, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "system_coherence", spy)
+    cfg = write_config(tmp_path, times=[0.0, T_MAX])
+    assert main(["coherence", "--config", str(cfg)]) == EXIT_OK
+    params = ExperimentConfig.from_dict(json.loads(cfg.read_text())).params
+    # the sampled call reads a one-qubit reconstruction, which has only qubit 0
+    assert [args for n, args in calls if n == params.num_qubits] == [(params.system[0],)] * 2
+
+
 def test_coherence_time_grid_config(tmp_path):
     cfg = write_config(tmp_path, times={"start": 0.0, "stop": 1.0, "count": 6}, shots=256)
     assert main(["coherence", "--config", str(cfg)]) == EXIT_OK
@@ -194,6 +209,15 @@ def test_route_map_file(tmp_path):
     report = json.loads((tmp_path / "out" / "route_report.json").read_text())
     assert report["equivalent_unitary"] is True
     assert report["equivalent_statevector"] is True
+
+
+def test_route_reads_the_coupling_map_once(tmp_path, monkeypatch):
+    calls = []
+    resolve = cli._resolve_coupling_map
+    monkeypatch.setattr(cli, "_resolve_coupling_map", lambda cfg: calls.append(cfg) or resolve(cfg))
+    cfg = write_config(tmp_path, n=2, times=["t_max"])
+    assert main(["route", "--config", str(cfg)]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_tomo_command(tmp_path, capsys):

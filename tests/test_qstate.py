@@ -212,6 +212,23 @@ def test_real_pure_states_stay_real():
             assert np.max(np.abs(np.subtract(got, want))) < 1e-12
 
 
+@pytest.mark.parametrize("make, data", [(PureState, [1.0, 0.0]), (DensityMatrix, [[1.0, 0.0], [0.0, 0.0]])])
+def test_a_state_never_freezes_its_callers_array(make, data):
+    # a writable input is copied, so its caller may still write it; a
+    # read-only one is taken as handed over and kept as it is
+    def stored(state):
+        return state.amplitudes if make is PureState else state.matrix
+
+    a = np.array(data)
+    state = make(1, a)
+    assert a.flags.writeable and not stored(state).flags.writeable
+    a[...] = 0.0
+    assert stored(state).flat[0] == 1.0
+    a = np.array(data)
+    a.setflags(write=False)
+    assert stored(make(1, a)) is a
+
+
 def test_apply_channel_promotes_a_real_state():
     rng = np.random.default_rng(9)
     m = random_real_density(3, 4, rng)

@@ -138,7 +138,6 @@ def loop_route(c, cmap, placement=None):
         coupling_map=cmap,
         placement=dict(placement),
         final_placement={l: l2p[l] for l in placement},
-        swap_count=swaps,
     )
 
 
@@ -361,10 +360,10 @@ def test_input_swaps_are_scored_as_realized():
 
 
 def test_swap_count_of_route_and_of_the_peephole():
-    # route counts the SWAPs it inserted, the peephole every SWAP it left
+    # both count every SWAP in their circuit, the input's included
     c = circuit_from_text("H 0\nH 1\nSWAP 0 1\nCNOT 0 1\n")
     rc = route(c, builtin_coupling_map("t7"))
-    assert rc.swap_count == 0
+    assert rc.swap_count == 1
     assert peephole_zero_swap(rc).swap_count == 1
 
 
@@ -415,7 +414,6 @@ def test_routed_circuit_validation():
             coupling_map=LINE3,
             placement={0: 0, 1: 1, 2: 2},
             final_placement={0: 0, 1: 1, 2: 2},
-            swap_count=0,
         )
     with pytest.raises(ValueError):
         RoutedCircuit(
@@ -423,7 +421,6 @@ def test_routed_circuit_validation():
             coupling_map=LINE3,
             placement={0: 0, 1: 0},
             final_placement={0: 0, 1: 0},
-            swap_count=0,
         )
 
 
@@ -435,7 +432,6 @@ def _manual_routed(gates, cmap=LINE3):
         coupling_map=cmap,
         placement=ident,
         final_placement=ident,
-        swap_count=sum(1 for g in gates if g.kind is GateKind.SWAP),
     )
 
 
@@ -555,6 +551,5 @@ def test_statevector_equivalence_detects_tampering():
         coupling_map=rc.coupling_map,
         placement=dict(rc.placement),
         final_placement=dict(rc.final_placement),
-        swap_count=rc.swap_count,
     )
     assert not routed_statevector_equivalent(broken, c)

@@ -85,6 +85,13 @@ def test_coherence_finite_rejects_negative_time():
         coherence_finite(-1.0, ScmParams(theta=math.pi, lam=1.0, n=2))
 
 
+@pytest.mark.parametrize("t", [-1.0, math.nan])
+def test_coherence_markovian_refuses_a_negative_or_nan_time(t):
+    # at t = -1 and theta = pi the closed form would return e^2
+    with pytest.raises(ValueError, match="negative time"):
+        coherence_markovian(t, ScmParams(theta=math.pi, lam=1.0, n=1))
+
+
 def test_shared_rate_reconciliation():
     # dividing the rate across n ancillae recovers the Markovian curve as n grows
     p = ScmParams(theta=math.pi, lam=1.0, n=1000)

@@ -1,7 +1,8 @@
 """Static checks on the package source, parsed with `ast`: no module imports
 a name it never uses, no function imports a package module, no
 module-level private function or class is left that nothing refers to,
-and the circuit builders and the CLI name no qubit by number."""
+the circuit builders and the CLI name no qubit by number, and routing
+walks the |0> flags in one place."""
 import ast
 import collections
 import pathlib
@@ -82,3 +83,17 @@ def test_layout_is_read_from_scm_params():
                     ):
                         literal.append(f"{name}:{arg.lineno}: {ast.unparse(arg)}")
     assert not literal
+
+
+def test_zero_flags_are_walked_once():
+    # the placement score and the zero-SWAP peephole read one |0>-flag walk,
+    # `_zero_walk`; `_choose_path` only prices the SWAPs of a candidate path
+    allowed = {"_note_zero": {"_zero_walk"}, "_swap_exec_cost": {"_zero_walk", "_choose_path"}}
+    stray = []
+    for fn in ast.walk(_modules()["routing.py"]):
+        if isinstance(fn, ast.FunctionDef):
+            for call in ast.walk(fn):
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+                    if fn.name not in allowed.get(call.func.id, {fn.name}):
+                        stray.append(f"{fn.name} calls {call.func.id}")
+    assert not stray

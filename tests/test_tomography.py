@@ -104,6 +104,25 @@ def test_saved_stopping_rule_loads_as_written(tmp_path, key, value):
         load_tomography_job(tmp_path / "job")
 
 
+@pytest.mark.parametrize("num_qubits, n", [(2.5, 2), (True, 1)])
+def test_job_refuses_a_qubit_count_that_is_no_integer(tmp_path, num_qubits, n):
+    # records of int(num_qubits) qubits, so that a coercing check would pass
+    state = PureState.zero(n)
+    records = tuple(sample(state, s, shots=100, seed=i) for i, s in enumerate(pauli_settings(n)))
+    with pytest.raises(ValueError, match="num_qubits"):
+        TomographyJob(num_qubits, records)
+    save_tomography_job(TomographyJob(n, records), tmp_path / "job")
+    manifest_path = tmp_path / "job" / "manifest.json"
+    manifest_path.write_text(json.dumps(dict(json.loads(manifest_path.read_text()), num_qubits=num_qubits)))
+    with pytest.raises(ValueError, match="num_qubits"):
+        load_tomography_job(tmp_path / "job")
+
+
+def test_job_takes_a_numpy_qubit_count():
+    records = tuple(sample(PLUS, s, shots=100, seed=i) for i, s in enumerate(pauli_settings(1)))
+    assert type(TomographyJob(np.int64(1), records).num_qubits) is int
+
+
 def test_mle_recovers_plus_state():
     settings = pauli_settings(1)
     res = mle_reconstruct_from_frequencies(1, settings, exact_frequencies(PLUS, settings))
