@@ -263,41 +263,28 @@ class ExperimentConfig:
         return f"# config: {blob}\n# seed: {self.seed}\n"
 
 
-def _preflight(cfg: ExperimentConfig, command: str) -> None:
-    """Reject an angle no circuit builder takes, a register no simulation
-    of `command` can hold, or a partition, fraction or size the register
-    does not have, before any compute. The angle is the builders' rule:
-    the circuit is built once, at t = 0, to ask them."""
+def _build_circuit(cfg: ExperimentConfig, t: float):
+    """The configured circuit at `t`; an angle the builders refuse is a
+    config error."""
+    build = build_full_circuit if cfg.scenario is Scenario.FULL else build_condensed_circuit
+    try:
+        return build(t, cfg.params)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
+def _check_evolution(cfg: ExperimentConfig) -> None:
+    """Refuse, before any compute, a register the statevector run cannot
+    hold, an angle no circuit builder takes, and a register the density run
+    cannot hold when the noise mixes the state. The angle is the builders'
+    rule: the circuit is built once, at t = 0, to ask them. Every command
+    that evolves a state (`_evolve`, `_noisy_state`) calls this first."""
     nq = cfg.params.num_qubits
     if nq > STATEVECTOR_MAX_QUBITS:
         raise ConfigError(f"statevector runs are capped at {STATEVECTOR_MAX_QUBITS} qubits ({nq} requested)")
-    try:
-        _build_circuit(cfg, 0.0)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if command != "route" and cfg.noise.is_mixing and nq > DENSITY_MAX_QUBITS:
+    _build_circuit(cfg, 0.0)
+    if cfg.noise.is_mixing and nq > DENSITY_MAX_QUBITS:
         raise ConfigError(f"noisy density runs are capped at {DENSITY_MAX_QUBITS} qubits ({nq} requested)")
-    tomography = command == "tomo" or (command == "darwinism" and cfg.include_tomography)
-    if tomography and nq > TOMO_MAX_QUBITS:
-        raise ConfigError(
-            f"tomographic reconstruction is capped at {TOMO_MAX_QUBITS} qubits ({nq} requested)"
-        )
-    if command not in ("darwinism", "cmi", "compare"):
-        return
-    try:
-        units = partition_scheme(cfg.params, cfg.partition).num_units
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    if command == "cmi" and not 1 <= cfg.fraction_units <= units:
-        raise ConfigError(f"'fraction_units' must lie in 1..{units}, got {cfg.fraction_units}")
-    if command == "compare" and any(not 1 <= s <= units for s in cfg.sizes or ()):
-        raise ConfigError(f"'sizes' must lie in 1..{units}")
-
-
-def _build_circuit(cfg: ExperimentConfig, t: float):
-    if cfg.scenario is Scenario.FULL:
-        return build_full_circuit(t, cfg.params)
-    return build_condensed_circuit(t, cfg.params)
 
 
 def _evolve(cfg: ExperimentConfig, t: float):
@@ -315,14 +302,16 @@ def _noisy_state(cfg: ExperimentConfig, t: float):
     return run_density(circuit, cfg.noise) if cfg.noise.is_mixing else run_statevector(circuit)
 
 
-def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+def _artifact(cfg: ExperimentConfig, name: str, text: str) -> str:
+    """Write `text` to the file `name` under `cfg.outputs`, and return `name`."""
+    os.makedirs(cfg.outputs or ".", exist_ok=True)
+    with open(os.path.join(cfg.outputs, name), "w", encoding="utf-8") as fh:
         fh.write(text)
+    return name
 
 
-def _write_json(path: str, obj) -> None:
-    _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _pmap(fn, payloads, jobs: int):
@@ -356,12 +345,27 @@ def _coherence_point(payload):
 
 
 def cmd_coherence(cfg: ExperimentConfig) -> list[str]:
+    _check_evolution(cfg)
     rows = _pmap(_coherence_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs)
     lines = [cfg.provenance_lines() + "time,analytic,simulated,sampled,sampled_stderr"]
     for t, ana, sim, samp, se in rows:
         lines.append(f"{t!r},{ana!r},{sim!r},{samp!r},{se!r}")
-    _write(os.path.join(cfg.outputs, "coherence.csv"), "\n".join(lines) + "\n")
-    return ["coherence.csv"]
+    return [_artifact(cfg, "coherence.csv", "\n".join(lines) + "\n")]
+
+
+def _check_tomography(cfg: ExperimentConfig) -> None:
+    nq = cfg.params.num_qubits
+    if nq > TOMO_MAX_QUBITS:
+        raise ConfigError(f"tomographic reconstruction is capped at {TOMO_MAX_QUBITS} qubits ({nq} requested)")
+
+
+def _scheme(cfg: ExperimentConfig):
+    """The configured partition of the register; a partition the register
+    does not have is a config error."""
+    try:
+        return partition_scheme(cfg.params, cfg.partition)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _tomo_reconstruction(cfg: ExperimentConfig, state, seed: int):
@@ -378,8 +382,8 @@ def _tomo_reconstruction(cfg: ExperimentConfig, state, seed: int):
 
 
 def _darwinism_point(payload):
-    cfg, index, t = payload
-    system, scheme = cfg.params.system, partition_scheme(cfg.params, cfg.partition)
+    cfg, scheme, index, t = payload
+    system = cfg.params.system
     ideal, state = _evolve(cfg, t)
     curves = {"ideal": averaged_qmi(ideal, system, scheme)}
     if cfg.noise.is_mixing:
@@ -391,45 +395,50 @@ def _darwinism_point(payload):
 
 
 def cmd_darwinism(cfg: ExperimentConfig) -> list[str]:
+    _check_evolution(cfg)
+    if cfg.include_tomography:
+        _check_tomography(cfg)
+    scheme = _scheme(cfg)
+    payloads = [(cfg, scheme, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
-    for index, t, curves in _pmap(_darwinism_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs):
+    for index, t, curves in _pmap(_darwinism_point, payloads, cfg.jobs):
         for variant, curve in sorted(curves.items()):
-            name = f"mi_t{index:02d}_{variant}.csv"
-            artifacts.append(name)
             head = cfg.provenance_lines() + f"# time: {t!r}\n# variant: {variant}\n"
-            _write(os.path.join(cfg.outputs, name), head + mi_curve_to_csv(curve))
+            artifacts.append(_artifact(cfg, f"mi_t{index:02d}_{variant}.csv", head + mi_curve_to_csv(curve)))
     return artifacts
 
 
 def _cmi_point(payload):
-    cfg, index, t = payload
-    system, units = cfg.params.system, partition_scheme(cfg.params, cfg.partition).units[: cfg.fraction_units]
-    frac = tuple(sorted(q for u in units for q in u))
-    state = _noisy_state(cfg, t)
+    cfg, frac, index, t = payload
+    system, state = cfg.params.system, _noisy_state(cfg, t)
     shots, seed = (cfg.shots if cfg.sampled else None), _stream_seed(cfg, index)
     grid = cmi_grid(
         state, system, frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
     )
-    return index, t, frac, grid
+    return index, t, grid
 
 
 def cmd_cmi(cfg: ExperimentConfig) -> list[str]:
+    _check_evolution(cfg)
+    scheme = _scheme(cfg)
+    if not 1 <= cfg.fraction_units <= scheme.num_units:
+        raise ConfigError(f"'fraction_units' must lie in 1..{scheme.num_units}, got {cfg.fraction_units}")
+    frac = tuple(sorted(q for u in scheme.units[: cfg.fraction_units] for q in u))
+    payloads = [(cfg, frac, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
-    for index, t, frac, grid in _pmap(_cmi_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs):
-        name = f"cmi_t{index:02d}.csv"
-        artifacts.append(name)
+    for index, t, grid in _pmap(_cmi_point, payloads, cfg.jobs):
         phi, xi, peak = grid.argmax()
         head = cfg.provenance_lines() + f"# time: {t!r}\n# fraction: {list(frac)}\n"
         foot = f"# argmax: {phi!r},{xi!r},{peak!r}\n"
-        _write(os.path.join(cfg.outputs, name), head + basis_grid_to_csv(grid) + foot)
+        artifacts.append(_artifact(cfg, f"cmi_t{index:02d}.csv", head + basis_grid_to_csv(grid) + foot))
     return artifacts
 
 
 def _compare_point(payload):
     """One row per fraction size, all from one evolution of the state at `t`:
     the `_orbit_mean` of QMI, Holevo bound and best-basis CMI."""
-    cfg, t, sizes = payload
-    system, scheme = cfg.params.system, partition_scheme(cfg.params, cfg.partition)
+    cfg, scheme, t, sizes = payload
+    system = cfg.params.system
     state = _noisy_state(cfg, t)
 
     def measures(frac):
@@ -442,15 +451,18 @@ def _compare_point(payload):
 
 def cmd_compare(cfg: ExperimentConfig) -> list[str]:
     """QMI / Holevo / max-basis CMI per fraction size at the canonical times."""
-    units = partition_scheme(cfg.params, cfg.partition).num_units
+    _check_evolution(cfg)
+    scheme = _scheme(cfg)
+    units = scheme.num_units
+    if any(not 1 <= s <= units for s in cfg.sizes or ()):
+        raise ConfigError(f"'sizes' must lie in 1..{units}")
     sizes = tuple(range(1, units + 1)) if cfg.sizes is None else cfg.sizes
-    payloads = [(cfg, t, sizes) for t in canonical_times()]
+    payloads = [(cfg, scheme, t, sizes) for t in canonical_times()]
     rows = [row for point in _pmap(_compare_point, payloads, cfg.jobs) for row in point]
     lines = [cfg.provenance_lines() + "time,size,qmi,holevo,cmi_max"]
     for t, size, q, chi, cmi in rows:
         lines.append(f"{t!r},{size},{q!r},{chi!r},{cmi!r}")
-    _write(os.path.join(cfg.outputs, "compare.csv"), "\n".join(lines) + "\n")
-    return ["compare.csv"]
+    return [_artifact(cfg, "compare.csv", "\n".join(lines) + "\n")]
 
 
 def _resolve_coupling_map(cfg: ExperimentConfig):
@@ -461,7 +473,7 @@ def _resolve_coupling_map(cfg: ExperimentConfig):
     if os.path.exists(cfg.coupling_map):
         try:
             return coupling_map_from_file(cfg.coupling_map)
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             raise ConfigError(f"bad coupling map file: {e}") from None
     raise ConfigError(f"coupling map {cfg.coupling_map!r} is neither built-in nor a file")
 
@@ -469,7 +481,9 @@ def _resolve_coupling_map(cfg: ExperimentConfig):
 def cmd_route(cfg: ExperimentConfig) -> list[str]:
     """Route the circuit at t_max onto the configured device. The result is
     checked by a statevector run over every device slot, so a device above
-    that run's cap, or below the register, is refused before any build."""
+    that run's cap, or below the register, is refused before any build;
+    the build itself refuses an angle no builder takes. Nothing here runs
+    a density simulation, so the density cap does not apply."""
     cmap = _resolve_coupling_map(cfg)
     nq, device = cfg.params.num_qubits, cmap.num_physical
     if nq > device:
@@ -498,20 +512,21 @@ def cmd_route(cfg: ExperimentConfig) -> list[str]:
         "config": cfg.resolved_dict(),
         "seed": cfg.seed,
     }
-    _write_json(os.path.join(cfg.outputs, "route_report.json"), report)
-    _write(os.path.join(cfg.outputs, "routed.txt"), cfg.provenance_lines() + circuit_to_text(rc.circuit))
-    _write(
-        os.path.join(cfg.outputs, "routed_peephole.txt"),
-        cfg.provenance_lines() + circuit_to_text(pp.circuit),
-    )
-    return ["route_report.json", "routed.txt", "routed_peephole.txt"]
+    return [
+        _artifact(cfg, "route_report.json", _json(report)),
+        _artifact(cfg, "routed.txt", cfg.provenance_lines() + circuit_to_text(rc.circuit)),
+        _artifact(cfg, "routed_peephole.txt", cfg.provenance_lines() + circuit_to_text(pp.circuit)),
+    ]
 
 
 def cmd_tomo(cfg: ExperimentConfig) -> list[str]:
+    _check_evolution(cfg)
+    _check_tomography(cfg)
     t = cfg.times[0]
     ideal, state = _evolve(cfg, t)
     job, result = _tomo_reconstruction(cfg, state, _stream_seed(cfg, 0))
-    save_tomography_job(job, os.path.join(cfg.outputs, "job"))
+    job_dir, state_file = "job", "state.txt"
+    save_tomography_job(job, os.path.join(cfg.outputs, job_dir))
     fid = fidelity(result.state, ideal.density_matrix())
     lls = result.log_likelihoods
     report = {
@@ -527,9 +542,8 @@ def cmd_tomo(cfg: ExperimentConfig) -> list[str]:
         "config": cfg.resolved_dict(),
         "seed": cfg.seed,
     }
-    save_state_text(result.state, os.path.join(cfg.outputs, "state.txt"))
-    _write_json(os.path.join(cfg.outputs, "tomo_report.json"), report)
-    return ["job", "state.txt", "tomo_report.json"]
+    save_state_text(result.state, os.path.join(cfg.outputs, state_file))
+    return [job_dir, state_file, _artifact(cfg, "tomo_report.json", _json(report))]
 
 
 # Each command writes its artifacts under `cfg.outputs` and returns their
@@ -542,6 +556,17 @@ _COMMANDS = {
     "route": cmd_route,
     "tomo": cmd_tomo,
 }
+
+
+def _check_outputs(path: str) -> None:
+    """Refuse an output directory that is a file, or lies under one, before
+    any compute. Nothing is created here: a config error leaves no output
+    directory behind."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"'outputs' {path!r} lies at or under {head!r}, which is not a directory")
 
 
 def main(argv=None) -> int:
@@ -569,7 +594,7 @@ def main(argv=None) -> int:
         if args.jobs is not None:
             raw["jobs"] = args.jobs
         cfg = ExperimentConfig.from_dict(raw)
-        _preflight(cfg, args.command)
+        _check_outputs(cfg.outputs)
         manifest = {
             "command": args.command,
             "version": __version__,
@@ -578,7 +603,7 @@ def main(argv=None) -> int:
             "config": cfg.resolved_dict(),
             "artifacts": sorted(_COMMANDS[args.command](cfg)),
         }
-        _write_json(os.path.join(cfg.outputs, "manifest.json"), manifest)
+        _artifact(cfg, "manifest.json", _json(manifest))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

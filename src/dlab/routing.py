@@ -456,18 +456,28 @@ def _padded(mapping: dict[int, int], num_physical: int) -> dict[int, int]:
     return mapping | dict(zip(itertools.count(len(mapping)), idle))
 
 
-def replay_permutation(rc: RoutedCircuit) -> tuple[dict[int, int], dict[int, int]]:
+def replay_permutation(rc: RoutedCircuit, original: Circuit) -> tuple[dict[int, int], dict[int, int]] | None:
     """Initial and final slot maps with idle slots padded in as extra logical
-    ids, recovered by replaying the SWAP gates. Only meaningful before
-    `peephole_zero_swap` rewrites SWAPs away."""
+    ids, recovered by replaying the SWAPs that routing inserted. Each gate of
+    `original` must appear once, in order, on the slots its qubits hold at
+    that point; any other gate must be a SWAP, and moves the two slots'
+    occupants. An input SWAP is a gate of `original` and moves nothing. None
+    when `rc.circuit` is not of that form, for example after
+    `peephole_zero_swap` rewrote a SWAP."""
     init = _padded(rc.placement, rc.coupling_map.num_physical)
-    p2l = {p: l for l, p in init.items()}
+    l2p, p2l = dict(init), {p: l for l, p in init.items()}
+    pending = iter(original.gates)
+    want = next(pending, None)
     for g in rc.circuit.gates:
-        if g.kind is GateKind.SWAP:
+        if want is not None and g == Gate(want.kind, tuple(l2p[q] for q in want.qubits), want.angle):
+            want = next(pending, None)
+        elif g.kind is GateKind.SWAP:
             a, b = g.qubits
             p2l[a], p2l[b] = p2l[b], p2l[a]
-    final = {l: p for p, l in p2l.items()}
-    return init, final
+            l2p[p2l[a]], l2p[p2l[b]] = a, b
+        else:
+            return None
+    return None if want is not None else (init, l2p)
 
 
 def permutation_unitary(mapping: dict[int, int], num_qubits: int) -> np.ndarray:
@@ -505,11 +515,18 @@ def routed_statevector_equivalent(rc: RoutedCircuit, original: Circuit) -> bool:
 
 
 def routed_unitary_equivalent(rc: RoutedCircuit, original: Circuit) -> bool:
-    """Exact operator check U_routed = P_final (U_orig x I_idle) P_init^-1.
-
-    Needs SWAPs intact (pre-peephole) and a device small enough for dense
-    unitaries."""
-    init, final = replay_permutation(rc)
+    """Exact operator check U_routed = P_final (U_orig x I_idle) P_init^-1,
+    idle slots included, with the slot maps that `replay_permutation`
+    recovers. False when the routed circuit is not `original` plus routing
+    SWAPs (after the peephole, say), or when the replayed final map is not
+    `rc.final_placement`: the check covers the map a report publishes.
+    Needs a device small enough for dense unitaries."""
+    replay = replay_permutation(rc, original)
+    if replay is None:
+        return False
+    init, final = replay
+    if any(final[l] != p for l, p in rc.final_placement.items()):
+        return False
     num_physical = rc.coupling_map.num_physical
     u_orig = unitary_of(original)
     pad_dim = 2 ** (num_physical - original.num_qubits)

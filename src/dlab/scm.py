@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qstate import PureState
+from .qstate import PureState, _read_only
 
 
 class Scenario(enum.Enum):
@@ -141,4 +141,4 @@ def ideal_global_state(t: float, p: ScmParams) -> PureState:
             np.array([1j * sp * c, -sp * s, sq, 0.0], dtype=complex),
         )
     amps = np.concatenate([reduce(np.kron, [b] * p.n) for b in branches]) / math.sqrt(2.0)
-    return PureState(p.num_qubits, amps)
+    return PureState(p.num_qubits, _read_only(amps))

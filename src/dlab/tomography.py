@@ -227,7 +227,7 @@ def mle_reconstruct_from_frequencies(
     tol, max_iters = _check_stopping(tol, max_iters)
     freqs = _frequency_tensor(settings, frequencies, num_qubits)
     rho, stop_reason, history, bound = _mle(freqs, tol, max_iters)
-    return MleResult(DensityMatrix(num_qubits, rho), stop_reason, tuple(history), bound)
+    return MleResult(DensityMatrix(num_qubits, _read_only(rho)), stop_reason, tuple(history), bound)
 
 
 def mle_reconstruct(job: TomographyJob) -> MleResult:
@@ -242,7 +242,7 @@ def qubit_tomography(records) -> DensityMatrix:
     linear inversion."""
     records = list(records)
     freqs = _frequency_tensor([r.setting for r in records], [r.frequencies() for r in records], 1)
-    return DensityMatrix(1, _project(_operator("dual", freqs)))
+    return DensityMatrix(1, _read_only(_project(_operator("dual", freqs))))
 
 
 def save_state_text(matrix, path) -> None:

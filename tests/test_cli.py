@@ -162,14 +162,14 @@ def test_compare_rows_from_orbits_match_every_fraction(partition):
     base = dict(scenario="full", n=3, partition=partition, times="canonical", phi_steps=5, xi_steps=6)
     ideal = ExperimentConfig.from_dict(base)
     noisy = ExperimentConfig.from_dict(dict(base, noise={"depol_1q": 0.001, "depol_2q": 0.01}))
-    sizes = (3, 1, 2)
+    sizes, scheme = (3, 1, 2), cli._scheme(ideal)
     for t in canonical_times():
-        got = cli._compare_point((ideal, t, sizes))
+        got = cli._compare_point((ideal, scheme, t, sizes))
         want = _all_fraction_compare(ideal, t, sizes)
         assert [r[:2] for r in got] == [r[:2] for r in want]
         assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
         # a noisy state falls back to every fraction: the very same rows
-        assert cli._compare_point((noisy, t, sizes)) == _all_fraction_compare(noisy, t, sizes)
+        assert cli._compare_point((noisy, scheme, t, sizes)) == _all_fraction_compare(noisy, t, sizes)
 
 
 def test_darwinism_eigen_budget(tmp_path, monkeypatch):
@@ -297,6 +297,16 @@ def test_each_time_is_evolved_once(tmp_path, monkeypatch, command, noise):
     density = times if "depol_1q" in noise else 0
     statevector = 0 if density and command in ("compare", "cmi") else times
     assert calls == Counter(run_statevector=statevector, run_density=density)
+
+
+@pytest.mark.parametrize("command", ["darwinism", "cmi", "compare"])
+def test_partition_is_built_once_per_run(tmp_path, monkeypatch, command):
+    calls = []
+    build = cli.partition_scheme
+    monkeypatch.setattr(cli, "partition_scheme", lambda *args: calls.append(args) or build(*args))
+    cfg = write_config(tmp_path, times=[0.0, T_CLOSE, T_MAX], phi_steps=3, xi_steps=3)
+    assert main([command, "--config", str(cfg)]) == EXIT_OK
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
@@ -498,6 +508,28 @@ def test_config_errors(tmp_path, monkeypatch, capsys):
     # an integral-valued number is an integer
     whole = write_config(tmp_path, n=1.0, times=[0.3], shots=128.0)
     assert main(["coherence", "--config", str(whole)]) == EXIT_OK
+
+
+def test_config_paths_fail_as_config_errors(tmp_path, monkeypatch, capsys):
+    # a coupling map that names a directory, and an output directory that is
+    # a file or lies under one, exit 2 before any state is evolved
+    calls = Counter()
+    for name in ("run_statevector", "run_density"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: calls.update([_name]))
+    folder = tmp_path / "maps"
+    folder.mkdir()
+    cfg = write_config(tmp_path, n=1, times=["t_max"], coupling_map=str(folder))
+    assert main(["route", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "bad coupling map file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    for outputs in (blocker, blocker / "out", blocker / "deeper" / "out"):
+        for command in cli._COMMANDS:
+            cfg = write_config(tmp_path, n=1, times=["t_max"], outputs=str(outputs), noise={"depol_1q": 0.01})
+            assert main([command, "--config", str(cfg)]) == EXIT_CONFIG, (command, outputs)
+            assert "not a directory" in capsys.readouterr().err
+    assert not calls and blocker.read_text() == ""
 
 
 def test_null_sizes_and_unread_partition_pass(tmp_path):

@@ -19,12 +19,16 @@ from dlab import (
     depolarizing_channel,
     fidelity,
     ideal_global_state,
+    mle_reconstruct_from_frequencies,
     partial_trace,
     partition_scheme,
     qmi,
+    qubit_tomography,
+    sample_pauli_set,
     trace_distance,
     von_neumann_entropy,
 )
+import dlab.qstate
 from dlab.qstate import _BLOCK_MIN_ROWS, _eigvalsh
 from test_kernels import dense_operator
 
@@ -227,6 +231,20 @@ def test_a_state_never_freezes_its_callers_array(make, data):
     a = np.array(data)
     a.setflags(write=False)
     assert stored(make(1, a)) is a
+
+
+def test_fresh_state_arrays_are_handed_over(monkeypatch):
+    # the exact state and both reconstructions make a fresh array for their
+    # state, so they hand it over read-only and the constructor keeps it
+    handed = []
+    check = dlab.qstate._state_array
+    monkeypatch.setattr(dlab.qstate, "_state_array", lambda data: handed.append(data) or check(data))
+    for scenario in Scenario:
+        state = ideal_global_state(0.4, ScmParams(theta=math.pi, lam=1.0, n=2, scenario=scenario))
+    records = sample_pauli_set(state, 256, 3)
+    mle_reconstruct_from_frequencies(state.num_qubits, [r.setting for r in records], [r.frequencies() for r in records])
+    qubit_tomography(sample_pauli_set(partial_trace(state, (0,)), 256, 4))
+    assert len(handed) >= 5 and not any(a.flags.writeable for a in handed)
 
 
 def test_apply_channel_promotes_a_real_state():

@@ -70,7 +70,6 @@ def _loop_route_once(c, cmap, placement, paths):
         p2l[p] = l
     zero = set(range(cmap.num_physical))
     gates = []
-    swaps = 0
     exec_cost = 0
     for g in c.gates:
         if len(g.qubits) == 1:
@@ -96,7 +95,6 @@ def _loop_route_once(c, cmap, placement, paths):
             for i in range(len(seq) - 2):
                 u, v = seq[i], seq[i + 1]
                 gates.append(Gate(GateKind.SWAP, (u, v)))
-                swaps += 1
                 exec_cost += _loop_swap_cost(u, v, zero)
                 lu, lv = p2l[u], p2l[v]
                 if lu is not None:
@@ -112,7 +110,7 @@ def _loop_route_once(c, cmap, placement, paths):
             exec_cost += _loop_swap_cost(*moved.qubits, zero)
         else:
             exec_cost += _LOOP_CNOT_COST.get(g.kind, 0)
-    return gates, l2p, swaps, exec_cost
+    return gates, l2p, exec_cost
 
 
 def loop_route(c, cmap, placement=None):
@@ -122,16 +120,16 @@ def loop_route(c, cmap, placement=None):
     if placement is None and cmap.num_physical > EXHAUSTIVE_PLACEMENT_MAX:
         placement = {q: q for q in range(c.num_qubits)}
     if placement is not None:
-        gates, l2p, swaps, _ = _loop_route_once(c, cmap, placement, paths)
+        gates, l2p, _ = _loop_route_once(c, cmap, placement, paths)
     else:
         best = None
         for perm in itertools.permutations(range(cmap.num_physical), c.num_qubits):
             cand = {q: perm[q] for q in range(c.num_qubits)}
-            gates, l2p, swaps, exec_cost = _loop_route_once(c, cmap, cand, paths)
+            gates, l2p, exec_cost = _loop_route_once(c, cmap, cand, paths)
             key = (exec_cost, perm)
             if best is None or key < best[0]:
-                best = (key, cand, gates, l2p, swaps)
-        _, placement, gates, l2p, swaps = best
+                best = (key, cand, gates, l2p)
+        _, placement, gates, l2p = best
     routed = Circuit(cmap.num_physical, tuple(gates))
     return RoutedCircuit(
         circuit=routed,
@@ -291,7 +289,7 @@ def assert_scores_match_the_loop(c, cmap):
     """`_scores` of every placement equals the cost the loop referee executes from it."""
     paths = _all_pair_paths(cmap)
     perms = _placements(cmap.num_physical, c.num_qubits)
-    want = [_loop_route_once(c, cmap, dict(enumerate(p)), paths)[3] for p in perms[:, : c.num_qubits].tolist()]
+    want = [_loop_route_once(c, cmap, dict(enumerate(p)), paths)[2] for p in perms[:, : c.num_qubits].tolist()]
     assert _scores(_plan(c, cmap), perms).tolist() == want
 
 
@@ -516,11 +514,41 @@ def test_unitary_equivalence_small_device():
     assert routed_statevector_equivalent(ph, c)
 
 
+def test_unitary_equivalence_with_input_swaps():
+    # an input SWAP is a gate of the original and relabels nothing; only the
+    # SWAPs routing inserted move the slot maps
+    for text in ("H 0\nH 1\nSWAP 0 1\nCNOT 0 1\n", "H 0\nH 2\nSWAP 0 1\nCNOT 1 2\nSWAP 2 0\nCZ 0 1\n"):
+        c = circuit_from_text(text)
+        for cmap in (LINE3, RING4):
+            rc = route(c, cmap)
+            assert routed_statevector_equivalent(rc, c)
+            assert routed_unitary_equivalent(rc, c), (text, cmap)
+            init, final = replay_permutation(rc, c)
+            assert {l: final[l] for l in rc.final_placement} == rc.final_placement
+    c = circuit_from_text("H 0\nH 2\nSWAP 0 1\nCNOT 1 2\nSWAP 2 0\nCZ 0 1\n")
+    rc = route(c, RING4)
+    assert rc.swap_count > 2  # routing inserted SWAPs beside the input's two
+
+    def altered(circuit=rc.circuit, final_placement=rc.final_placement):
+        return RoutedCircuit(circuit, rc.coupling_map, dict(rc.placement), dict(final_placement))
+
+    tampered = altered(circuit=Circuit(rc.circuit.num_qubits, rc.circuit.gates + (Gate(GateKind.X, (0,)),)))
+    assert not routed_unitary_equivalent(tampered, c)
+    # a published final map that is not where the SWAPs left the qubits
+    wrong = dict(rc.final_placement)
+    wrong[0], wrong[1] = wrong[1], wrong[0]
+    assert not routed_unitary_equivalent(altered(final_placement=wrong), c)
+    # the peephole rewrote a SWAP: no longer the original plus routing SWAPs
+    ph = peephole_zero_swap(rc)
+    assert ph.circuit != rc.circuit and replay_permutation(ph, c) is None
+    assert not routed_unitary_equivalent(ph, c) and routed_statevector_equivalent(ph, c)
+
+
 def test_replay_permutation():
     p = ScmParams(theta=math.pi, lam=1.0, n=2)
     c = build_condensed_circuit(0.5, p)
     rc = route(c, RING4)
-    init, final = replay_permutation(rc)
+    init, final = replay_permutation(rc, c)
     assert all(init[l] == rc.placement[l] for l in rc.placement)
     assert all(final[l] == rc.final_placement[l] for l in rc.final_placement)
     assert sorted(init) == sorted(final) == list(range(4))

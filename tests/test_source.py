@@ -1,8 +1,9 @@
 """Static checks on the package source, parsed with `ast`: no module imports
 a name it never uses, no function imports a package module, no
 module-level private function or class is left that nothing refers to,
-the circuit builders and the CLI name no qubit by number, and routing
-walks the |0> flags in one place."""
+the circuit builders and the CLI name no qubit by number, routing
+walks the |0> flags in one place, and no CLI code branches on a command's
+name."""
 import ast
 import collections
 import pathlib
@@ -97,3 +98,24 @@ def test_zero_flags_are_walked_once():
                     if fn.name not in allowed.get(call.func.id, {fn.name}):
                         stray.append(f"{fn.name} calls {call.func.id}")
     assert not stray
+
+
+def test_cli_names_no_command():
+    # each command checks what it runs itself: no shared step compares a
+    # string against a command name to learn what the command will do
+    tree = _modules()["cli.py"]
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_COMMANDS" for t in node.targets)
+    )
+    names = {key.value for key in table.keys}
+    named = []
+    for cmp in ast.walk(tree):
+        if isinstance(cmp, ast.Compare):
+            operands = []
+            for operand in [cmp.left, *cmp.comparators]:
+                operands += operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+            if any(isinstance(o, ast.Constant) and o.value in names for o in operands):
+                named.append(f"cli.py:{cmp.lineno}: {ast.unparse(cmp)}")
+    assert names and not named
