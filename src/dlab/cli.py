@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -46,6 +47,7 @@ from .simulator import (
     DENSITY_MAX_QUBITS,
     STATEVECTOR_MAX_QUBITS,
     NoiseModel,
+    _check_sampling,
     run_density,
     run_statevector,
     sample_pauli_set,
@@ -54,6 +56,7 @@ from .tomography import (
     DEFAULT_MAX_ITERS,
     DEFAULT_TOL,
     TomographyJob,
+    _json_text,
     mle_reconstruct,
     qubit_tomography,
     save_state_text,
@@ -65,9 +68,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 TOMO_MAX_QUBITS = 5
-
-_SCENARIOS = {s.value: s for s in Scenario}
-_PARTITIONS = {m.value: m for m in SchemeMode}
 
 
 class ConfigError(Exception):
@@ -107,6 +107,14 @@ def _boolean(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"'{key}' must be true or false, got {value!r}")
     return value
+
+
+def _member(enum, value, key: str):
+    """The member of `enum` whose value is `value`."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(f"'{key}' must be one of {sorted(m.value for m in enum)}") from None
 
 
 def _string(value, key: str) -> str:
@@ -199,24 +207,18 @@ class ExperimentConfig:
         for key in ("scenario", "n", "times"):
             if key not in raw:
                 raise ConfigError(f"'{key}' is required")
-        scenario = _SCENARIOS.get(raw["scenario"])
-        if scenario is None:
-            raise ConfigError(f"'scenario' must be one of {sorted(_SCENARIOS)}")
         noise_raw = raw.get("noise", {})
         if not isinstance(noise_raw, dict):
             raise ConfigError("'noise' must be an object")
         bad = set(noise_raw) - _NOISE_KEYS
         if bad:
             raise ConfigError(f"unknown noise keys {sorted(bad)}")
-        partition = _PARTITIONS.get(raw.get("partition", "per_pair"))
-        if partition is None:
-            raise ConfigError(f"'partition' must be one of {sorted(_PARTITIONS)}")
         try:
             noise = NoiseModel(
                 **{k: _boolean(v, k) if k == "idle_noise" else _number(v, k) for k, v in noise_raw.items()}
             )
             cfg = cls(
-                scenario=scenario,
+                scenario=_member(Scenario, raw["scenario"], "scenario"),
                 n=_integer(raw["n"], "n"),
                 theta=_number(raw.get("theta", math.pi), "theta"),
                 lam=_number(raw.get("lam", 1.0), "lam"),
@@ -225,7 +227,7 @@ class ExperimentConfig:
                 seed=_integer(raw.get("seed", 0), "seed", 0),
                 noise=noise,
                 coupling_map=_string(raw.get("coupling_map", "t7"), "coupling_map"),
-                partition=partition,
+                partition=_member(SchemeMode, raw.get("partition", "per_pair"), "partition"),
                 outputs=_string(raw.get("outputs", "out"), "outputs"),
                 phi_steps=_integer(raw.get("phi_steps", DEFAULT_PHI_STEPS), "phi_steps", 2),
                 xi_steps=_integer(raw.get("xi_steps", DEFAULT_XI_STEPS), "xi_steps", 2),
@@ -240,6 +242,7 @@ class ExperimentConfig:
                 jobs=_integer(raw.get("jobs", 1), "jobs", 1),
             )
             cfg.params  # force ScmParams invariants now, as a config check
+            _check_sampling(cfg.shots, cfg.noise.readout_flip)
         except (ValueError, TypeError) as e:
             raise ConfigError(str(e)) from None
         return cfg
@@ -310,19 +313,17 @@ def _artifact(cfg: ExperimentConfig, name: str, text: str) -> str:
     return name
 
 
-def _json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _pmap(fn, payloads, jobs: int):
-    """`fn` over `payloads`, in order, on at most one worker per payload and per CPU."""
-    workers = min(jobs, len(payloads), os.cpu_count() or 1)
+def _pmap(point, cfg: ExperimentConfig, shared, times):
+    """`point(cfg, shared, index, t)` at each of `times`, in order, on at most
+    `cfg.jobs` workers and one per time and per CPU."""
+    workers = min(cfg.jobs, len(times), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(p) for p in payloads]
+        return [point(cfg, shared, index, t) for index, t in enumerate(times)]
     from concurrent.futures import ProcessPoolExecutor
 
+    n = len(times)
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, payloads))
+        return list(ex.map(point, [cfg] * n, [shared] * n, range(n), times))
 
 
 def _stream_seed(cfg: ExperimentConfig, index: int) -> int:
@@ -330,8 +331,7 @@ def _stream_seed(cfg: ExperimentConfig, index: int) -> int:
     return int(np.random.SeedSequence([cfg.seed, index]).generate_state(1, np.uint64)[0])
 
 
-def _coherence_point(payload):
-    cfg, index, t = payload
+def _coherence_point(cfg: ExperimentConfig, _, index: int, t: float):
     analytic = coherence_finite(t, cfg.params)
     ideal, state = _evolve(cfg, t)
     simulated = system_coherence(ideal, *cfg.params.system)
@@ -346,7 +346,7 @@ def _coherence_point(payload):
 
 def cmd_coherence(cfg: ExperimentConfig) -> list[str]:
     _check_evolution(cfg)
-    rows = _pmap(_coherence_point, [(cfg, i, t) for i, t in enumerate(cfg.times)], cfg.jobs)
+    rows = _pmap(_coherence_point, cfg, None, cfg.times)
     lines = [cfg.provenance_lines() + "time,analytic,simulated,sampled,sampled_stderr"]
     for t, ana, sim, samp, se in rows:
         lines.append(f"{t!r},{ana!r},{sim!r},{samp!r},{se!r}")
@@ -381,8 +381,7 @@ def _tomo_reconstruction(cfg: ExperimentConfig, state, seed: int):
     return job, result
 
 
-def _darwinism_point(payload):
-    cfg, scheme, index, t = payload
+def _darwinism_point(cfg: ExperimentConfig, scheme, index: int, t: float):
     system = cfg.params.system
     ideal, state = _evolve(cfg, t)
     curves = {"ideal": averaged_qmi(ideal, system, scheme)}
@@ -391,7 +390,7 @@ def _darwinism_point(payload):
     if cfg.include_tomography:
         _, result = _tomo_reconstruction(cfg, state, _stream_seed(cfg, index))
         curves["tomo"] = averaged_qmi(result.state, system, scheme)
-    return index, t, curves
+    return curves
 
 
 def cmd_darwinism(cfg: ExperimentConfig) -> list[str]:
@@ -399,23 +398,20 @@ def cmd_darwinism(cfg: ExperimentConfig) -> list[str]:
     if cfg.include_tomography:
         _check_tomography(cfg)
     scheme = _scheme(cfg)
-    payloads = [(cfg, scheme, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
-    for index, t, curves in _pmap(_darwinism_point, payloads, cfg.jobs):
+    for index, (t, curves) in enumerate(zip(cfg.times, _pmap(_darwinism_point, cfg, scheme, cfg.times))):
         for variant, curve in sorted(curves.items()):
             head = cfg.provenance_lines() + f"# time: {t!r}\n# variant: {variant}\n"
             artifacts.append(_artifact(cfg, f"mi_t{index:02d}_{variant}.csv", head + mi_curve_to_csv(curve)))
     return artifacts
 
 
-def _cmi_point(payload):
-    cfg, frac, index, t = payload
+def _cmi_point(cfg: ExperimentConfig, frac, index: int, t: float):
     system, state = cfg.params.system, _noisy_state(cfg, t)
     shots, seed = (cfg.shots if cfg.sampled else None), _stream_seed(cfg, index)
-    grid = cmi_grid(
+    return cmi_grid(
         state, system, frac, cfg.phi_steps, cfg.xi_steps, shots=shots, seed=seed, readout_flip=cfg.noise.readout_flip
     )
-    return index, t, grid
 
 
 def cmd_cmi(cfg: ExperimentConfig) -> list[str]:
@@ -424,9 +420,8 @@ def cmd_cmi(cfg: ExperimentConfig) -> list[str]:
     if not 1 <= cfg.fraction_units <= scheme.num_units:
         raise ConfigError(f"'fraction_units' must lie in 1..{scheme.num_units}, got {cfg.fraction_units}")
     frac = tuple(sorted(q for u in scheme.units[: cfg.fraction_units] for q in u))
-    payloads = [(cfg, frac, i, t) for i, t in enumerate(cfg.times)]
     artifacts = []
-    for index, t, grid in _pmap(_cmi_point, payloads, cfg.jobs):
+    for index, (t, grid) in enumerate(zip(cfg.times, _pmap(_cmi_point, cfg, frac, cfg.times))):
         phi, xi, peak = grid.argmax()
         head = cfg.provenance_lines() + f"# time: {t!r}\n# fraction: {list(frac)}\n"
         foot = f"# argmax: {phi!r},{xi!r},{peak!r}\n"
@@ -434,10 +429,10 @@ def cmd_cmi(cfg: ExperimentConfig) -> list[str]:
     return artifacts
 
 
-def _compare_point(payload):
+def _compare_point(cfg: ExperimentConfig, shared, _, t: float):
     """One row per fraction size, all from one evolution of the state at `t`:
     the `_orbit_mean` of QMI, Holevo bound and best-basis CMI."""
-    cfg, scheme, t, sizes = payload
+    scheme, sizes = shared
     system = cfg.params.system
     state = _noisy_state(cfg, t)
 
@@ -457,8 +452,7 @@ def cmd_compare(cfg: ExperimentConfig) -> list[str]:
     if any(not 1 <= s <= units for s in cfg.sizes or ()):
         raise ConfigError(f"'sizes' must lie in 1..{units}")
     sizes = tuple(range(1, units + 1)) if cfg.sizes is None else cfg.sizes
-    payloads = [(cfg, scheme, t, sizes) for t in canonical_times()]
-    rows = [row for point in _pmap(_compare_point, payloads, cfg.jobs) for row in point]
+    rows = [row for point in _pmap(_compare_point, cfg, (scheme, sizes), canonical_times()) for row in point]
     lines = [cfg.provenance_lines() + "time,size,qmi,holevo,cmi_max"]
     for t, size, q, chi, cmi in rows:
         lines.append(f"{t!r},{size},{q!r},{chi!r},{cmi!r}")
@@ -513,7 +507,7 @@ def cmd_route(cfg: ExperimentConfig) -> list[str]:
         "seed": cfg.seed,
     }
     return [
-        _artifact(cfg, "route_report.json", _json(report)),
+        _artifact(cfg, "route_report.json", _json_text(report)),
         _artifact(cfg, "routed.txt", cfg.provenance_lines() + circuit_to_text(rc.circuit)),
         _artifact(cfg, "routed_peephole.txt", cfg.provenance_lines() + circuit_to_text(pp.circuit)),
     ]
@@ -543,7 +537,7 @@ def cmd_tomo(cfg: ExperimentConfig) -> list[str]:
         "seed": cfg.seed,
     }
     save_state_text(result.state, os.path.join(cfg.outputs, state_file))
-    return [job_dir, state_file, _artifact(cfg, "tomo_report.json", _json(report))]
+    return [job_dir, state_file, _artifact(cfg, "tomo_report.json", _json_text(report))]
 
 
 # Each command writes its artifacts under `cfg.outputs` and returns their
@@ -567,6 +561,28 @@ def _check_outputs(path: str) -> None:
         head = os.path.dirname(head)
     if not os.path.isdir(head):
         raise ConfigError(f"'outputs' {path!r} lies at or under {head!r}, which is not a directory")
+
+
+def _remove_unlisted(outputs: str, artifacts: list[str]) -> None:
+    """Remove each artifact that the previous `manifest.json` under `outputs`
+    lists and `artifacts` does not, so a rerun leaves none of an earlier
+    run's files beside its own. Only plain names (no path separator, not
+    `.` or `..`) are read; a missing or unreadable manifest removes nothing."""
+    try:
+        with open(os.path.join(outputs, "manifest.json"), "r", encoding="utf-8") as fh:
+            listed = json.load(fh)
+    except (OSError, ValueError):
+        return
+    listed = listed.get("artifacts") if isinstance(listed, dict) else None
+    for name in listed if isinstance(listed, list) else ():
+        plain = isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
+        if not plain or name in artifacts:
+            continue
+        path = os.path.join(outputs, name)
+        if os.path.isdir(path) and not os.path.islink(path):
+            shutil.rmtree(path)
+        elif os.path.lexists(path):
+            os.remove(path)
 
 
 def main(argv=None) -> int:
@@ -595,15 +611,17 @@ def main(argv=None) -> int:
             raw["jobs"] = args.jobs
         cfg = ExperimentConfig.from_dict(raw)
         _check_outputs(cfg.outputs)
+        artifacts = sorted(_COMMANDS[args.command](cfg))
+        _remove_unlisted(cfg.outputs, artifacts)
         manifest = {
             "command": args.command,
             "version": __version__,
             "numpy": np.__version__,
             "kernel": KERNEL_IMPLEMENTATION,
             "config": cfg.resolved_dict(),
-            "artifacts": sorted(_COMMANDS[args.command](cfg)),
+            "artifacts": artifacts,
         }
-        _artifact(cfg, "manifest.json", _json(manifest))
+        _artifact(cfg, "manifest.json", _json_text(manifest))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -404,6 +404,10 @@ def _shot_probabilities(probs: np.ndarray, readout_flip: float = 0.0) -> np.ndar
     return p / p.sum(axis=-1, keepdims=True)
 
 
+# The largest count numpy's multinomial draws: its C long.
+_MAX_SHOTS = 2**63 - 1
+
+
 def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator, readout_flip: float = 0.0) -> np.ndarray:
     """Multinomial counts of `shots` over each row of `_shot_probabilities`,
     the rows drawn in order from the one generator `rng`: a row's counts
@@ -413,10 +417,16 @@ def _draw(probs: np.ndarray, shots: int, rng: np.random.Generator, readout_flip:
 
 
 def _check_sampling(shots, readout_flip, exact_ok: bool = False) -> int | None:
-    """`shots` checked as `MeasRecord` checks it; with `exact_ok`, None (an
-    exact value) is passed through. The flip rate is checked either way."""
+    """`shots` checked as `MeasRecord` checks it, and refused above
+    _MAX_SHOTS; with `exact_ok`, None (an exact value) is passed through.
+    The flip rate is checked either way."""
     _check_probability(readout_flip, "readout_flip")
-    return None if exact_ok and shots is None else _check_integer(shots, "shots", 1)
+    if exact_ok and shots is None:
+        return None
+    shots = _check_integer(shots, "shots", 1)
+    if shots > _MAX_SHOTS:
+        raise ValueError(f"shots must be at most {_MAX_SHOTS}, got {shots}")
+    return shots
 
 
 def sample(state, setting: MeasSetting, shots: int, seed: int, readout_flip: float = 0.0) -> MeasRecord:

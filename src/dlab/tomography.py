@@ -31,12 +31,10 @@ _MAX_STEP = 1e6
 # _PROJECTORS[2b + o] = Pi_{b,o} for b in X, Y, Z: rotation row 2b + o is the bra.
 _PROJECTORS = _read_only(_PAULI_SET_ROTATIONS.conj()[:, :, None] * _PAULI_SET_ROTATIONS[:, None, :])
 # On one qubit's (row, column) pair p = 2r + c: frame[p, k] = Pi_k[r, c]; the
-# dual frame 3 Pi_k - I inverts frequencies weighted 1/3 per basis, and the
-# conjugate frame reads probabilities off a density matrix.
+# dual frame 3 Pi_k - I inverts frequencies weighted 1/3 per basis.
 _FRAMES = {
     "frame": _PROJECTORS.reshape(6, 4).T,
     "dual": _read_only((3 * _PROJECTORS - np.eye(2)).reshape(6, 4).T),
-    "conj": _read_only(_PROJECTORS.reshape(6, 4).T.conj()),
 }
 
 
@@ -92,10 +90,11 @@ def _operator(name: str, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _probabilities(rho: np.ndarray, num_qubits: int) -> np.ndarray:
-    """p[k] = tr(rho (Pi_{k_0} x ... x Pi_{k_{n-1}})), as Pi_k[c, r] = conj(Pi_k[r, c])."""
-    h, a, b = _halves("conj", num_qubits)
+    """p[k] = tr(rho (Pi_{k_0} x ... x Pi_{k_{n-1}})) = sum_{r, c} conj(rho[r, c]) Pi_k[r, c],
+    as rho and Pi_k are Hermitian."""
+    h, a, b = _halves("frame", num_qubits)
     rest = 2 ** (num_qubits - h)
-    pairs = rho.reshape(2**h, rest, 2**h, rest).transpose(0, 2, 1, 3).reshape(4**h, rest * rest)
+    pairs = rho.conj().reshape(2**h, rest, 2**h, rest).transpose(0, 2, 1, 3).reshape(4**h, rest * rest)
     return (a.T @ pairs @ b).real.reshape([6] * num_qubits)
 
 
@@ -272,26 +271,33 @@ def load_state_text(path) -> np.ndarray:
     return mat
 
 
+def _json_text(obj) -> str:
+    """The one JSON file layout: sorted keys, two-space indent, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def save_tomography_job(job: TomographyJob, dirpath) -> None:
-    """Job directory: records/setting_<label>.json plus manifest.json."""
-    os.makedirs(os.path.join(dirpath, "records"), exist_ok=True)
-    rel_paths = []
-    for r in job.records:
-        rel = os.path.join("records", f"setting_{r.setting.label()}.json")
-        rel_paths.append(rel)
-        with open(os.path.join(dirpath, rel), "w", encoding="utf-8") as fh:
-            json.dump(r.to_json_obj(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    """Job directory: records/setting_<label>.json plus manifest.json. The
+    directory holds one job: a record file of an earlier job that this one
+    does not name is removed."""
+    records = os.path.join(dirpath, "records")
+    os.makedirs(records, exist_ok=True)
+    names = {f"setting_{r.setting.label()}.json": r for r in job.records}
+    for name in os.listdir(records):
+        if name.startswith("setting_") and name.endswith(".json") and name not in names:
+            os.remove(os.path.join(records, name))
+    for name, r in names.items():
+        with open(os.path.join(records, name), "w", encoding="utf-8") as fh:
+            fh.write(_json_text(r.to_json_obj()))
     manifest = {
         "num_qubits": job.num_qubits,
         "shots": job.shots,
         "tol": job.tol,
         "max_iters": job.max_iters,
-        "records": sorted(rel_paths),
+        "records": sorted(os.path.join("records", name) for name in names),
     }
     with open(os.path.join(dirpath, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(manifest))
 
 
 def load_tomography_job(dirpath) -> TomographyJob:

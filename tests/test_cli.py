@@ -164,12 +164,12 @@ def test_compare_rows_from_orbits_match_every_fraction(partition):
     noisy = ExperimentConfig.from_dict(dict(base, noise={"depol_1q": 0.001, "depol_2q": 0.01}))
     sizes, scheme = (3, 1, 2), cli._scheme(ideal)
     for t in canonical_times():
-        got = cli._compare_point((ideal, scheme, t, sizes))
+        got = cli._compare_point(ideal, (scheme, sizes), 0, t)
         want = _all_fraction_compare(ideal, t, sizes)
         assert [r[:2] for r in got] == [r[:2] for r in want]
         assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
         # a noisy state falls back to every fraction: the very same rows
-        assert cli._compare_point((noisy, scheme, t, sizes)) == _all_fraction_compare(noisy, t, sizes)
+        assert cli._compare_point(noisy, (scheme, sizes), 0, t) == _all_fraction_compare(noisy, t, sizes)
 
 
 def test_darwinism_eigen_budget(tmp_path, monkeypatch):
@@ -318,6 +318,67 @@ def test_manifest_lists_the_command_and_everything_it_wrote(tmp_path, command):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["artifacts"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("darwinism", {"times": [0.0, T_CLOSE, T_MAX]}), ("darwinism", {})),
+        (("tomo", {"n": 2}), ("tomo", {"n": 1})),
+        (("tomo", {}), ("coherence", {})),
+    ],
+)
+def test_rerun_replaces_the_listed_artifacts(tmp_path, first, second):
+    # fewer times, a smaller tomography job, another command: nothing of
+    # the first run is left that the second run's manifests do not list
+    out = tmp_path / "out"
+    for command, overrides in (first, second):
+        cfg = write_config(tmp_path, **{"times": ["t_max"], "max_iters": 20, **overrides})
+        assert main([command, "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    if command == "tomo":
+        job = json.loads((out / "job" / "manifest.json").read_text())
+        assert len(job["records"]) == 9
+        assert job["records"] == sorted(f"records/{p.name}" for p in (out / "job" / "records").iterdir())
+
+
+def test_rerun_removes_only_plain_names_it_listed(tmp_path):
+    # a file no manifest listed stays, an unreadable manifest removes
+    # nothing, and a listed name that is not a plain file name in the
+    # output directory is left alone
+    out, victim = tmp_path / "out", tmp_path / "victim"
+    out.mkdir()
+    victim.write_text("kept")
+    (out / "notes.txt").write_text("kept")
+    cfg = write_config(tmp_path, n=1, times=["t_max"], shots=64)
+    names = ["stale.csv", "../victim", str(victim), ".", "..", "", "out/stale.csv", 7, ["stale.csv"]]
+    for manifest, stale_left in (("{", True), (json.dumps({"artifacts": names}), False)):
+        (out / "stale.csv").write_text("")
+        (out / "manifest.json").write_text(manifest)
+        assert main(["coherence", "--config", str(cfg)]) == EXIT_OK
+        assert (out / "stale.csv").exists() == stale_left
+    assert victim.read_text() == (out / "notes.txt").read_text() == "kept"
+    assert sorted(p.name for p in out.iterdir()) == ["coherence.csv", "manifest.json", "notes.txt"]
+
+
+def test_misshapen_values_are_config_errors_before_any_run(tmp_path, monkeypatch):
+    # a JSON list or object where a key takes neither, and a shot count
+    # above what numpy's multinomial draws, exit 2 for every command before
+    # any state is evolved or any output directory is made
+    calls = Counter()
+    for name in ("run_statevector", "run_density"):
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: calls.update([_name]))
+    monkeypatch.chdir(tmp_path)
+    keys = [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in ("times", "sizes", "noise")]
+    cases = [{key: value} for key in keys for value in (["full"], {"a": 1})]
+    cases += [{"shots": 1e30}, {"shots": 2**63}]
+    for overrides in cases:
+        cfg = write_config(tmp_path, **overrides)
+        for command in cli._COMMANDS:
+            assert main([command, "--config", str(cfg)]) == EXIT_CONFIG, (command, overrides)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"], overrides
+    assert not calls
 
 
 def test_readout_only_noise_runs_as_a_statevector(tmp_path):
@@ -614,8 +675,8 @@ def test_worker_count_is_capped(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, payloads):
-            return map(fn, payloads)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     cfg = write_config(tmp_path, n=1, times=[0.2, 0.5], shots=64)
@@ -624,8 +685,13 @@ def test_worker_count_is_capped(tmp_path, monkeypatch):
         assert main(["coherence", "--config", str(cfg), "--jobs", "100000"]) == EXIT_OK
         assert pools == want, cpus
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-    assert cli._pmap(abs, [-1, -2, -3], 3) == [1, 2, 3] and pools[-1] == 3
-    assert cli._pmap(abs, [-1, -2, -3], 1) == [1, 2, 3] and len(pools) == 3
+
+    def point(cfg, shared, index, t):
+        return shared, index, t
+
+    want = [("s", 0, 0.1), ("s", 1, 0.2), ("s", 2, 0.3)]
+    assert cli._pmap(point, types.SimpleNamespace(jobs=3), "s", [0.1, 0.2, 0.3]) == want and pools[-1] == 3
+    assert cli._pmap(point, types.SimpleNamespace(jobs=1), "s", [0.1, 0.2, 0.3]) == want and len(pools) == 3
 
 
 def test_sampled_cmi_applies_readout_flips(tmp_path):

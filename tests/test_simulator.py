@@ -526,6 +526,8 @@ def _bad_inputs():
             yield pytest.param(
                 lambda draw=draw, shots=shots: draw(shots, 0.0), "shots must be an integer", id=f"{name}.shots={shots}"
             )
+        # numpy's multinomial draws at most 2**63 - 1
+        yield pytest.param(lambda draw=draw: draw(2**63, 0.0), "shots must be at most", id=f"{name}.shots=2**63")
     # None asks the CMI for its exact value; a sampler has no exact record to give
     for name in ("sample", "sample_pauli_set"):
         yield pytest.param(

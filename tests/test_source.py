@@ -2,8 +2,8 @@
 a name it never uses, no function imports a package module, no
 module-level private function or class is left that nothing refers to,
 the circuit builders and the CLI name no qubit by number, routing
-walks the |0> flags in one place, and no CLI code branches on a command's
-name."""
+walks the |0> flags in one place, no CLI code branches on a command's
+name, and the JSON file layout is stated once."""
 import ast
 import collections
 import pathlib
@@ -119,3 +119,20 @@ def test_cli_names_no_command():
             if any(isinstance(o, ast.Constant) and o.value in names for o in operands):
                 named.append(f"cli.py:{cmp.lineno}: {ast.unparse(cmp)}")
     assert names and not named
+
+
+def test_json_layout_is_stated_once():
+    # every JSON file is written through one helper, so one call sets the
+    # layout: sorted keys, indent and the final newline
+    layouts = []
+    for name, tree in _modules().items():
+        for call in ast.walk(tree):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("dump", "dumps")
+                and getattr(call.func.value, "id", None) == "json"
+                and any(kw.arg == "indent" for kw in call.keywords)
+            ):
+                layouts.append(f"{name}:{call.lineno}")
+    assert len(layouts) == 1, layouts

@@ -250,7 +250,7 @@ def local_operator(frame, coeffs):
 def local_probabilities(rho, n):
     """Reference: tr(rho Pi_k) for every k, one qubit's frame contracted at a time."""
     pairs = _pair_axes(rho.reshape([2] * (2 * n)), n)
-    return _local_apply([tomography._FRAMES["conj"].T] * n, pairs).real
+    return _local_apply([tomography._FRAMES["frame"].conj().T] * n, pairs).real
 
 
 @pytest.mark.parametrize("n", range(1, 6))
