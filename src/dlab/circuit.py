@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import apply_matrix
-from .qstate import _read_only
+from .qstate import _check_integer, _read_only
 from .scm import THETA_PI_ATOL, Scenario, ScmParams, prep_angle
 
 UNITARY_MAX_QUBITS = 6
@@ -64,6 +64,8 @@ class Gate:
             raise ValueError(f"gate qubits must be distinct, got {self.qubits}")
         if (self.kind is GateKind.RY) != (self.angle is not None):
             raise ValueError("angle is required for RY and forbidden otherwise")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"RY angle must be finite, got {self.angle!r}")
 
     def matrix(self) -> np.ndarray:
         if self.kind is GateKind.RY:
@@ -74,12 +76,13 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list over a register of logical qubits."""
+    """Ordered gate list over a register of at least one logical qubit."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _check_integer(self.num_qubits, "num_qubits", 1))
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(not 0 <= q < self.num_qubits for q in g.qubits):
@@ -158,7 +161,10 @@ def circuit_from_text(text: str, num_qubits: int | None = None) -> Circuit:
             raise ValueError(f"line {lineno}: expected {expected} fields, got {len(parts)}")
         qubits = tuple(int(tok) for tok in parts[1 : 1 + arity])
         angle = float(parts[1 + arity]) if kind is GateKind.RY else None
-        gates.append(Gate(kind, qubits, angle))
+        try:
+            gates.append(Gate(kind, qubits, angle))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     if num_qubits is None:
         num_qubits = 1 + max((q for g in gates for q in g.qubits), default=-1)
     return Circuit(num_qubits, tuple(gates))

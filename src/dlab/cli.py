@@ -75,6 +75,9 @@ class ConfigError(Exception):
 
 
 _NOISE_KEYS = {f.name for f in dataclasses.fields(NoiseModel)}
+# The settings that fix the BLAS thread count, on which noisy bytes depend;
+# `manifest.json` records each as the run saw it.
+_THREAD_SETTINGS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _integer(value, key: str, least: int | None = None) -> int:
@@ -618,6 +621,8 @@ def main(argv=None) -> int:
             "version": __version__,
             "numpy": np.__version__,
             "kernel": KERNEL_IMPLEMENTATION,
+            "threads": {name: os.environ.get(name) for name in _THREAD_SETTINGS},
+            "cpu_count": os.cpu_count(),
             "config": cfg.resolved_dict(),
             "artifacts": artifacts,
         }

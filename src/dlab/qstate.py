@@ -181,8 +181,21 @@ def _check_qubits(qubits, num_qubits: int, what: str) -> list[int]:
     return qubits
 
 
+def _check_integer(value, name: str, least: int) -> int:
+    """`value` as an int: an integer, a numpy one included, of at least
+    `least`; a bool, a float and anything else are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least == 1 else 'non-negative'}, got {value}")
+    return int(value)
+
+
 def _check_probability(value: float, name: str) -> None:
-    """Refuse a rate outside [0, 1]; written so that NaN fails the test too."""
+    """Refuse a bool and a rate outside [0, 1]; written so that NaN fails the
+    test too."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")
 

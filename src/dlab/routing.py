@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, Gate, GateKind, unitary_of
-from .qstate import PureState
-from .simulator import _check_integer, run_statevector
+from .qstate import PureState, _check_integer
+from .simulator import run_statevector
 
 EXHAUSTIVE_PLACEMENT_MAX = 8
 # largest entry deviation each routed-equivalence check accepts

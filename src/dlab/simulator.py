@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .qstate import (
     _CUTOFF,
     DensityMatrix,
     PureState,
+    _check_integer,
     _check_probability,
     _read_only,
     _superop,
@@ -180,6 +181,8 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("depol_1q", "depol_2q", "amp_damp_gamma", "readout_flip"):
             _check_probability(getattr(self, name), name)
+        if not isinstance(self.idle_noise, bool):
+            raise ValueError(f"idle_noise must be a bool, got {self.idle_noise!r}")
 
     @property
     def is_mixing(self) -> bool:
@@ -207,18 +210,25 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
     then (optionally) single-qubit noise on every idle qubit.
 
     Each gate is one superoperator on its qubits' row and column axes (the
-    gate, then its depolarizing, then its damping) and costs one kernel
-    sweep. Channels on disjoint qubits commute, so a qubit the gate leaves
-    alone only owes one idle step. A qubit owing k steps gets S_idle^k
-    folded in at the start of its next gate, and the steps it owes after
-    its last gate are folded in at the end of that gate; a qubit no gate
-    touches takes all of them in one sweep of its own.
+    gate, then its depolarizing, then its damping), built once per run for
+    each distinct (kind, angle). Channels on disjoint qubits commute, so a
+    qubit the gate leaves alone only owes one idle step. A qubit owing k
+    steps gets S_idle^k folded in at the start of its next gate, and the
+    steps it owes after its last gate are folded in at the end of that gate;
+    a qubit no gate touches takes all of them in one sweep of its own. Each
+    idle power is built once per run for each tuple of steps.
 
     The state is a product of factors, each a density matrix over a sorted
-    tuple of qubits. Every qubit starts as its own |0><0| factor, a gate
-    whose qubits sit in two factors first merges them into one, and the
-    gate's sweep covers that factor only. The factors left at the end are
-    merged in qubit order.
+    tuple of qubits. Every qubit starts as its own |0><0| factor. A gate
+    inside one factor costs one kernel sweep of that factor. A gate whose
+    qubits sit in two factors is applied in the contraction that merges
+    them, in which its superoperator meets the smaller factor first, so the
+    merged factor is written once, with the gate applied, and then copied
+    into register order. The factors left at the end are merged in qubit
+    order. A merge holds the larger factor and two copies of the merged
+    one, and a sweep three copies of its factor (the kernel's gather and
+    product), so a run whose last gates merge, as a collision circuit's
+    CZs do, peaks within 2.5 times its result's bytes.
 
     Every gate kind and both noise channels have real superoperators, so
     the state is float64 and every sweep is real. A superoperator with a
@@ -232,28 +242,55 @@ def run_density(c: Circuit, noise: NoiseModel | None = None) -> DensityMatrix:
         2: _noise_superop(noise.depol_2q, noise.amp_damp_gamma, 2),
     }
     idle = gate_noise[1] if noise.idle_noise else None
+    idle_power = lru_cache(maxsize=None)(partial(_idle_power, idle))
+    superops = {}  # (kind, angle) -> `_gate_superop` of the run's first such gate
     last = {q: i for i, g in enumerate(c.gates) for q in g.qubits}
     # qubit -> the factor (qubits, flattened density matrix) that holds it
     factors = {q: ((q,), np.array([1.0, 0.0, 0.0, 0.0])) for q in range(n)}
     paid = [0] * n  # qubit q owes one idle step per gate from gate paid[q] on
     for i, g in enumerate(c.gates):
-        sup = _gate_superop(g, gate_noise)
+        sup = superops.get((g.kind, g.angle))
+        if sup is None:
+            sup = superops[g.kind, g.angle] = _gate_superop(g, gate_noise)
         if idle is not None:
-            tail = [len(c.gates) - 1 - i if last[q] == i else 0 for q in g.qubits]
-            sup = _idle_power(idle, tail) @ sup @ _idle_power(idle, [i - paid[q] for q in g.qubits])
+            tail = tuple(len(c.gates) - 1 - i if last[q] == i else 0 for q in g.qubits)
+            sup = idle_power(tail) @ sup @ idle_power(tuple(i - paid[q] for q in g.qubits))
             for q in g.qubits:
                 paid[q] = i + 1
-        if factors[g.qubits[0]] is not factors[g.qubits[-1]]:
-            merged = _product([factors[q] for q in g.qubits])
+        first, second = factors[g.qubits[0]], factors[g.qubits[-1]]
+        if first is not second:
+            merged = _merge(sup, g.qubits, first, second)
             factors.update(dict.fromkeys(merged[0], merged))
-        held, rho = factors[g.qubits[0]]
-        pos = [held.index(q) for q in g.qubits]
-        apply_matrix(rho, sup, tuple(ax for p in pos for ax in (p, len(held) + p)), 2 * len(held))
+        else:
+            held, rho = first
+            pos = [held.index(q) for q in g.qubits]
+            apply_matrix(rho, sup, tuple(ax for p in pos for ax in (p, len(held) + p)), 2 * len(held))
     if idle is not None:
         for q in [q for q in range(n) if q not in last]:
-            apply_matrix(factors[q][1], _idle_power(idle, [len(c.gates)]), (0, 1), 2)
+            apply_matrix(factors[q][1], idle_power((len(c.gates),)), (0, 1), 2)
     _, rho = _product([f for q, f in factors.items() if f[0][0] == q])
     return DensityMatrix(n, _read_only(rho.reshape(2**n, 2**n)))
+
+
+def _merge(sup, gate_qubits, first, second) -> tuple[tuple[int, ...], np.ndarray]:
+    """Factors `first` and `second`, each holding one of a 2-qubit gate's
+    `gate_qubits`, merged into one factor over their qubits in ascending
+    order with the gate's superoperator `sup` applied. In the one
+    contraction, `sup` meets the smaller factor first. Its output is copied
+    into register order only after the contraction has freed its own
+    copies, so the merge peaks at twice the merged factor's bytes plus the
+    larger factor's."""
+    qubits = tuple(sorted(first[0] + second[0]))
+    k = len(qubits)
+    # qubit -> its (row, column) labels in the merged factor, and the gate's
+    # input labels in place of those for the gate qubits
+    out = {q: (j, k + j) for j, q in enumerate(qubits)}
+    into = out | {q: (2 * k + 2 * j, 2 * k + 2 * j + 1) for j, q in enumerate(gate_qubits)}
+    operands = [sup.reshape([2] * 8), [ax for labels in (out, into) for q in gate_qubits for ax in labels[q]]]
+    for held, rho in (first, second):
+        operands += [rho.reshape([2] * (2 * len(held))), [into[q][0] for q in held] + [into[q][1] for q in held]]
+    path = ["einsum_path", (0, 1 if first[1].size <= second[1].size else 2), (0, 1)]
+    return qubits, np.ascontiguousarray(np.einsum(*operands, list(range(2 * k)), optimize=path)).reshape(-1)
 
 
 def _product(factors) -> tuple[tuple[int, ...], np.ndarray]:
@@ -378,16 +415,6 @@ def _fold_readout_flip(probs: np.ndarray, n: int, r: float) -> np.ndarray:
     the 2^n outcomes on the first axis of `probs`; further axes are kept."""
     flip = np.array([[1 - r, r], [r, 1 - r]])
     return _local_apply([flip] * n, probs.reshape([2] * n + list(probs.shape[1:]))).reshape(probs.shape)
-
-
-def _check_integer(value, name: str, least: int) -> int:
-    """`value` as an int: an integer, a numpy one included, of at least
-    `least`; a bool, a float and anything else are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be {'positive' if least == 1 else 'non-negative'}, got {value}")
-    return int(value)
 
 
 def _shot_probabilities(probs: np.ndarray, readout_flip: float = 0.0) -> np.ndarray:

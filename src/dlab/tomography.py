@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import DensityMatrix, _read_only
-from .simulator import _PAULI_SET_ROTATIONS, MeasRecord, _check_integer, _pair_axes, pauli_settings
+from .qstate import DensityMatrix, _check_integer, _read_only
+from .simulator import _PAULI_SET_ROTATIONS, MeasRecord, _pair_axes, pauli_settings
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITERS = 5000

@@ -46,6 +46,33 @@ def test_circuit_validation_and_labels():
         Circuit(1, (Gate(GateKind.CNOT, (0, 1)),))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Circuit(-1, ()), "num_qubits must be positive, got -1"),
+        (lambda: Circuit(0, ()), "num_qubits must be positive, got 0"),
+        (lambda: Circuit(True, ()), "num_qubits must be an integer, got True"),
+        (lambda: Circuit(2.0, ()), "num_qubits must be an integer, got 2.0"),
+        # an empty text names no qubit, so it gives no register
+        (lambda: circuit_from_text(""), "num_qubits must be positive, got 0"),
+        (lambda: Gate(GateKind.RY, (0,), math.nan), "RY angle must be finite, got nan"),
+        (lambda: Gate(GateKind.RY, (0,), -math.inf), "RY angle must be finite, got -inf"),
+        (lambda: circuit_from_text("H 0\nRY 0 nan\n"), "line 2: RY angle must be finite"),
+        (lambda: circuit_from_text("RY 0 inf\n"), "line 1: RY angle must be finite"),
+    ],
+    ids=["negative", "zero", "bool", "float", "empty-text", "nan", "-inf", "text-nan", "text-inf"],
+)
+def test_circuits_refuse_what_no_run_can_read(make, message):
+    # each once constructed and failed later, inside a run or inside numpy
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_circuit_keeps_a_numpy_integer_register_as_int():
+    c = Circuit(np.int64(2), (Gate(GateKind.CZ, (0, 1)),))
+    assert type(c.num_qubits) is int and c.num_qubits == 2
+
+
 def test_full_builder_shape():
     c = build_full_circuit(0.5, FULL3)
     assert c.num_qubits == 7 and len(c.gates) == 13

@@ -3,6 +3,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import types
@@ -318,6 +319,18 @@ def test_manifest_lists_the_command_and_everything_it_wrote(tmp_path, command):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == command
     assert manifest["artifacts"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+def test_manifest_records_the_thread_settings(tmp_path, monkeypatch):
+    # the settings that fix the BLAS thread count, as the run saw them
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = write_config(tmp_path, times=[T_MAX])
+    assert main(["coherence", "--config", str(cfg)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["threads"] == {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+    assert manifest["cpu_count"] == os.cpu_count()
 
 
 @pytest.mark.parametrize(

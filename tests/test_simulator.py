@@ -1,6 +1,7 @@
 """Statevector and density-matrix execution, measurement settings, sampling."""
 import json
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -333,35 +334,61 @@ def test_run_density_matches_the_kraus_loop(problem):
 
 
 def _sweep_sizes(monkeypatch, c, noise):
-    """The `n_axes` of every kernel sweep of `run_density(c, noise)`, in
-    order, and the largest deviation from the Kraus loop."""
-    sizes = []
+    """Every step of `run_density(c, noise)`, in order, as ("sweep", n_axes)
+    for a kernel sweep of a factor, ("merge", n_axes) for a contraction that
+    merges two factors and applies a gate, and ("product", n_axes) for the
+    product of the factors left at the end; n_axes counts the axes of the
+    factor the step writes. Also the largest deviation from the Kraus loop."""
+    steps = []
+    simulator = dlab.simulator
 
-    def counted(flat, mat, axes, n_axes):
-        sizes.append(n_axes)
+    def swept(flat, mat, axes, n_axes):
+        steps.append(("sweep", n_axes))
         apply_matrix(flat, mat, axes, n_axes)
 
-    monkeypatch.setattr(dlab.simulator, "apply_matrix", counted)
+    def recorded(step, original):
+        def call(*args):
+            qubits, rho = original(*args)
+            steps.append((step, 2 * len(qubits)))
+            return qubits, rho
+
+        return call
+
+    monkeypatch.setattr(simulator, "apply_matrix", swept)
+    monkeypatch.setattr(simulator, "_merge", recorded("merge", simulator._merge))
+    monkeypatch.setattr(simulator, "_product", recorded("product", simulator._product))
     got = run_density(c, noise).matrix
-    return sizes, np.max(np.abs(got - loop_run_density(c, noise).matrix))
+    return steps, np.max(np.abs(got - loop_run_density(c, noise).matrix))
+
+
+# Ry sweeps a fresh qubit, the CNOT merges it with its partner, X sweeps the pair
+_PAIR = [("sweep", 2), ("merge", 4), ("sweep", 4)]
+
+
+def _cz_layer(*merged):
+    """H on the system, then one merge per CZ, then the product of the one
+    factor left."""
+    return [("sweep", 2)] + [("merge", axes) for axes in merged] + [("product", merged[-1])]
 
 
 @pytest.mark.parametrize(
     "scenario, n, idle_noise, sizes",
     [
-        # 17 gates: 4 x (Ry, CNOT, X) on a fresh pair, then H on the system
-        # and 4 CZs, each joining the system's factor to a pair's
-        (Scenario.FULL, 4, False, [2, 4, 4] * 4 + [2, 6, 10, 14, 18]),
+        # 17 gates: 4 x (Ry, CNOT, X) on a fresh pair, the CNOT merging its
+        # two qubits, then H on the system and 4 CZs, each merging the
+        # system's factor with a pair's; the product has one factor left
+        (Scenario.FULL, 4, False, _PAIR * 4 + _cz_layer(6, 10, 14, 18)),
         # 13 gates; each qubit's idle steps after its last gate are folded
         # into that gate, so nothing is left to sweep at the end
-        (Scenario.FULL, 3, True, [2, 4, 4] * 3 + [2, 6, 10, 14]),
-        # the Ry layer sweeps each qubit alone before the CZs join them
-        (Scenario.CONDENSED, 3, True, [2, 2, 2, 2, 4, 6, 8]),
+        (Scenario.FULL, 3, True, _PAIR * 3 + _cz_layer(6, 10, 14)),
+        # the Ry layer sweeps each qubit alone before the CZs merge them
+        (Scenario.CONDENSED, 3, True, [("sweep", 2)] * 3 + _cz_layer(4, 6, 8)),
     ],
     ids=["full-4-False-17", "full-3-True-13", "condensed-3-True-7"],
 )
 def test_run_density_sweeps_once_per_gate(monkeypatch, scenario, n, idle_noise, sizes):
-    # each gate sweeps once, on the smallest factor that holds its qubits
+    # a gate inside one factor sweeps that factor once, and a gate whose
+    # qubits sit in two factors is applied in the contraction that merges them
     build = build_full_circuit if scenario is Scenario.FULL else build_condensed_circuit
     c = build(canonical_times().t_max, ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario))
     noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.002, idle_noise=idle_noise)
@@ -375,8 +402,9 @@ _FACTOR_NOISE = NoiseModel(depol_1q=0.03, depol_2q=0.05, amp_damp_gamma=0.1, idl
 
 def test_run_density_keeps_disjoint_factors_apart(monkeypatch):
     # pairs (0, 1) and (3, 4) never meet, and qubits 2 and 5 see no gate:
-    # each sweep covers one qubit or one pair, and each untouched qubit
-    # takes all six idle steps in one sweep of its own
+    # each step covers one qubit or one pair, each untouched qubit takes
+    # all six idle steps in one sweep of its own, and the four factors
+    # meet only in the final product
     c = Circuit(
         6,
         (
@@ -389,7 +417,7 @@ def test_run_density_keeps_disjoint_factors_apart(monkeypatch):
         ),
     )
     sizes, err = _sweep_sizes(monkeypatch, c, _FACTOR_NOISE)
-    assert sizes == [2, 4, 4, 2, 4, 4, 2, 2]
+    assert sizes == _PAIR * 2 + [("sweep", 2), ("sweep", 2), ("product", 12)]
     assert err < 1e-12
 
 
@@ -408,8 +436,45 @@ def test_run_density_merges_factors_out_of_register_order(monkeypatch):
         ),
     )
     sizes, err = _sweep_sizes(monkeypatch, c, _FACTOR_NOISE)
-    assert sizes == [2, 4, 2, 4, 8, 8, 2]
+    pairs = [("sweep", 2), ("merge", 4)] * 2
+    assert sizes == pairs + [("merge", 8), ("sweep", 8), ("sweep", 2), ("product", 10)]
     assert err < 1e-12
+
+
+_WORKLOAD_NOISE = NoiseModel(depol_1q=0.001, depol_2q=0.01, amp_damp_gamma=0.001)
+
+
+@pytest.mark.parametrize("scenario, n", [(Scenario.FULL, 4), (Scenario.CONDENSED, 9)])
+def test_run_density_peaks_within_two_and_a_half_results(scenario, n):
+    # a merge that wrote the product and then swept it peaked at 3.0 times
+    # the result's bytes; applying the gate inside the merge leaves the
+    # copy into register order, at about 2.07 (full) and 2.25 (condensed)
+    build = build_full_circuit if scenario is Scenario.FULL else build_condensed_circuit
+    c = build(canonical_times().t_max, ScmParams(theta=math.pi, lam=1.0, n=n, scenario=scenario))
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        rho = run_density(c, _WORKLOAD_NOISE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 2.5 * rho.matrix.nbytes
+
+
+def test_run_density_builds_each_superoperator_once(monkeypatch):
+    # full n=4 repeats Ry, CNOT and X once per pair and CZ once per pair:
+    # 17 gates of 5 distinct (kind, angle)
+    calls = []
+    build = dlab.simulator._gate_superop
+    monkeypatch.setattr(dlab.simulator, "_gate_superop", lambda g, noise: calls.append(g) or build(g, noise))
+    c = build_full_circuit(canonical_times().t_max, ScmParams(theta=math.pi, lam=1.0, n=4, scenario=Scenario.FULL))
+    run_density(c, _WORKLOAD_NOISE)
+    assert len(c.gates) == 17
+    assert sorted(g.kind.value for g in calls) == ["CNOT", "CZ", "H", "RY", "X"]
+    # the superoperators live as long as the run: the next run builds its own
+    run_density(c, _WORKLOAD_NOISE)
+    assert len(calls) == 10
 
 
 def test_run_density_spectrum_matches_the_dense_solver():
@@ -489,6 +554,9 @@ def test_noise_model_validation():
         NoiseModel(readout_flip=1.5)
     assert not NoiseModel().is_mixing and NoiseModel(depol_1q=0.001, depol_2q=0.01, readout_flip=0.02).is_mixing
     assert not NoiseModel(readout_flip=0.1, idle_noise=True).is_mixing
+    for flag in (1, 0, "yes", None):
+        with pytest.raises(ValueError, match="idle_noise must be a bool"):
+            NoiseModel(idle_noise=flag)
 
 
 def _bad_inputs():
@@ -517,6 +585,8 @@ def _bad_inputs():
     for name, (make, label) in rates.items():
         for v in (-0.2, 1.5, math.nan):
             yield pytest.param(lambda make=make, v=v: make(v), f"{label} must lie in", id=f"{name}={v}")
+        # True compares as 1 and would pass the range test
+        yield pytest.param(lambda make=make: make(True), f"{label} must be a number", id=f"{name}=True")
     for name, draw in samplers.items():
         for shots in (0, -1):
             yield pytest.param(
