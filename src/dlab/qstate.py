@@ -66,6 +66,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _check_integer(self.num_qubits, "num_qubits", 1))
         amps = _state_array(self.amplitudes)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(f"expected 2**{self.num_qubits} amplitudes, got shape {amps.shape}")
@@ -109,6 +110,7 @@ class DensityMatrix:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _check_integer(self.num_qubits, "num_qubits", 1))
         dim = 2**self.num_qubits
         mat = _state_array(self.matrix)
         if mat.shape != (dim, dim):

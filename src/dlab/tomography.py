@@ -26,6 +26,15 @@ _RATIO_CAP = 1e12
 # the cap keeps the step finite where every step is accepted (at an optimum).
 _MIN_STEP = 1e-12
 _MAX_STEP = 1e6
+# An accepted step grows by this factor and a rejected trial halves it. The
+# accepted step settles near 0.01-0.06 on the problems probed (2-5 qubits), so
+# doubling overshot after every accepted step and each iteration paid two
+# projections (eigensolves). On the benchmark's `tomo` problem (4 qubits, 81
+# settings x 4096 shots, seeds 1-8) the runs took 1,757 projections with
+# doubling, 1,495 with 1.5, 1,202 with 1.25 and 1,012 with 1.1 (1.17-1.19 per
+# iteration); with no growth they took 1,426, over 1,378 iterations against
+# 871 with doubling and 857 with 1.1.
+_STEP_GROWTH = 1.1
 
 
 # _PROJECTORS[2b + o] = Pi_{b,o} for b in X, Y, Z: rotation row 2b + o is the bra.
@@ -68,14 +77,15 @@ def _pauli_order(settings, num_qubits: int) -> list[int]:
 def _frequency_tensor(settings, frequencies, num_qubits: int) -> np.ndarray:
     """f[k_0, ..., k_{n-1}] with k_q = 2 b_q + o_q, weighted 1/3^n per setting
     so that the whole tensor sums to 1; each frequency vector, indexed by
-    bitstring value, must be a distribution."""
+    bitstring value, must be a distribution (NaN fails no comparison, so
+    finiteness is checked first)."""
     order = _pauli_order(settings, num_qubits)
     if len(frequencies) != len(order):
         raise ValueError("one frequency vector per setting is required")
     f = np.array([frequencies[i] for i in order], dtype=float)
     if f.shape[1:] != (2**num_qubits,):
         raise ValueError(f"frequency vectors must have length {2**num_qubits}")
-    if f.min() < 0 or np.abs(f.sum(axis=1) - 1.0).max() > 1e-9:
+    if not np.isfinite(f).all() or f.min() < 0 or np.abs(f.sum(axis=1) - 1.0).max() > 1e-9:
         raise ValueError("frequencies must be distributions over outcomes")
     return _pair_axes((f / len(order)).reshape([3] * num_qubits + [2] * num_qubits), num_qubits)
 
@@ -187,11 +197,13 @@ def _mle(freqs: np.ndarray, tol: float, max_iters: int):
     # the momentum point; a restart puts it back on the last accepted iterate
     point, point_probs, momentum, step = rho, probs, 1.0, 1.0
     while True:
-        bound = float(np.linalg.eigvalsh(_gradient(freqs, observed, probs))[-1]) - 1.0
+        rho_grad = _gradient(freqs, observed, probs)
+        bound = float(np.linalg.eigvalsh(rho_grad)[-1]) - 1.0
         if bound <= tol or len(history) > max_iters:
             return rho, "tol" if bound <= tol else "max_iters", history, bound
         point_ll = _log_likelihood(weights, point_probs[observed])
-        grad = _gradient(freqs, observed, point_probs)
+        # at the start and after a restart the point is rho, whose gradient the bound took
+        grad = rho_grad if point is rho else _gradient(freqs, observed, point_probs)
         while True:
             cand = _project(point + step * grad)
             diff = cand - point
@@ -211,7 +223,7 @@ def _mle(freqs: np.ndarray, tol: float, max_iters: int):
         point, point_probs = cand + beta * (cand - rho), cand_probs + beta * (cand_probs - probs)
         rho, probs, momentum = cand, cand_probs, next_momentum
         history.append(cand_ll)
-        step = min(2 * step, _MAX_STEP)
+        step = min(_STEP_GROWTH * step, _MAX_STEP)
 
 
 def mle_reconstruct_from_frequencies(
@@ -223,6 +235,7 @@ def mle_reconstruct_from_frequencies(
 ) -> MleResult:
     """MLE from exact (or empirical) outcome distributions, one per setting of
     a complete Pauli set in any order (see `_frequency_tensor`)."""
+    num_qubits = _check_integer(num_qubits, "num_qubits", 1)
     tol, max_iters = _check_stopping(tol, max_iters)
     freqs = _frequency_tensor(settings, frequencies, num_qubits)
     rho, stop_reason, history, bound = _mle(freqs, tol, max_iters)

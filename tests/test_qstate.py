@@ -68,6 +68,30 @@ def test_density_matrix_validation():
     assert np.allclose(m.matrix, np.eye(4) / 4)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: DensityMatrix(True, np.eye(2) / 2), "num_qubits must be an integer, got True"),
+        (lambda: PureState(True, np.array([1.0, 0.0])), "num_qubits must be an integer, got True"),
+        (lambda: DensityMatrix(1.0, np.eye(2) / 2), "num_qubits must be an integer, got 1.0"),
+        (lambda: PureState(1.0, np.array([1.0, 0.0])), "num_qubits must be an integer, got 1.0"),
+        (lambda: DensityMatrix(-1, np.ones((1, 1))), "num_qubits must be positive, got -1"),
+        (lambda: PureState(0, np.ones(1)), "num_qubits must be positive, got 0"),
+    ],
+    ids=["density-bool", "pure-bool", "density-float", "pure-float", "density-negative", "pure-zero"],
+)
+def test_states_refuse_a_qubit_count_that_is_no_positive_integer(make, message):
+    # a bool once constructed a state, a negative count failed on the matrix
+    # shape and a float with a TypeError
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_states_keep_a_numpy_qubit_count_as_int():
+    assert type(DensityMatrix(np.int64(1), np.eye(2) / 2).num_qubits) is int
+    assert type(PureState(np.int64(1), np.array([1.0, 0.0])).num_qubits) is int
+
+
 def test_pure_state_refuses_non_finite_amplitudes():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):

@@ -13,11 +13,13 @@ from dlab import (
     DensityMatrix,
     MeasRecord,
     MeasSetting,
+    NoiseModel,
     PureState,
     ScmParams,
     TomographyJob,
     born_distribution,
     build_condensed_circuit,
+    canonical_times,
     fidelity,
     load_state_text,
     load_tomography_job,
@@ -25,8 +27,10 @@ from dlab import (
     mle_reconstruct_from_frequencies,
     pauli_settings,
     qubit_tomography,
+    run_density,
     run_statevector,
     sample,
+    sample_pauli_set,
     save_state_text,
     save_tomography_job,
 )
@@ -210,6 +214,18 @@ def test_mle_input_validation():
         mle_reconstruct_from_frequencies(1, settings, [np.array([0.5, 0.5])] * 2 + [np.array([1.0, 0, 0])])
     with pytest.raises(ValueError):  # a setting twice, another missing
         mle_reconstruct_from_frequencies(1, settings[:2] + settings[:1], [np.array([0.5, 0.5])] * 3)
+    # NaN fails every comparison of the distribution check; it once reached
+    # `_project` and failed there with an IndexError
+    with pytest.raises(ValueError, match="frequencies must be distributions over outcomes"):
+        mle_reconstruct_from_frequencies(1, settings, [np.array([math.nan, 0.5])] + [np.array([0.5, 0.5])] * 2)
+
+
+@pytest.mark.parametrize("num_qubits", [True, 1.0, 0])
+def test_mle_refuses_a_qubit_count_that_is_no_positive_integer(num_qubits, monkeypatch):
+    # True once ran and returned a state whose num_qubits was True
+    monkeypatch.setattr(tomography, "_mle", None)  # nothing may run
+    with pytest.raises(ValueError, match="num_qubits"):
+        mle_reconstruct_from_frequencies(num_qubits, pauli_settings(1), [[0.5, 0.5]] * 3)
 
 
 def qubit_records(counts0, shots=100):
@@ -384,11 +400,44 @@ def test_mle_matches_the_diluted_reference(problem):
     assert res.iterations > 10 and np.any(np.diff(res.log_likelihoods) == 0)
 
 
-@pytest.mark.parametrize("problem", referee_problems())
+def tomo_problem(seed):
+    """The benchmark's `tomo` problem: condensed n=3 (4 qubits) at t_max under
+    depolarising noise 0.001 and 0.01 and readout flips 0.02, 81 settings x
+    4096 shots."""
+    noise = NoiseModel(depol_1q=0.001, depol_2q=0.01, readout_flip=0.02)
+    circuit = build_condensed_circuit(canonical_times().t_max, ScmParams(theta=math.pi, lam=1.0, n=3))
+    records = sample_pauli_set(run_density(circuit, noise), 4096, seed, noise.readout_flip)
+    return 4, [r.setting for r in records], [r.frequencies() for r in records]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mle_pays_about_one_projection_per_iteration(seed, monkeypatch):
+    # an accepted step grows gently, so few trials overshoot and are halved
+    # back; doubling it paid two projections (eigensolves) per iteration
+    nq, settings, freqs = tomo_problem(seed)
+    real = tomography._project
+    calls = []
+
+    def counting(mat):
+        calls.append(None)
+        return real(mat)
+
+    monkeypatch.setattr(tomography, "_project", counting)
+    res = mle_reconstruct_from_frequencies(nq, settings, freqs)
+    assert res.stop_reason == "tol" and res.ll_gap_bound <= tomography.DEFAULT_TOL
+    assert len(calls) <= 1.3 * res.iterations, (len(calls), res.iterations)
+
+
+@pytest.mark.parametrize("problem", [*referee_problems(), tomo_problem(1)])
 def test_certified_bound_covers_the_true_gap(problem):
-    # against a long reference run, whose log-likelihood is at most the maximum
+    # against a long reference run, whose log-likelihood is at most the
+    # maximum: the diluted iteration, or on 4 qubits, where that is slow, the
+    # MLE itself at tol=1e-12
     nq, settings, freqs = problem
-    _, best = diluted_mle(nq, settings, freqs, tol=1e-12, max_iters=50_000)
+    if nq < 4:
+        _, best = diluted_mle(nq, settings, freqs, tol=1e-12, max_iters=50_000)
+    else:
+        best = mle_reconstruct_from_frequencies(nq, settings, freqs, tol=1e-12).log_likelihoods[-1]
     for max_iters in (1, 3, 10, 30, 5000):
         res = mle_reconstruct_from_frequencies(nq, settings, freqs, tol=1e-10, max_iters=max_iters)
         gap = best - res.log_likelihoods[-1]
