@@ -23,7 +23,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qstate import PureState, _check_qubits, _entropies, _entropy, _read_only, _reduce, _spectrum_entropy
+from .qstate import (
+    PureState,
+    _check_integer,
+    _check_qubits,
+    _entropies,
+    _entropy,
+    _read_only,
+    _reduce,
+    _spectrum_entropy,
+)
 from .scm import Scenario, ScmParams
 from .simulator import (
     _PAULI_SET_ROTATIONS,
@@ -49,6 +58,9 @@ _CHUNK_BYTES = 1 << 18
 # A state counts as unchanged by a swap of two collisions when no entry of
 # its amplitude vector or density matrix moves by more than this.
 SYMMETRY_ATOL = 1e-12
+# A system Bloch row's Y entry counts as zero up to this: the (phi, pi)
+# bases carry sin(pi) = 1.2e-16 there.
+_Y_ATOL = 1e-15
 
 
 class SchemeMode(enum.Enum):
@@ -137,14 +149,20 @@ class MiCurve:
 
 @dataclass(frozen=True)
 class BasisGrid:
-    """CMI over the (phi, xi) measurement-basis grid."""
+    """CMI over the (phi, xi) measurement-basis grid. The axes are stored as
+    tuples and the values read-only: a writable array is copied first, so
+    the caller's stays writable, and a read-only one is kept as it is."""
 
     phis: tuple[float, ...]
     xis: tuple[float, ...]
     values: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "phis", tuple(self.phis))
+        object.__setattr__(self, "xis", tuple(self.xis))
         vals = np.asarray(self.values, dtype=float)
+        if vals is self.values and vals.flags.writeable:
+            vals = vals.copy()
         if vals.shape != (len(self.phis), len(self.xis)):
             raise ValueError("grid shape does not match the axes")
         if not np.all(np.isfinite(vals)):
@@ -474,6 +492,41 @@ def cmi_joint(
     return float(_basis_cmi([p[None]], order, shots, seed, readout_flip)[0])
 
 
+@lru_cache(maxsize=None)
+def _grid_table(phi_steps: int, xi_steps: int):
+    """The axes of the (phi_steps x xi_steps) grid, as tuples, and two cell
+    maps, every cell's and the mirror's: each a pair (blochs, source) of the
+    Bloch vectors n of the cells computed, row-major, and the (phi, xi)
+    array of indices into those cells' values that fills the grid.
+    Read-only, as every grid of this shape shares it.
+
+    n = (sin phi cos xi, sin phi sin xi, cos phi) is (0, 0, 1) on the whole
+    phi = 0 row, and xi -> 2 pi - xi flips only its Y entry. The mirror
+    computes the phi = 0 row once and, of every other row, the columns
+    0..xi_steps // 2; column j > xi_steps // 2 copies column xi_steps - j."""
+    phis = np.linspace(0.0, math.pi, phi_steps)
+    xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
+    # each cell's Bloch vector n: the outcome-0 Bloch row without its identity entry
+    blochs = _bloch_rows(basis_rotation(phis[:, None], xis[None, :]).reshape(-1, 2, 2))[:, 0, 1:]
+    half = xi_steps // 2 + 1
+    columns = np.minimum(np.arange(xi_steps), xi_steps - np.arange(xi_steps))
+    kept = np.arange(1, phi_steps)[:, None] * xi_steps + np.arange(half)
+    source = np.zeros((phi_steps, xi_steps), dtype=np.intp)
+    source[1:] = 1 + half * np.arange(phi_steps - 1)[:, None] + columns
+    every = (_read_only(np.ascontiguousarray(blochs)), _read_only(np.arange(blochs.shape[0]).reshape(source.shape)))
+    mirror = (_read_only(blochs[np.append(0, kept)]), _read_only(source))
+    return tuple(phis.tolist()), tuple(xis.tolist()), every, mirror
+
+
+def _mirrors(state, sys_rows) -> bool:
+    """Whether CMI(phi, 2 pi - xi) = CMI(phi, xi) on every grid of `state`
+    with these system Bloch rows: the state is real, so T[mu] = 0 for every
+    Pauli string with an odd number of Y's, and the system rows have no Y
+    entry, so a cell's p depends on n_y only through its even powers."""
+    data = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return data.dtype == np.float64 and bool(np.all(np.abs(sys_rows[..., 2]) <= _Y_ATOL))
+
+
 def cmi_grid(
     state,
     sys_qubits,
@@ -493,24 +546,26 @@ def cmi_grid(
     Pauli-weight classes of `_class_sums`, and each chunk of cells is one
     (cells x classes) @ (classes x 2^k) product. The cells agree with
     cmi_joint's, from the same `_system_side`, to rounding, not bit for bit.
+    An exact grid that `_mirrors` computes the cells of `_grid_table`'s
+    mirror, about half, and copies them into their twins; any other grid
+    computes every cell.
 
     With `shots`, each cell is instead a sampled estimate as cmi_joint's, the
     cells drawn row-major from one generator seeded with `seed`, as
     `sample_pauli_set` draws its records: cell (0, 0) draws as cmi_joint's
     with that seed, from probabilities equal to rounding, and a later cell
-    depends on those before it. `shots` and the flip rate are checked before
-    any work."""
-    if phi_steps < 2 or xi_steps < 2:
-        raise ValueError("grid needs at least 2 steps per axis")
+    depends on those before it. The step counts, `shots` and the flip rate
+    are checked before any work."""
+    phi_steps = _check_integer(phi_steps, "phi_steps", 2)
+    xi_steps = _check_integer(xi_steps, "xi_steps", 2)
     shots = _check_sampling(shots, readout_flip, exact_ok=True)
     sys_q, frac_q = _check_parts(state, sys_qubits, frac_qubits)
-    system, order = _system_side(state, sys_q, frac_q, _system_rows(sys_basis, len(sys_q)))
-    phis = np.linspace(0.0, math.pi, phi_steps)
-    xis = np.linspace(0.0, 2 * math.pi, xi_steps, endpoint=False)
-    # each cell's Bloch vector n: the outcome-0 Bloch row without its identity entry
-    blochs = _bloch_rows(basis_rotation(phis[:, None], xis[None, :]).reshape(-1, 2, 2))[:, 0, 1:]
+    sys_rows = _system_rows(sys_basis, len(sys_q))
+    system, order = _system_side(state, sys_q, frac_q, sys_rows)
+    phis, xis, every, mirror = _grid_table(phi_steps, xi_steps)
+    blochs, source = mirror if shots is None and _mirrors(state, sys_rows) else every
     values = _basis_cmi(_class_chunks(system, blochs), order, shots, seed, readout_flip)
-    return BasisGrid(tuple(phis.tolist()), tuple(xis.tolist()), values.reshape(phi_steps, xi_steps))
+    return BasisGrid(phis, xis, _read_only(values[source]))
 
 
 def holevo_bound(state, sys_qubits, frac_qubits) -> float:

@@ -189,7 +189,8 @@ def _check_integer(value, name: str, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be {'positive' if least == 1 else 'non-negative'}, got {value}")
+        bound = {0: "non-negative", 1: "positive"}.get(least, f"at least {least}")
+        raise ValueError(f"{name} must be {bound}, got {value}")
     return int(value)
 
 

@@ -166,16 +166,22 @@ def shared_basis_problems(draw):
     return state, tuple(qubits[:s]), tuple(qubits[s : s + f]), sys_basis, steps
 
 
-@settings(max_examples=40, deadline=None)
-@given(shared_basis_problems())
-def test_class_sums_match_cmi_joint_per_cell(problem):
-    # the grid sums Pauli-weight classes; cmi_joint contracts qubit by qubit
-    state, sys_q, frac_q, sys_basis, steps = problem
+def _grid_against_cmi_joint(state, sys_q, frac_q, steps, sys_basis):
+    """The grid's values, each cell checked against cmi_joint to 1e-12."""
     grid = cmi_grid(state, sys_q, frac_q, *steps, sys_basis)
     for i, phi in enumerate(grid.phis):
         for j, xi in enumerate(grid.xis):
             setting = MeasSetting(((phi, xi),) * len(frac_q))
             assert abs(grid.values[i, j] - cmi_joint(state, sys_q, frac_q, setting, sys_basis)) < 1e-12
+    return grid.values
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_basis_problems())
+def test_class_sums_match_cmi_joint_per_cell(problem):
+    # the grid sums Pauli-weight classes; cmi_joint contracts qubit by qubit
+    state, sys_q, frac_q, sys_basis, steps = problem
+    _grid_against_cmi_joint(state, sys_q, frac_q, steps, sys_basis)
 
 
 @pytest.mark.parametrize("f", range(1, 7))
@@ -753,6 +759,116 @@ def test_cmi_grid_validation():
         BasisGrid((0.0, 1.0), (0.0,), np.array([[-1.0], [0.0]]))
     with pytest.raises(ValueError):
         BasisGrid((0.0, 1.0), (0.0,), np.array([[np.nan], [0.0]]))
+
+
+def test_cmi_grid_checks_steps_before_any_work(monkeypatch):
+    # a step count is refused on entry, before the state is reduced; 4.0
+    # must not reach the cached table of the 4-step grid
+    psi = ideal_global_state(T_MAX, COND2)
+    cmi_grid(psi, (0,), (1,), 4, 4)
+
+    def reduced(*args):
+        raise AssertionError("reduced before the steps were checked")
+
+    monkeypatch.setattr(dlab.darwinism, "_reduced_parts", reduced)
+    refusals = [(bad, "must be an integer") for bad in (True, 2.5, 4.0, "5")]
+    for bad, message in refusals + [(1, "must be at least 2, got 1"), (-3, "must be at least 2, got -3")]:
+        with pytest.raises(ValueError, match=f"phi_steps {message}"):
+            cmi_grid(psi, (0,), (1,), bad, 4)
+        with pytest.raises(ValueError, match=f"xi_steps {message}"):
+            cmi_grid(psi, (0,), (1,), 4, bad)
+
+
+def test_basis_grid_keeps_its_callers_array():
+    # a writable input is copied and left writable; a read-only one is kept
+    values = np.zeros((2, 2))
+    grid = BasisGrid([0.0, 1.0], [0.0, 1.0], values)
+    assert values.flags.writeable and grid.values is not values
+    values[0, 0] = 1.0
+    assert grid.values[0, 0] == 0.0 and not grid.values.flags.writeable
+    assert grid.phis == (0.0, 1.0) and isinstance(grid.phis, tuple) and isinstance(grid.xis, tuple)
+    values.setflags(write=False)
+    assert BasisGrid((0.0, 1.0), (0.0, 1.0), values).values is values
+
+
+def test_grid_table_is_read_only():
+    phis, xis, every, mirror = dlab.darwinism._grid_table(5, 6)
+    assert isinstance(phis, tuple) and isinstance(xis, tuple)
+    for arr in (*every, *mirror):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0
+
+
+_REAL_SYSTEM_BASES = st.one_of(
+    st.sampled_from("ZX"),
+    st.tuples(st.floats(0.0, math.pi), st.sampled_from((0.0, math.pi))),
+)
+
+
+@st.composite
+def real_mirror_problems(draw):
+    """A random real pure state or real mixed state of random rank (real
+    symmetric PSD) on s + f qubits and up to one more, a system of one or two
+    qubits anywhere in the register in Y-free bases, and a grid with 2-7 xi
+    steps, odd and even."""
+    f = draw(st.integers(1, 4))
+    s = draw(st.integers(1, 2))
+    k = s + f + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        amps = rng.normal(size=2**k)
+        state = PureState(k, amps / np.linalg.norm(amps))
+    else:
+        g = rng.normal(size=(2**k, draw(st.integers(1, 2**k))))
+        rho = g @ g.T
+        state = DensityMatrix(k, rho / np.trace(rho))
+    qubits = draw(st.permutations(range(k)))
+    sys_basis = MeasSetting(tuple(draw(st.lists(_REAL_SYSTEM_BASES, min_size=s, max_size=s))))
+    steps = (draw(st.integers(2, 4)), draw(st.integers(2, 7)))
+    return state, tuple(qubits[:s]), tuple(qubits[s : s + f]), sys_basis, steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(real_mirror_problems())
+def test_real_grids_mirror_xi(problem):
+    # CMI(phi, 2 pi - xi) = CMI(phi, xi) for a real state and a Y-free
+    # system basis: column xi_steps - j is column j, bit for bit
+    state, sys_q, frac_q, sys_basis, steps = problem
+    values = _grid_against_cmi_joint(state, sys_q, frac_q, steps, sys_basis)
+    assert np.array_equal(values[:, 1:], values[:, :0:-1])
+
+
+def test_complex_states_and_y_bases_keep_every_cell():
+    # (|0>|0> + |1>|b>) / sqrt 2 with b's Bloch vector in the x-y plane is
+    # complex; a real state seen through a system basis with a Y component
+    # is not mirrored either. Each cell keeps its own value
+    b = np.array([1, np.exp(1j * math.pi / 3)]) / math.sqrt(2)
+    amps = np.random.default_rng(3).normal(size=8)
+    cases = (
+        (PureState(2, np.concatenate([[1, 0], b]) / math.sqrt(2)), (0,), (1,), None),
+        (PureState(3, amps / np.linalg.norm(amps)), (0,), (1, 2), MeasSetting(((0.9, 1.2),))),
+    )
+    for state, sys_q, frac_q, sys_basis in cases:
+        values = _grid_against_cmi_joint(state, sys_q, frac_q, (5, 6), sys_basis)
+        assert np.max(np.abs(values[:, 1:] - values[:, :0:-1])) > 1e-6
+
+
+def test_sampled_grid_draws_every_cell_from_its_own_probabilities():
+    # a sampled grid of a mirrored state still computes every cell
+    rng = np.random.default_rng(8)
+    g = rng.normal(size=(16, 5))
+    state = DensityMatrix(4, g @ g.T / np.trace(g @ g.T))
+    phis = np.linspace(0.0, math.pi, 5)
+    xis = np.linspace(0.0, 2 * math.pi, 6, endpoint=False)
+    blochs = dlab.darwinism._bloch_rows(basis_rotation(phis[:, None], xis[None, :]).reshape(-1, 2, 2))[:, 0, 1:]
+    for sys_q, frac_q, flip in (((0,), (1, 2), 0.0), ((2,), (0, 1, 3), 0.05)):
+        rows = dlab.darwinism._system_rows(None, len(sys_q))
+        system, order = dlab.darwinism._system_side(state, sys_q, frac_q, rows)
+        chunks = dlab.darwinism._class_chunks(system, blochs)
+        want = dlab.darwinism._basis_cmi(chunks, order, 1000, 7, flip).reshape(5, 6)
+        got = cmi_grid(state, sys_q, frac_q, 5, 6, shots=1000, seed=7, readout_flip=flip).values
+        assert np.array_equal(got, want)
 
 
 def test_holevo_bound_values():

@@ -11,7 +11,7 @@ import re
 import pytest
 
 from dlab.cli import EXIT_OK, TOMO_MAX_QUBITS, ExperimentConfig, main
-from dlab.darwinism import _CHUNK_BYTES
+from dlab.darwinism import _CHUNK_BYTES, _Y_ATOL
 from dlab.qstate import _BLOCK_MIN_ROWS, _CUTOFF
 from dlab.routing import EXHAUSTIVE_PLACEMENT_MAX
 from dlab.simulator import DENSITY_MAX_QUBITS, STATEVECTOR_MAX_QUBITS, NoiseModel
@@ -64,6 +64,7 @@ CAPS = {
     "cutoff": (r"at or below ([\d.]+e-\d+)", _CUTOFF),
     "draw_cutoff": (r"probability at most ([\d.]+e-\d+)", _CUTOFF),
     "chunk_budget": (r"within (\d+) KiB", _CHUNK_BYTES // 1024),
+    "mirror_y": (r"whose Y entries are zero up to ([\d.]+e-\d+)", _Y_ATOL),
 }
 
 
